@@ -21,7 +21,7 @@ import (
 func BenchmarkFig3P2PBandwidth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig3(io.Discard)
+		res, err := bench.Fig3(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func BenchmarkFig3P2PBandwidth(b *testing.B) {
 func BenchmarkFig5CollectiveBandwidth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig5(io.Discard)
+		res, err := bench.Fig5(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkFig5CollectiveBandwidth(b *testing.B) {
 func BenchmarkFig6Timeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig6(io.Discard)
+		res, err := bench.Fig6(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkFig6Timeline(b *testing.B) {
 func BenchmarkTable1Variants(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1(io.Discard, nil)
+		rows, err := bench.Table1(io.Discard, bench.Options{}, bench.Systems)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkTable1Variants(b *testing.B) {
 func BenchmarkTable2NDupSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table2(io.Discard, nil)
+		rows, err := bench.Table2(io.Discard, bench.Options{}, bench.Systems)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkTable2NDupSweep(b *testing.B) {
 func BenchmarkTable3PPNSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table3(io.Discard, 0)
+		rows, err := bench.Table3(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkTable3PPNSweep(b *testing.B) {
 func BenchmarkTable4CommAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table4(io.Discard, 0)
+		rows, err := bench.Table4(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkTable4CommAnalysis(b *testing.B) {
 func BenchmarkTable5Cannon25D(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table5(io.Discard, 0)
+		rows, err := bench.Table5(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func BenchmarkKernelScaling(b *testing.B) {
 func BenchmarkSolverOverlap(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Solver(io.Discard)
+		rows, err := bench.Solver(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func BenchmarkSolverOverlap(b *testing.B) {
 func BenchmarkSparseKernel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Sparse(io.Discard, 2000)
+		rows, err := bench.Sparse(io.Discard, bench.Options{N: 2000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkSparseKernel(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Ablate(io.Discard, 0)
+		rows, err := bench.Ablate(io.Discard, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

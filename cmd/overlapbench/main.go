@@ -3,42 +3,24 @@
 //
 // Usage:
 //
-//	overlapbench [-n dim] [-csv dir] [-trace file] [-metrics] [-noise] [experiment ...]
+//	overlapbench [flags] [experiment ...]
 //	overlapbench -validate-trace file
 //	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]
 //	overlapbench serve [-addr host:port] [-queue n] [-max-jobs n] [-worker-cap n]
 //	overlapbench loadbench [-cpu 1,2,4] [-clients n] [-jobs n] [-csv file]
-//	overlapbench mlwork [-quick] [-csv dir]
-//	overlapbench progress [-quick] [-csv dir]
-//	overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] base.json current.json
 //
-// Experiments: fig3, fig4, fig5, fig6, table1, table2, table3, table4,
-// table5 (the paper's artifacts), plus the extensions solver
-// (pipelined-CG future work), algos (2D/3D/2.5D family comparison),
-// ablate (design-knob sensitivity), sparse (block-sparse SUMMA), scaling
-// (strong scaling), topo (the same allreduce swept over N_DUP, PPN and the
-// collective-algorithm family on the flat vs the hierarchical fabric — the
-// tuned winner is fabric-dependent), noise (the skew-resilience experiment: Fig. 5's cases
-// re-measured under seeded machine noise from internal/faults — also
-// reachable as the -noise flag), paperscale (64-node collectives plus
-// kernel/application strong scaling to 216 nodes; add -tuned to apply the
-// -table tuning table), tuned (the tuned-vs-fixed workload comparison over
-// the -table tuning table; like report it only runs when named) and report
-// (all paper claims checked with verdicts); "all" (the default) runs
-// everything except report and tuned.
-//
-// The mlwork subcommand runs the ML-workload experiment (see
-// internal/workload): the data-parallel, ZeRO-sharding and
-// pipeline-parallel communication patterns on the accelerator preset,
-// blocking vs overlapped, with per-pattern winners asserted and an
-// mlwork.csv artifact under -csv. -quick shrinks the payloads to CI smoke
-// sizes. The progress subcommand runs the progress-engine head-to-head (see
-// internal/bench ProgressBench): the asynchronous progress engine — dedicated
-// progress ranks or the per-node DMA offload engine — tuned against the
-// paper's N_DUP and PPN mechanisms at equal total rank count, with a
-// progress.csv artifact under -csv. An unknown experiment name or
-// subcommand, or trailing arguments a subcommand does not take, exit
-// non-zero with a usage message.
+// The experiments are internal/bench's registry, which -h lists: the
+// paper's figures and tables (fig3-fig6, table1-table5), then this
+// reproduction's extensions. "all" (the default) runs every experiment
+// except the by-name-only ones: the tuning-table comparisons, which read
+// the -table tuning table; the ML-workload and progress-engine
+// head-to-heads, which -quick shrinks to CI smoke sizes; and report, which
+// re-runs the evaluation and checks every paper claim. Experiments run in
+// registry order whatever order they are named in. -csv DIR also writes
+// each experiment's data as DIR/<name>.csv, and -n overrides the matrix
+// dimension of the kernel experiments (default: the paper's 1hsg_70,
+// N = 7645). An unknown experiment name or subcommand exits 2 with a usage
+// message; a subcommand given arguments it does not take exits 1.
 //
 // The tune subcommand regenerates the -table tuning table (see
 // internal/tune): a deterministic parallel search over the overlap
@@ -57,13 +39,7 @@
 // SIGINT/SIGTERM. loadbench is the matching many-client load benchmark:
 // per -cpu worker width it measures one cold job then -clients concurrent
 // clients re-submitting it, asserting byte-identical responses and the
-// >= 90% warm cache-hit contract. bench-diff compares two bench-host artifacts; -threshold,
-// -alloc-threshold and -fail-on-regression turn it into a gate whose timing
-// half arms only when both artifacts share an environment (cores, workers,
-// toolchain — otherwise it reports "env-mismatch: report-only", or errors
-// under -require-env-match). -n overrides the
-// matrix dimension for the kernel tables (default: the paper's 1hsg_70,
-// N = 7645). -csv also writes each experiment's data as <dir>/<id>.csv.
+// >= 90% warm cache-hit contract.
 //
 // -trace writes the fig6 operation timeline as Chrome trace-event JSON
 // (load in Perfetto or chrome://tracing). -metrics installs a virtual-time
@@ -73,7 +49,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -81,6 +56,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -91,35 +67,61 @@ import (
 	"commoverlap/internal/tune"
 )
 
-// knownExperiments is the closed set of experiment names the default path
-// accepts; anything else is a typo and must exit non-zero, not silently
-// no-op.
-var knownExperiments = map[string]bool{
-	"fig3": true, "fig4": true, "fig5": true, "fig6": true,
-	"table1": true, "table2": true, "table3": true, "table4": true, "table5": true,
-	"solver": true, "algos": true, "ablate": true, "sparse": true, "scaling": true,
-	"topo": true, "paperscale": true, "tuned": true, "noise": true, "report": true,
-	"all": true,
+// subcommands are the non-experiment modes, each with its own flag set.
+// tune takes the top-level -workers pool width.
+var subcommands = map[string]func(args []string, workers int) error{
+	"tune":      runTune,
+	"serve":     func(args []string, _ int) error { return runServe(args) },
+	"loadbench": func(args []string, _ int) error { return runLoadBench(args) },
 }
 
-// writeFile streams write into path through a buffered writer and
-// propagates every failure — including Flush and Close errors, which is
-// where a full disk actually surfaces — instead of dropping them in a
-// deferred Close.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// usage lists the invocation forms, generated from the experiment registry.
+func usage(w io.Writer) {
+	var all, named, subs []string
+	for _, e := range bench.Experiments {
+		if e.Named {
+			named = append(named, e.Name)
+		} else {
+			all = append(all, e.Name)
+		}
 	}
-	bw := bufio.NewWriter(f)
-	err = write(bw)
-	if err == nil {
-		err = bw.Flush()
+	for name := range subcommands {
+		subs = append(subs, name)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	sort.Strings(subs)
+	fmt.Fprintf(w, "usage: overlapbench [flags] [experiment ...]\n"+
+		"experiments:  %s all\n"+
+		"by name only: %s\n"+
+		"subcommands:  %s\n",
+		strings.Join(all, " "), strings.Join(named, " "), strings.Join(subs, " "))
+}
+
+// selectExperiments resolves experiment names (none means "all") to
+// registry entries in registry order. An unknown name is an error: silently
+// running the default path on a typo reads as "the experiment ran".
+func selectExperiments(names []string) ([]bench.Experiment, error) {
+	if len(names) == 0 {
+		names = []string{"all"}
 	}
-	return err
+	want := map[string]bool{}
+	for _, n := range names {
+		want[n] = true
+	}
+	all := want["all"]
+	delete(want, "all")
+	var sel []bench.Experiment
+	for _, e := range bench.Experiments {
+		if want[e.Name] || all && !e.Named {
+			sel = append(sel, e)
+		}
+		delete(want, e.Name)
+	}
+	for _, n := range names {
+		if want[n] {
+			return nil, fmt.Errorf("unknown experiment or subcommand %q", n)
+		}
+	}
+	return sel, nil
 }
 
 // main only translates realMain's status into a process exit. Every error
@@ -132,20 +134,22 @@ func main() {
 }
 
 func realMain() int {
-	n := flag.Int("n", 0, "matrix dimension for kernel tables (0 = paper's 1hsg_70)")
+	var o bench.Options
+	flag.IntVar(&o.N, "n", 0, "matrix dimension for the kernel experiments (0 = paper's 1hsg_70)")
 	csvDir := flag.String("csv", "", "directory to write <experiment>.csv files into")
-	tracePath := flag.String("trace", "", "write the fig6 timeline as Chrome trace JSON to this file")
+	flag.StringVar(&o.TracePath, "trace", "", "write the fig6 timeline as Chrome trace JSON to this file")
 	showMetrics := flag.Bool("metrics", false, "accumulate and print virtual-time metrics across the runs")
-	noiseOnly := flag.Bool("noise", false, "run the skew-resilience (machine noise) experiment")
 	validate := flag.String("validate-trace", "", "validate a Chrome trace JSON file and exit")
-	workers := flag.Int("workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
-	tuned := flag.Bool("tuned", false, "apply the -table tuning table to the paperscale experiment")
-	tablePath := flag.String("table", "TUNING.json", "tuning table for -tuned and the tuned experiment")
-	benchOut := flag.String("bench-out", "BENCH_wallclock.json", "output path for the bench-host artifact")
+	flag.IntVar(&o.Workers, "workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
+	flag.StringVar(&o.TablePath, "table", "TUNING.json", "tuning table the tuned experiments apply")
+	flag.BoolVar(&o.Quick, "quick", false, "CI smoke payload sizes for the ML-workload and progress-engine experiments")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flag.Usage = func() {
+		usage(os.Stderr)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	bench.Workers = *workers
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -162,7 +166,7 @@ func realMain() int {
 		path := *memProfile
 		defer func() {
 			runtime.GC()
-			if err := writeFile(path, pprof.WriteHeapProfile); err != nil {
+			if err := bench.WriteFile(path, pprof.WriteHeapProfile); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
@@ -182,83 +186,20 @@ func realMain() int {
 		fmt.Printf("%s: valid Chrome trace\n", *validate)
 		return 0
 	}
-	exps := flag.Args()
-	if len(exps) > 0 && exps[0] == "bench-host" {
-		if len(exps) > 1 {
-			fmt.Fprintf(os.Stderr, "bench-host: unexpected arguments %q\nusage: overlapbench bench-host [-bench-out file]\n", exps[1:])
-			return 2
-		}
-		if err := runBenchHost(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-host: %v\n", err)
+	args := flag.Args()
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		if err := subcommands[args[0]](args[1:], o.Workers); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", args[0], err)
 			return 1
 		}
 		return 0
 	}
-	if len(exps) > 0 && exps[0] == "bench-diff" {
-		if err := runBenchDiff(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-diff: %v\n", err)
-			return 1
-		}
-		return 0
+	sel, err := selectExperiments(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "overlapbench: %v\n", err)
+		usage(os.Stderr)
+		return 2
 	}
-	if len(exps) > 0 && exps[0] == "tune" {
-		if err := runTune(exps[1:], *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "tune: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "serve" {
-		if err := runServe(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "loadbench" {
-		if err := runLoadBench(exps[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "mlwork" {
-		if err := runMLWork(exps[1:], *csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "mlwork: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if len(exps) > 0 && exps[0] == "progress" {
-		if err := runProgress(exps[1:], *csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "progress: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *noiseOnly {
-		exps = append(exps, "noise")
-	}
-	if len(exps) == 0 {
-		exps = []string{"all"}
-	}
-	// Reject unknown experiment names and trailing junk up front: silently
-	// running the default path on a typo reads as "the experiment ran".
-	for _, e := range exps {
-		if !knownExperiments[e] {
-			fmt.Fprintf(os.Stderr, "overlapbench: unknown experiment or subcommand %q\n"+
-				"usage: overlapbench [flags] [experiment ...]\n"+
-				"experiments: fig3 fig4 fig5 fig6 table1 table2 table3 table4 table5\n"+
-				"             solver algos ablate sparse scaling topo paperscale tuned noise report all\n"+
-				"subcommands: tune serve loadbench mlwork progress bench-host bench-diff\n", e)
-			return 2
-		}
-	}
-	want := map[string]bool{}
-	for _, e := range exps {
-		want[e] = true
-	}
-	all := want["all"]
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -266,335 +207,30 @@ func realMain() int {
 		}
 	}
 	if *showMetrics {
-		bench.Metrics = &metrics.Registry{}
+		o.Metrics = &metrics.Registry{}
 	}
-
-	// The experiment closures below record failures in code instead of
-	// exiting: realMain must return normally so the profile defers flush.
-	// A failure also stops the sweep — later experiments are skipped.
-	code := 0
-
-	csvOut := func(id string, write func(w io.Writer) error) {
-		if *csvDir == "" {
-			return
-		}
-		path := filepath.Join(*csvDir, id+".csv")
-		if err := writeFile(path, write); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			code = 1
-			return
-		}
-		fmt.Printf("  [wrote %s]\n", path)
-	}
-
-	run := func(id string, fn func() error) {
-		if code != 0 || (!all && !want[id]) {
-			return
-		}
+	// A failure stops the sweep and returns through realMain, so the
+	// profile defers still flush.
+	for _, e := range sel {
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			code = 1
-			return
-		}
-		if code != 0 { // a csvOut inside fn failed
-			return
-		}
-		fmt.Printf("  [%s regenerated in %.1fs wall time]\n\n", id, time.Since(start).Seconds())
-	}
-
-	systems := func() []bench.System {
-		if *n != 0 {
-			return []bench.System{{Name: "custom", N: *n}}
-		}
-		return nil
-	}
-
-	run("fig3", func() error {
-		res, err := bench.Fig3(os.Stdout)
-		if err != nil {
-			return err
-		}
-		csvOut("fig3", func(f io.Writer) error { return res.WriteCSV(f) })
-		return nil
-	})
-	run("fig4", func() error { bench.Fig4(os.Stdout); return nil })
-	run("fig5", func() error {
-		res, err := bench.Fig5(os.Stdout)
-		if err != nil {
-			return err
-		}
-		csvOut("fig5", func(f io.Writer) error { return res.WriteCSV(f) })
-		return nil
-	})
-	run("fig6", func() error {
-		res, err := bench.Fig6(os.Stdout)
-		if err != nil {
-			return err
-		}
-		csvOut("fig6", func(f io.Writer) error { return res.WriteCSV(f) })
-		if *tracePath != "" {
-			if err := writeFile(*tracePath, res.WriteChromeTrace); err != nil {
-				return err
+		csv, err := e.Run(os.Stdout, o)
+		if err == nil && csv != nil && *csvDir != "" {
+			path := filepath.Join(*csvDir, e.Name+".csv")
+			if err = bench.WriteFile(path, csv); err == nil {
+				fmt.Printf("  [wrote %s]\n", path)
 			}
-			fmt.Printf("  [wrote Chrome trace %s]\n", *tracePath)
-		}
-		return nil
-	})
-	run("table1", func() error {
-		rows, err := bench.Table1(os.Stdout, systems())
-		if err != nil {
-			return err
-		}
-		csvOut("table1", func(f io.Writer) error { return bench.Table1CSV(f, rows) })
-		return nil
-	})
-	run("table2", func() error {
-		rows, err := bench.Table2(os.Stdout, systems())
-		if err != nil {
-			return err
-		}
-		csvOut("table2", func(f io.Writer) error { return bench.Table2CSV(f, rows) })
-		return nil
-	})
-	run("table3", func() error {
-		rows, err := bench.Table3(os.Stdout, *n)
-		if err != nil {
-			return err
-		}
-		csvOut("table3", func(f io.Writer) error { return bench.Table3CSV(f, rows) })
-		return nil
-	})
-	run("table4", func() error {
-		rows, err := bench.Table4(os.Stdout, *n)
-		if err != nil {
-			return err
-		}
-		csvOut("table4", func(f io.Writer) error { return bench.Table4CSV(f, rows) })
-		return nil
-	})
-	run("table5", func() error {
-		rows, err := bench.Table5(os.Stdout, *n)
-		if err != nil {
-			return err
-		}
-		csvOut("table5", func(f io.Writer) error { return bench.Table5CSV(f, rows) })
-		return nil
-	})
-	// Extensions beyond the paper's evaluation (also included in "all").
-	run("solver", func() error { _, err := bench.Solver(os.Stdout); return err })
-	run("algos", func() error { _, err := bench.Algos(os.Stdout, *n); return err })
-	run("ablate", func() error { _, err := bench.Ablate(os.Stdout, *n); return err })
-	run("sparse", func() error { _, err := bench.Sparse(os.Stdout, 0); return err })
-	run("scaling", func() error { _, err := bench.Scaling(os.Stdout, *n); return err })
-	run("topo", func() error {
-		res, err := bench.Topo(os.Stdout)
-		if err != nil {
-			return err
-		}
-		csvOut("topo", func(f io.Writer) error { return res.WriteCSV(f) })
-		return nil
-	})
-	run("paperscale", func() error {
-		var res bench.PaperScaleResult
-		var err error
-		if *tuned {
-			var table *tune.Table
-			table, err = tune.LoadTable(*tablePath)
-			if err != nil {
-				return fmt.Errorf("%w (generate one with `overlapbench tune -quick`)", err)
-			}
-			res, err = bench.PaperScaleTuned(os.Stdout, *n, table)
-		} else {
-			res, err = bench.PaperScale(os.Stdout, *n)
 		}
 		if err != nil {
-			return err
-		}
-		csvOut("paperscale", func(f io.Writer) error { return res.WriteCSV(f) })
-		return nil
-	})
-	// tuned (the tuned-vs-fixed workload comparison) needs a tuning table,
-	// so like report it only fires when asked for by name.
-	if code == 0 && want["tuned"] {
-		table, err := tune.LoadTable(*tablePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tuned: %v (generate one with `overlapbench tune -quick`)\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			return 1
 		}
-		start := time.Now()
-		res, err := bench.Tuned(os.Stdout, table)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tuned: %v\n", err)
-			return 1
-		}
-		csvOut("tuned", func(f io.Writer) error { return res.WriteCSV(f) })
-		fmt.Printf("  [tuned regenerated in %.1fs wall time]\n\n", time.Since(start).Seconds())
-	}
-	run("noise", func() error {
-		res, err := bench.Noise(os.Stdout)
-		if err != nil {
-			return err
-		}
-		csvOut("noise", func(f io.Writer) error { return res.WriteCSV(f) })
-		return nil
-	})
-	// report re-runs the whole evaluation, so it only fires when asked for
-	// by name, never as part of "all".
-	if code == 0 && want["report"] {
-		start := time.Now()
-		_, failures, err := bench.Report(os.Stdout)
-		if err == nil && failures > 0 {
-			err = fmt.Errorf("%d claims failed", failures)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  [report regenerated in %.1fs wall time]\n\n", time.Since(start).Seconds())
+		fmt.Printf("  [%s regenerated in %.1fs wall time]\n\n", e.Name, time.Since(start).Seconds())
 	}
 	if *showMetrics {
 		fmt.Println("Virtual-time metrics accumulated across the runs:")
-		bench.Metrics.WriteText(os.Stdout)
+		o.Metrics.WriteText(os.Stdout)
 	}
-	return code
-}
-
-// runBenchHost measures the simulator's host performance (micro benchmarks
-// plus sequential-vs-parallel regeneration times for every experiment) and
-// writes the BENCH_wallclock.json artifact.
-func runBenchHost(outPath string) error {
-	fmt.Printf("Host benchmark (%d cores):\n", runtime.NumCPU())
-	rep, err := bench.HostBench(os.Stdout)
-	if err != nil {
-		return err
-	}
-	if err := writeFile(outPath, rep.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("  [wrote %s: full sweep %.1fs sequential, %.1fs on %d workers (%.2fx)]\n",
-		outPath, rep.TotalSequentialS, rep.TotalParallelS, rep.Workers, rep.Speedup)
-	return nil
-}
-
-// runBenchDiff compares two bench-host artifacts (base then current). By
-// default it is report-only — wall-clock numbers are hardware-dependent —
-// but -threshold sets the slowdown percentage beyond which a timing is
-// flagged and -fail-on-regression turns flagged regressions into a
-// non-zero exit. The timing gate only fires when both artifacts come from
-// the same environment (cores, workers, toolchain); on a mismatch the diff
-// prints an explicit "env-mismatch: report-only" banner instead of
-// pretending the hardware delta is a code regression (-require-env-match
-// turns the mismatch itself into an error). The allocation gate
-// (-alloc-threshold) stays active across hardware changes: allocs/op
-// depends on the code and toolchain, not the core count.
-func runBenchDiff(args []string) error {
-	fs := flag.NewFlagSet("bench-diff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 10, "flag timings that slowed down by more than this percentage")
-	allocThreshold := fs.Float64("alloc-threshold", 10, "flag micro benches whose allocs/op grew by more than this percentage")
-	failOn := fs.Bool("fail-on-regression", false, "exit non-zero when any active gate flagged a regression")
-	requireEnv := fs.Bool("require-env-match", false, "exit non-zero when the artifacts' cores/workers/toolchain differ")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	paths := fs.Args()
-	if len(paths) != 2 {
-		return fmt.Errorf("usage: overlapbench bench-diff [-threshold pct] [-alloc-threshold pct] [-fail-on-regression] [-require-env-match] <base.json> <current.json>")
-	}
-	var reps [2]bench.HostReport
-	for i, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		reps[i], err = bench.ReadHostReport(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-	}
-	res := bench.DiffHostReports(os.Stdout, reps[0], reps[1], bench.DiffOptions{
-		TimingThresholdPct: *threshold,
-		AllocThresholdPct:  *allocThreshold,
-	})
-	if *requireEnv && len(res.EnvMismatches) > 0 {
-		return fmt.Errorf("environment mismatch: %s", strings.Join(res.EnvMismatches, "; "))
-	}
-	if *failOn {
-		if res.TimingGateActive && res.TimingRegressions > 0 {
-			return fmt.Errorf("%d timing(s) regressed more than %.1f%%", res.TimingRegressions, *threshold)
-		}
-		if res.AllocGateActive && res.AllocRegressions > 0 {
-			return fmt.Errorf("%d micro bench(es) grew allocs/op more than %.1f%%", res.AllocRegressions, *allocThreshold)
-		}
-	}
-	return nil
-}
-
-// runMLWork runs the ML-workload experiment: the three training
-// communication patterns blocking vs overlapped on the accelerator preset,
-// with an mlwork.csv artifact when a CSV directory is set (the
-// subcommand's own -csv flag, defaulting to the global one).
-func runMLWork(args []string, csvDir string) error {
-	fs := flag.NewFlagSet("mlwork", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "CI smoke payload sizes instead of the full ones")
-	csv := fs.String("csv", csvDir, "directory to write mlwork.csv into")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if len(fs.Args()) != 0 {
-		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench mlwork [-quick] [-csv dir]", fs.Args())
-	}
-	res, err := bench.MLWork(os.Stdout, *quick)
-	if err != nil {
-		return err
-	}
-	if *csv != "" {
-		if err := os.MkdirAll(*csv, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(*csv, "mlwork.csv")
-		if err := writeFile(path, res.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Printf("  [wrote %s]\n", path)
-	}
-	return nil
-}
-
-// runProgress runs the progress-engine head-to-head: the asynchronous
-// progress engine (dedicated progress ranks, per-node DMA offload) tuned
-// against the paper's N_DUP and PPN mechanisms at equal total rank count on
-// the Fig. 5/6 reduce regimes and the dp/zero workloads, with a
-// progress.csv artifact when a CSV directory is set (the subcommand's own
-// -csv flag, defaulting to the global one).
-func runProgress(args []string, csvDir string) error {
-	fs := flag.NewFlagSet("progress", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "CI smoke payload sizes instead of the full ones")
-	csv := fs.String("csv", csvDir, "directory to write progress.csv into")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if len(fs.Args()) != 0 {
-		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench progress [-quick] [-csv dir]", fs.Args())
-	}
-	res, err := bench.ProgressBench(os.Stdout, *quick)
-	if err != nil {
-		return err
-	}
-	if *csv != "" {
-		if err := os.MkdirAll(*csv, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(*csv, "progress.csv")
-		if err := writeFile(path, res.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Printf("  [wrote %s]\n", path)
-	}
-	return nil
+	return 0
 }
 
 // runTune regenerates a tuning table: a full or -quick grid search over the
@@ -654,7 +290,7 @@ func runTune(args []string, workers int) error {
 	}
 	fmt.Printf("  [wrote %s]\n", *tablePath)
 	if *cellsCSV != "" {
-		if err := writeFile(*cellsCSV, table.WriteCSV); err != nil {
+		if err := bench.WriteFile(*cellsCSV, table.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Printf("  [wrote %s]\n", *cellsCSV)

@@ -4,8 +4,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"commoverlap/internal/bench"
 )
 
 // buildCLI builds the overlapbench binary once per test binary into a
@@ -34,35 +37,38 @@ func TestCLIArgValidation(t *testing.T) {
 		name     string
 		args     []string
 		wantOK   bool
+		wantCode int    // exit status to require; 0 checks only wantOK
 		wantOut  string // substring of combined output
 		wantFile string // file that must exist afterwards
 	}{
-		{name: "unknown experiment", args: []string{"bogus"},
+		{name: "unknown experiment", args: []string{"bogus"}, wantCode: 2,
 			wantOut: `unknown experiment or subcommand "bogus"`},
-		{name: "typo of known experiment", args: []string{"fig33"},
+		{name: "typo of known experiment", args: []string{"fig33"}, wantCode: 2,
 			wantOut: "usage: overlapbench"},
-		{name: "trailing junk after experiment", args: []string{"fig4", "extraneous"},
+		{name: "trailing junk after experiment", args: []string{"fig4", "extraneous"}, wantCode: 2,
 			wantOut: `unknown experiment or subcommand "extraneous"`},
 		{name: "tune trailing junk", args: []string{"tune", "-quick", "junk"},
 			wantOut: "usage: overlapbench tune"},
-		{name: "mlwork trailing junk", args: []string{"mlwork", "-quick", "extra"},
-			wantOut: "usage: overlapbench mlwork"},
-		{name: "mlwork unknown flag", args: []string{"mlwork", "-frobnicate"},
+		{name: "mlwork trailing junk", args: []string{"mlwork", "extra"}, wantCode: 2,
+			wantOut: "usage: overlapbench"},
+		{name: "mlwork unknown flag", args: []string{"-frobnicate", "mlwork"}, wantCode: 2,
 			wantOut: "flag provided but not defined"},
-		{name: "bench-host trailing junk", args: []string{"bench-host", "junk"},
-			wantOut: "usage: overlapbench bench-host"},
-		{name: "bench-diff missing paths", args: []string{"bench-diff"},
-			wantOut: "usage: overlapbench bench-diff"},
+		{name: "bench-host is unknown", args: []string{"bench-host"}, wantCode: 2,
+			wantOut: `unknown experiment or subcommand "bench-host"`},
+		{name: "bench-diff is unknown", args: []string{"bench-diff", "a.json", "b.json"}, wantCode: 2,
+			wantOut: `unknown experiment or subcommand "bench-diff"`},
 		{name: "valid experiment", args: []string{"fig4"},
 			wantOK: true, wantOut: "fig4 regenerated"},
-		{name: "mlwork quick with csv", args: []string{"mlwork", "-quick", "-csv", csvDir},
+		{name: "mlwork quick with csv", args: []string{"-quick", "-csv", csvDir, "mlwork"},
 			wantOK: true, wantOut: "ML-workload patterns",
 			wantFile: filepath.Join(csvDir, "mlwork.csv")},
-		{name: "progress trailing junk", args: []string{"progress", "-quick", "extra"},
-			wantOut: "usage: overlapbench progress"},
-		{name: "progress unknown flag", args: []string{"progress", "-frobnicate"},
+		{name: "progress trailing junk", args: []string{"-quick", "progress", "extra"}, wantCode: 2,
+			wantOut: "usage: overlapbench"},
+		{name: "progress unknown flag", args: []string{"-frobnicate", "progress"}, wantCode: 2,
 			wantOut: "flag provided but not defined"},
-		{name: "progress quick with csv", args: []string{"progress", "-quick", "-csv", csvDir},
+		{name: "flag after experiment name", args: []string{"progress", "-quick"}, wantCode: 2,
+			wantOut: `unknown experiment or subcommand "-quick"`},
+		{name: "progress quick with csv", args: []string{"-quick", "-csv", csvDir, "progress"},
 			wantOK: true, wantOut: "progress/ppn",
 			wantFile: filepath.Join(csvDir, "progress.csv")},
 		{name: "serve trailing junk", args: []string{"serve", "junk"},
@@ -81,9 +87,13 @@ func TestCLIArgValidation(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(exe, tc.args...).CombinedOutput()
+			cmd := exec.Command(exe, tc.args...)
+			out, err := cmd.CombinedOutput()
 			if ok := err == nil; ok != tc.wantOK {
 				t.Fatalf("args %q: exit ok=%v, want %v\noutput:\n%s", tc.args, ok, tc.wantOK, out)
+			}
+			if code := cmd.ProcessState.ExitCode(); tc.wantCode != 0 && code != tc.wantCode {
+				t.Errorf("args %q: exit status %d, want %d", tc.args, code, tc.wantCode)
 			}
 			if !strings.Contains(string(out), tc.wantOut) {
 				t.Errorf("args %q: output missing %q:\n%s", tc.args, tc.wantOut, out)
@@ -113,14 +123,14 @@ func TestProfileFlushOnError(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	args := []string{
 		"-cpuprofile", cpu, "-memprofile", mem,
-		"bench-diff", filepath.Join(dir, "missing-a.json"), filepath.Join(dir, "missing-b.json"),
+		"-table", filepath.Join(dir, "missing.json"), "tuned",
 	}
 	out, err := exec.Command(exe, args...).CombinedOutput()
 	if err == nil {
-		t.Fatalf("args %q: want non-zero exit for missing artifacts\noutput:\n%s", args, out)
+		t.Fatalf("args %q: want non-zero exit for a missing tuning table\noutput:\n%s", args, out)
 	}
-	if !strings.Contains(string(out), "bench-diff:") {
-		t.Errorf("args %q: output missing the bench-diff error:\n%s", args, out)
+	if !strings.Contains(string(out), "tuned:") {
+		t.Errorf("args %q: output missing the tuned error:\n%s", args, out)
 	}
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
@@ -130,6 +140,37 @@ func TestProfileFlushOnError(t *testing.T) {
 		}
 		if st.Size() == 0 {
 			t.Errorf("%s: empty profile — writer not flushed before exit", p)
+		}
+	}
+}
+
+// TestExperimentRegistry: registry names are unique and never shadow
+// "all", and every experiment is accepted by name and listed in the usage
+// text, so the registry is the one list of experiments the CLI knows.
+func TestExperimentRegistry(t *testing.T) {
+	var sb strings.Builder
+	usage(&sb)
+	fields := strings.Fields(sb.String())
+	seen := map[string]bool{}
+	for _, e := range bench.Experiments {
+		if e.Name == "" || e.Name == "all" || e.Run == nil || seen[e.Name] {
+			t.Errorf("malformed or duplicate registry entry %q", e.Name)
+		}
+		seen[e.Name] = true
+		if sel, err := selectExperiments([]string{e.Name}); err != nil || len(sel) != 1 || sel[0].Name != e.Name {
+			t.Errorf("%s: selected %v, %v", e.Name, sel, err)
+		}
+		if !slices.Contains(fields, e.Name) {
+			t.Errorf("%s missing from usage:\n%s", e.Name, sb.String())
+		}
+	}
+	all, err := selectExperiments(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range all {
+		if e.Named {
+			t.Errorf("default run includes by-name-only %s", e.Name)
 		}
 	}
 }

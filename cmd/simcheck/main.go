@@ -100,7 +100,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	check.Workers = *workers
 	exitCode := 0
 	defer func() {
 		if exitCode != 0 {
@@ -238,9 +237,9 @@ func main() {
 
 	var sum check.Summary
 	if profiles != nil {
-		sum = check.ExploreFaults(scens, profiles, policies, *n, *seed, report)
+		sum = check.ExploreFaults(scens, profiles, policies, *n, *seed, *workers, report)
 	} else {
-		sum = check.Explore(scens, policies, *n, *seed, report)
+		sum = check.Explore(scens, policies, *n, *seed, *workers, report)
 	}
 
 	fmt.Printf("simcheck: %d runs (%d seeded schedules across %d scenarios, policies:",

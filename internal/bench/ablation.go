@@ -23,23 +23,24 @@ type AblationRow struct {
 	TFlops float64
 }
 
-// kernelWithCfg runs the optimized kernel under a custom machine config.
-func kernelWithCfg(cfg simnet.Config, n, p, ndup, ppn int) (float64, error) {
-	return kernelWithWorld(cfg, n, p, ndup, ppn, nil)
-}
-
-// kernelWithWorld is kernelWithCfg with a hook to adjust the freshly built
-// world (per-job collective switch points and similar) before launch.
-func kernelWithWorld(cfg simnet.Config, n, p, ndup, ppn int, tweak func(*mpi.World)) (float64, error) {
+// ablationKernel runs the optimized kernel on a p-edge cubic mesh under a
+// custom machine config, with natural or round-robin rank placement and a
+// hook to adjust the freshly built world (per-job collective switch points
+// and similar) before launch. It returns the kernel's TFlops.
+func ablationKernel(cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool, tweak func(*mpi.World)) (float64, error) {
 	dims := mesh.Cubic(p)
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
 	cfg.Nodes = nodes
+	placement := mesh.NaturalPlacement(dims.Size(), ppn)
+	if roundRobin {
+		placement = mesh.RoundRobinPlacement(dims.Size(), nodes)
+	}
 	eng := sim.NewEngine()
 	net, err := simnet.New(eng, cfg)
 	if err != nil {
 		return 0, err
 	}
-	w, err := mpi.NewWorld(net, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn))
+	w, err := mpi.NewWorld(net, dims.Size(), placement)
 	if err != nil {
 		return 0, err
 	}
@@ -65,10 +66,8 @@ func kernelWithWorld(cfg simnet.Config, n, p, ndup, ppn int, tweak func(*mpi.Wor
 }
 
 // Ablate sweeps the three knobs and prints the sensitivity table.
-func Ablate(w io.Writer, n int) ([]AblationRow, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
+	n := o.n()
 	fprintf(w, "Ablations: optimized kernel (4^3 mesh, N_DUP=4, N=%d) vs design knobs\n", n)
 	fprintf(w, "%-22s %-12s %8s\n", "knob", "value", "TFlops")
 	var rows []AblationRow
@@ -80,10 +79,10 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	// 1. Protocol chunk size: too coarse costs pipelining, too fine costs
 	//    per-chunk overheads.
 	chunks := []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	cells, err := parcases(len(chunks), func(i int) (float64, error) {
+	cells, err := parcases(o, len(chunks), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ChunkBytes = chunks[i]
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -97,9 +96,9 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	//    point is per-World configuration, so the two jobs fan through the
 	//    replica pool like every other group.
 	limits := []int64{64 << 10, 1 << 30}
-	cells, err = parcases(len(limits), func(i int) (float64, error) {
+	cells, err = parcases(o, len(limits), func(i int) (float64, error) {
 		lim := limits[i]
-		return kernelWithWorld(simnet.DefaultConfig(1), n, 4, 4, 1, func(w *mpi.World) {
+		return ablationKernel(simnet.DefaultConfig(1), n, 4, 4, 1, false, func(w *mpi.World) {
 			w.ReduceLongMsg = lim
 		})
 	})
@@ -117,8 +116,8 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	// 3. Rank placement: the paper's "natural" assignment keeps each mesh
 	//    column (the reduce fibers) mostly on one node; round-robin spreads
 	//    it across nodes.
-	cells, err = parcases(2, func(i int) (float64, error) {
-		return kernelPlacement(simnet.DefaultConfig(1), n, 6, 4, 4, i == 1)
+	cells, err = parcases(o, 2, func(i int) (float64, error) {
+		return ablationKernel(simnet.DefaultConfig(1), n, 6, 4, 4, i == 1, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -129,10 +128,10 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	// 4. Reduction arithmetic rate: the kernel is reduce-bound, so the
 	//    single-core combine rate is a first-order term.
 	scales := []float64{0.5, 1, 2}
-	cells, err = parcases(len(scales), func(i int) (float64, error) {
+	cells, err = parcases(o, len(scales), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ReduceRate *= scales[i]
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -144,12 +143,12 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 	// 5. Fabric core capacity: a non-blocking core vs 2:1 and 4:1
 	//    oversubscription (total node bandwidth / core bandwidth).
 	factors := []float64{0, 2, 4}
-	cells, err = parcases(len(factors), func(i int) (float64, error) {
+	cells, err = parcases(o, len(factors), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		if factors[i] > 0 {
 			cfg.CoreBandwidth = 64 * cfg.WireBandwidth / factors[i]
 		}
-		return kernelWithCfg(cfg, n, 4, 4, 1)
+		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -164,42 +163,6 @@ func Ablate(w io.Writer, n int) ([]AblationRow, error) {
 		add("fabric core", label, cells[i])
 	}
 	return rows, nil
-}
-
-// kernelPlacement is kernelWithCfg with a selectable rank placement.
-func kernelPlacement(cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool) (float64, error) {
-	dims := mesh.Cubic(p)
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	cfg.Nodes = nodes
-	placement := mesh.NaturalPlacement(dims.Size(), ppn)
-	if roundRobin {
-		placement = mesh.RoundRobinPlacement(dims.Size(), nodes)
-	}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), placement)
-	if err != nil {
-		return 0, err
-	}
-	var worst float64
-	w.Launch(func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube(core.Optimized, nil)
-		if res.Time > worst {
-			worst = res.Time
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return 0, err
-	}
-	return core.KernelFlops(n) / worst / 1e12, nil
 }
 
 func byteLabel(b int64) string {

@@ -5,9 +5,10 @@
 // (Tables I and II), the multiple-PPN sweep (Table III), the estimated vs
 // actual communication analysis (Table IV), and the 2.5D sweep (Table V).
 //
-// Each experiment has a Run function that writes a paper-style text table
-// to an io.Writer and returns the underlying numbers so tests can assert
-// the qualitative claims (who wins, by roughly what factor).
+// Each experiment has a function that writes a paper-style text table to
+// an io.Writer and returns the underlying numbers so tests can assert the
+// qualitative claims (who wins, by roughly what factor). Experiments is the
+// registry the CLI runs them from; Options carries every run-wide knob.
 package bench
 
 import (
@@ -25,27 +26,56 @@ import (
 	"commoverlap/internal/simnet"
 )
 
-// Metrics, when non-nil, is installed as the virtual-time metrics sink of
-// every simulated job the experiments run (overlapbench -metrics sets it).
-// A non-nil registry forces the experiments' replica pool down to one
-// worker, so the single registry accumulates across a whole experiment in
-// deterministic order without races.
-var Metrics *metrics.Registry
+// Options carries the run-wide knobs every experiment takes explicitly.
+// The zero value runs at the paper's sizes on the default replica pool.
+type Options struct {
+	// Workers bounds how many independent simulation replicas (experiment
+	// cells) run concurrently: 0 picks the runner default (OVERLAP_WORKERS
+	// or GOMAXPROCS), 1 forces the sequential order. Each cell is an
+	// isolated sim.Engine with no shared state, and results are keyed by
+	// case index, so the emitted tables and CSVs are byte-identical at any
+	// worker count.
+	Workers int
+	// Metrics, when non-nil, is installed as the virtual-time metrics sink
+	// of every simulated job. It pins the replica pool to one worker, so
+	// the single registry accumulates across a whole experiment in
+	// deterministic order without races.
+	Metrics *metrics.Registry
+	// N overrides the matrix dimension of the kernel experiments (0 = the
+	// paper's 1hsg_70, N = 7645).
+	N int
+	// TablePath is the tuning table the tuned experiments read.
+	TablePath string
+	// Quick shrinks the mlwork and progress payloads to CI smoke sizes.
+	Quick bool
+	// TracePath, when set, receives the fig6 timeline as Chrome trace JSON.
+	TracePath string
+}
 
-// Workers bounds how many independent simulation replicas (experiment
-// cells) run concurrently: 0 picks the runner default (OVERLAP_WORKERS or
-// GOMAXPROCS), 1 forces the sequential order. Each cell is an isolated
-// sim.Engine with no shared state, and results are keyed by case index, so
-// the emitted tables and CSVs are byte-identical at any worker count.
-var Workers int
+// n is the kernel experiments' matrix dimension.
+func (o Options) n() int {
+	if o.N != 0 {
+		return o.N
+	}
+	return Systems[2].N
+}
+
+// systems is the Table I/II system list: the paper's three, or one custom
+// system when N is overridden.
+func (o Options) systems() []System {
+	if o.N != 0 {
+		return []System{{Name: "custom", N: o.N}}
+	}
+	return Systems
+}
 
 // parcases fans an experiment's independent cells across the replica pool
-// and returns the results in case order. The shared metrics registry (when
+// and returns the results in case order. The metrics registry (when
 // installed) is the one piece of cross-job state, so it pins the pool to
 // one worker to keep its accumulation order deterministic.
-func parcases[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	w := Workers
-	if Metrics != nil {
+func parcases[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
+	w := o.Workers
+	if o.Metrics != nil {
 		w = 1
 	}
 	return runner.Map(n, w, fn)
@@ -68,23 +98,13 @@ var Systems = []System{
 	{Name: "1hsg_70", N: 7645, Ne: 1529},
 }
 
-// job runs body on a fresh simulated world and returns an error on
-// simulation deadlock.
-func job(nodes, ranks int, placement []int, body func(p *mpi.Proc)) error {
-	_, err := jobWorld(nodes, ranks, placement, body)
-	return err
-}
-
-// jobWorld is job with access to the finished world, for byte accounting,
-// resource-utilization snapshots and the package metrics sink.
-func jobWorld(nodes, ranks int, placement []int, body func(p *mpi.Proc)) (*mpi.World, error) {
-	return jobWorldProg(nodes, ranks, placement, progress.Spec{}, body)
-}
-
-// jobWorldProg is jobWorld with a progress-engine spec applied to the
-// machine (DMA offload) and the world (progress-agent count). The zero spec
-// reproduces jobWorld exactly.
-func jobWorldProg(nodes, ranks int, placement []int, sp progress.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
+// job runs body on a fresh simulated world of default-config nodes and
+// returns the finished world (for byte accounting and utilization
+// snapshots) or an error on simulation deadlock. The progress-engine spec
+// is applied to the machine (DMA offload) and the world (progress-agent
+// count); the zero spec is the plain machine. o.Metrics, when set, is the
+// world's metrics sink.
+func job(o Options, nodes, ranks int, placement []int, sp progress.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
 	eng := sim.NewEngine()
 	cfg := simnet.DefaultConfig(nodes)
 	sp.ApplyConfig(&cfg)
@@ -97,8 +117,8 @@ func jobWorldProg(nodes, ranks int, placement []int, sp progress.Spec, body func
 		return nil, err
 	}
 	sp.ApplyWorld(w)
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
+	if o.Metrics != nil {
+		w.SetMetrics(o.Metrics)
 	}
 	w.Launch(body)
 	return w, eng.Run()
@@ -177,19 +197,22 @@ type KernelRun struct {
 // Kernel runs a variant at (n, mesh edge p, ndup, ppn) with phantom
 // payloads and returns the timing.
 func Kernel(v core.Variant, n, p, ndup, ppn int) (KernelRun, error) {
-	dims := mesh.Cubic(p)
-	return kernelDims(func(env *core.Env) core.Result {
-		return env.SymmSquareCube(v, nil)
-	}, dims, n, ndup, ppn)
+	return kernel(Options{}, v, n, p, ndup, ppn)
 }
 
-// Kernel25 runs the 2.5D kernel (Algorithm 6) on a q x q x c mesh.
-func Kernel25(q, c, n, ndup, ppn int) (KernelRun, error) {
+// kernel is Kernel inside an experiment, whose options carry the metrics
+// sink.
+func kernel(o Options, v core.Variant, n, p, ndup, ppn int) (KernelRun, error) {
+	return kernelCfg(o, v, p, core.Config{N: n, NDup: ndup, PPN: ppn})
+}
+
+// kernel25 runs the 2.5D kernel (Algorithm 6) on a q x q x c mesh.
+func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 	dims := mesh.Dims{Q: q, C: c}
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
 	var out KernelRun
 	out.Nodes = nodes
-	w, err := jobWorld(nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), func(pr *mpi.Proc) {
+	w, err := job(o, nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), progress.Spec{}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv25(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
 		if err != nil {
 			panic(err)
@@ -205,20 +228,11 @@ func Kernel25(q, c, n, ndup, ppn int) (KernelRun, error) {
 	return out, nil
 }
 
-func kernelDims(run func(*core.Env) core.Result, dims mesh.Dims, n, ndup, ppn int) (KernelRun, error) {
-	return kernelCfg(run, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-}
-
-// KernelCfg runs the optimized kernel on a p-edge cubic mesh under an
-// explicit configuration — the entry point for table-driven runs with
-// per-phase pipeline widths (Config.PhaseNDup).
-func KernelCfg(p int, cfg core.Config) (KernelRun, error) {
-	return kernelCfg(func(env *core.Env) core.Result {
-		return env.SymmSquareCube(core.Optimized, nil)
-	}, mesh.Cubic(p), cfg)
-}
-
-func kernelCfg(run func(*core.Env) core.Result, dims mesh.Dims, cfg core.Config) (KernelRun, error) {
+// kernelCfg runs variant v on a p-edge cubic mesh under an explicit
+// configuration — the entry point for table-driven runs with per-phase
+// pipeline widths (Config.PhaseNDup) and progress-engine modes.
+func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, error) {
+	dims := mesh.Cubic(p)
 	sp, err := progress.Parse(cfg.Progress)
 	if err != nil {
 		return KernelRun{}, err
@@ -236,7 +250,7 @@ func kernelCfg(run func(*core.Env) core.Result, dims mesh.Dims, cfg core.Config)
 		// lanes park (their CPUs advance the siblings' chunk pipelines).
 		launchPPN := ppn + agents
 		ranks := nodes * launchPPN
-		w, err := jobWorldProg(nodes, ranks, mesh.NaturalPlacement(ranks, launchPPN), sp, func(pr *mpi.Proc) {
+		w, err := job(o, nodes, ranks, mesh.NaturalPlacement(ranks, launchPPN), sp, func(pr *mpi.Proc) {
 			node, lane := pr.Rank()/launchPPN, pr.Rank()%launchPPN
 			color := -1
 			if lane < ppn && node*ppn+lane < dims.Size() {
@@ -249,7 +263,7 @@ func kernelCfg(run func(*core.Env) core.Result, dims mesh.Dims, cfg core.Config)
 					panic(err)
 				}
 				env.M.World.Barrier()
-				res := run(env)
+				res := env.SymmSquareCube(v, nil)
 				accumulate(&out, res)
 			})
 		})
@@ -259,13 +273,13 @@ func kernelCfg(run func(*core.Env) core.Result, dims mesh.Dims, cfg core.Config)
 		finish(&out, cfg.N, w)
 		return out, nil
 	}
-	w, err := jobWorldProg(nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), sp, func(pr *mpi.Proc) {
+	w, err := job(o, nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), sp, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, cfg)
 		if err != nil {
 			panic(err)
 		}
 		env.M.World.Barrier()
-		res := run(env)
+		res := env.SymmSquareCube(v, nil)
 		accumulate(&out, res)
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestFig3Shape(t *testing.T) {
-	res, err := Fig3(io.Discard)
+	res, err := Fig3(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(io.Discard)
+	res, err := Fig5(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(io.Discard)
+	res, err := Fig6(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFig6Shape(t *testing.T) {
 var testSystems = []System{{Name: "tiny", N: 2000, Ne: 400}}
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1(io.Discard, testSystems)
+	rows, err := Table1(io.Discard, Options{}, testSystems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(io.Discard, testSystems)
+	rows, err := Table2(io.Discard, Options{}, testSystems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(io.Discard, 2000)
+	rows, err := Table3(io.Discard, Options{N: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(io.Discard, 2000)
+	rows, err := Table4(io.Discard, Options{N: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTable5Shape(t *testing.T) {
 	saved := Table5Configs
 	Table5Configs = []Table5Config{{2, 8, 2}, {1, 4, 4}, {4, 6, 6}}
 	defer func() { Table5Configs = saved }()
-	rows, err := Table5(io.Discard, 2000)
+	rows, err := Table5(io.Discard, Options{N: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +307,12 @@ func TestKernelHelpers(t *testing.T) {
 // registry makes experiment jobs feed it, and the feed is deterministic.
 func TestMetricsSink(t *testing.T) {
 	run := func() string {
-		Metrics = &metrics.Registry{}
-		defer func() { Metrics = nil }()
-		if _, err := Kernel(core.Optimized, 1000, 2, 2, 1); err != nil {
+		reg := &metrics.Registry{}
+		if _, err := kernel(Options{Metrics: reg}, core.Optimized, 1000, 2, 2, 1); err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		Metrics.WriteText(&sb)
+		reg.WriteText(&sb)
 		return sb.String()
 	}
 	a, b := run(), run()
@@ -337,7 +336,7 @@ func TestSolverExperiment(t *testing.T) {
 	saved := SolverRanks
 	SolverRanks = []int{8, 32}
 	defer func() { SolverRanks = saved }()
-	rows, err := Solver(io.Discard)
+	rows, err := Solver(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,7 @@ func TestSolverExperiment(t *testing.T) {
 }
 
 func TestAlgosExperiment(t *testing.T) {
-	rows, err := Algos(io.Discard, 2500)
+	rows, err := Algos(io.Discard, Options{N: 2500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestAlgosExperiment(t *testing.T) {
 }
 
 func TestAblateShape(t *testing.T) {
-	rows, err := Ablate(io.Discard, 2000)
+	rows, err := Ablate(io.Discard, Options{N: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +453,7 @@ func TestCSVWriters(t *testing.T) {
 }
 
 func TestSparseExperiment(t *testing.T) {
-	rows, err := Sparse(io.Discard, 600)
+	rows, err := Sparse(io.Discard, Options{N: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +480,7 @@ func TestTable1AppMatchesSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := Table1App(io.Discard, sys, 3)
+	avg, err := Table1App(io.Discard, Options{}, sys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +491,7 @@ func TestTable1AppMatchesSingleShot(t *testing.T) {
 }
 
 func TestScalingShape(t *testing.T) {
-	rows, err := Scaling(io.Discard, 3000)
+	rows, err := Scaling(io.Discard, Options{N: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +519,7 @@ func TestPaperScaleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64..216-node sweep takes seconds")
 	}
-	res, err := PaperScale(io.Discard, 3000)
+	res, err := PaperScale(io.Discard, Options{N: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +548,7 @@ func TestReportAllClaimsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size report takes ~30s")
 	}
-	claims, failures, err := Report(io.Discard)
+	claims, failures, err := Report(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

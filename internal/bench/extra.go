@@ -5,6 +5,7 @@ import (
 
 	"commoverlap/internal/core"
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 	"commoverlap/internal/solver"
 )
 
@@ -29,7 +30,7 @@ var SolverRanks = []int{8, 32, 128}
 // overlapped with the matvec) at a fixed per-rank problem size, so rank
 // count raises the reduction latency while local work stays constant —
 // the regime the paper's future work targets.
-func Solver(w io.Writer) ([]SolverRow, error) {
+func Solver(w io.Writer, o Options) ([]SolverRow, error) {
 	const (
 		perRank = 200000
 		iters   = 20
@@ -37,12 +38,12 @@ func Solver(w io.Writer) ([]SolverRow, error) {
 	)
 	fprintf(w, "Solver: standard vs pipelined CG, %d iterations, %d elements/rank\n", iters, perRank)
 	fprintf(w, "%6s %12s %12s %9s\n", "ranks", "standard", "pipelined", "speedup")
-	cells, err := parcases(len(SolverRanks)*2, func(i int) (float64, error) {
+	cells, err := parcases(o, len(SolverRanks)*2, func(i int) (float64, error) {
 		ranks := SolverRanks[i/2]
 		variant := i % 2
 		n := ranks * perRank
 		var t float64
-		err := job(ranks, ranks, nil, func(pr *mpi.Proc) {
+		_, err := job(o, ranks, ranks, nil, progress.Spec{}, func(pr *mpi.Proc) {
 			cg, err := solver.New(pr, pr.World(), n, solver.NewStencil(halfBW), false, 1)
 			if err != nil {
 				panic(err)
@@ -85,17 +86,15 @@ type AlgoRow struct {
 // kernel (4x4x4) and 2.5D/Cannon (4x4x4 with c=4) on identical 64-rank,
 // one-per-node machines at dimension n (default 1hsg_70) — the
 // communication-avoidance ladder the paper's related work describes.
-func Algos(w io.Writer, n int) ([]AlgoRow, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Algos(w io.Writer, o Options) ([]AlgoRow, error) {
+	n := o.n()
 	fprintf(w, "Algorithm families on 64 ranks (N=%d)\n", n)
 	fprintf(w, "%-22s %10s %10s\n", "algorithm", "N_DUP=1", "N_DUP=4")
 	var rows []AlgoRow
 
 	summa := func(ndup int) (float64, error) {
 		var worst float64
-		err := job(64, 64, nil, func(pr *mpi.Proc) {
+		_, err := job(o, 64, 64, nil, progress.Spec{}, func(pr *mpi.Proc) {
 			env, err := core.NewEnv2D(pr, 8, core.Config{N: n, NDup: ndup, PPN: 1})
 			if err != nil {
 				panic(err)
@@ -108,23 +107,23 @@ func Algos(w io.Writer, n int) ([]AlgoRow, error) {
 		})
 		return core.KernelFlops(n) / worst / 1e12, err
 	}
-	cells, err := parcases(6, func(i int) (float64, error) {
+	cells, err := parcases(o, 6, func(i int) (float64, error) {
 		switch i {
 		case 0:
 			return summa(1)
 		case 1:
 			return summa(4)
 		case 2:
-			kr, err := Kernel(core.Baseline, n, 4, 1, 1)
+			kr, err := kernel(o, core.Baseline, n, 4, 1, 1)
 			return kr.TFlops, err
 		case 3:
-			kr, err := Kernel(core.Optimized, n, 4, 4, 1)
+			kr, err := kernel(o, core.Optimized, n, 4, 4, 1)
 			return kr.TFlops, err
 		case 4:
-			kr, err := Kernel25(4, 4, n, 1, 1)
+			kr, err := kernel25(o, 4, 4, n, 1, 1)
 			return kr.TFlops, err
 		default:
-			kr, err := Kernel25(4, 4, n, 4, 1)
+			kr, err := kernel25(o, 4, 4, n, 4, 1)
 			return kr.TFlops, err
 		}
 	})
@@ -156,20 +155,18 @@ type ScalingRow struct {
 // (N_DUP=4). The paper fixes 64 nodes; this sweep shows how overlap
 // interacts with scale — communication grows relative to compute, so the
 // overlap win widens as the mesh grows.
-func Scaling(w io.Writer, n int) ([]ScalingRow, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Scaling(w io.Writer, o Options) ([]ScalingRow, error) {
+	n := o.n()
 	fprintf(w, "Strong scaling at N=%d (one rank per node)\n", n)
 	fprintf(w, "%6s %6s %10s %10s %12s\n", "mesh", "ranks", "N_DUP=1", "N_DUP=4", "ND4 eff.")
 	var rows []ScalingRow
 	meshes := []int{2, 3, 4, 5, 6}
-	cells, err := parcases(len(meshes)*2, func(i int) (KernelRun, error) {
+	cells, err := parcases(o, len(meshes)*2, func(i int) (KernelRun, error) {
 		ndup := 1
 		if i%2 == 1 {
 			ndup = 4
 		}
-		return Kernel(core.Optimized, n, meshes[i/2], ndup, 1)
+		return kernel(o, core.Optimized, n, meshes[i/2], ndup, 1)
 	})
 	if err != nil {
 		return rows, err

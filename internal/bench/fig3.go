@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 )
 
 // Fig3Result holds the unidirectional point-to-point bandwidth sweep:
@@ -26,11 +27,11 @@ var Fig3PPNs = []int{1, 2, 4, 8}
 // node 1, every source streaming reps messages to its peer (the paper's
 // Fig. 3 setup). Every cell is an independent replica, fanned across the
 // package's replica pool; the table renders from the index-ordered results.
-func Fig3(w io.Writer) (Fig3Result, error) {
+func Fig3(w io.Writer, o Options) (Fig3Result, error) {
 	res := Fig3Result{Sizes: Fig3Sizes, PPNs: Fig3PPNs}
 	nc := len(res.PPNs)
-	cells, err := parcases(len(res.Sizes)*nc, func(i int) (float64, error) {
-		return p2pBandwidth(res.PPNs[i%nc], res.Sizes[i/nc])
+	cells, err := parcases(o, len(res.Sizes)*nc, func(i int) (float64, error) {
+		return p2pBandwidth(o, res.PPNs[i%nc], res.Sizes[i/nc])
 	})
 	if err != nil {
 		return res, err
@@ -58,14 +59,14 @@ func Fig3(w io.Writer) (Fig3Result, error) {
 
 // p2pBandwidth returns aggregate bytes/s for ppn concurrent streams of
 // msg-byte messages from node 0 to node 1.
-func p2pBandwidth(ppn int, msg int64) (float64, error) {
+func p2pBandwidth(o Options, ppn int, msg int64) (float64, error) {
 	const reps = 4
 	placement := make([]int, 2*ppn)
 	for i := ppn; i < 2*ppn; i++ {
 		placement[i] = 1
 	}
 	var elapsed float64
-	err := job(2, 2*ppn, placement, func(pr *mpi.Proc) {
+	_, err := job(o, 2, 2*ppn, placement, progress.Spec{}, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()

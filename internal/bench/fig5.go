@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 )
 
 // CollCase identifies one of the three micro-benchmark configurations of
@@ -54,7 +55,7 @@ const fig5Nodes = 4
 // Fig5 measures broadcast and reduction bandwidth on 4 nodes under the
 // three overlap cases. Bandwidth uses the paper's convention: the volume of
 // a collective over p ranks is 2(p-1)/p * n.
-func Fig5(w io.Writer) (Fig5Result, error) {
+func Fig5(w io.Writer, o Options) (Fig5Result, error) {
 	res := Fig5Result{Sizes: Fig5Sizes}
 	ops := []string{"bcast", "reduce"}
 	fprintf(w, "Figure 5: collective bandwidth (MB/s) on %d nodes\n", fig5Nodes)
@@ -70,11 +71,11 @@ func Fig5(w io.Writer) (Fig5Result, error) {
 		util UtilStats
 	}
 	// Cases per size: (op, case) in row order, 6 cells per size row.
-	cells, err := parcases(len(res.Sizes)*len(ops)*3, func(i int) (cell, error) {
+	cells, err := parcases(o, len(res.Sizes)*len(ops)*3, func(i int) (cell, error) {
 		size := res.Sizes[i/(len(ops)*3)]
 		op := ops[i/3%len(ops)]
 		cc := CollCase(i % 3)
-		bw, util, err := collectiveRun(op, cc, size)
+		bw, util, err := collectiveRun(o, op, cc, size, fig5Nodes)
 		return cell{bw, util}, err
 	})
 	if err != nil {
@@ -107,31 +108,37 @@ func Fig5(w io.Writer) (Fig5Result, error) {
 	return res, nil
 }
 
-// CollectiveBandwidth measures one (op, case, total size) cell of Fig. 5.
-func CollectiveBandwidth(op string, cc CollCase, total int64) (float64, error) {
-	bw, _, err := collectiveRun(op, cc, total)
-	return bw, err
+// collectiveRun measures one Fig. 5 cell on a machine of p nodes — the
+// micro-benchmark the paper-scale sweep generalizes — and the run's lane
+// utilization.
+func collectiveRun(o Options, op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
+	ppn, ndup := cc.shape()
+	var elapsed float64
+	w, err := job(o, p, p*ppn, mesh4Placement(p, ppn), progress.Spec{}, collectiveBody(op, ppn, ndup, total, &elapsed))
+	if err != nil {
+		return 0, UtilStats{}, err
+	}
+	vol := 2 * float64(p-1) / float64(p) * float64(total)
+	return vol / elapsed, utilization(w), nil
 }
 
-// collectiveRun measures one Fig. 5 cell and the run's lane utilization.
-func collectiveRun(op string, cc CollCase, total int64) (float64, UtilStats, error) {
-	return collectiveRunNodes(op, cc, total, fig5Nodes)
-}
-
-// collectiveRunNodes is collectiveRun on a machine of p nodes — the Fig. 5
-// micro-benchmark generalized to the paper-scale sweep.
-func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
-	ppn, ndup := 1, 1
+// shape is the case's processes per node and duplicated-communicator count.
+func (cc CollCase) shape() (ppn, ndup int) {
 	switch cc {
 	case NonblockingOverlap:
-		ndup = 4
+		return 1, 4
 	case MultiPPNOverlap:
-		ppn = 4
+		return 4, 1
 	}
-	size := p * ppn
-	var elapsed float64
-	w, err := jobWorld(p, size, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
-		// Column communicators: one rank per node each (paper Fig. 4).
+	return 1, 1
+}
+
+// collectiveBody is the micro-benchmark's rank body: column communicators
+// (one rank per node each, paper Fig. 4), ndup duplicates of each, and one
+// nonblocking op per duplicate over its share of the total bytes. The
+// slowest rank's elapsed time lands in *elapsed.
+func collectiveBody(op string, ppn, ndup int, total int64, elapsed *float64) func(pr *mpi.Proc) {
+	return func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		comms := col.DupN(ndup)
 		pr.World().Barrier()
@@ -150,15 +157,10 @@ func collectiveRunNodes(op string, cc CollCase, total int64, p int) (float64, Ut
 			}
 		}
 		mpi.Waitall(reqs...)
-		if dt := pr.Now() - t0; dt > elapsed {
-			elapsed = dt
+		if dt := pr.Now() - t0; dt > *elapsed {
+			*elapsed = dt
 		}
-	})
-	if err != nil {
-		return 0, UtilStats{}, err
 	}
-	vol := 2 * float64(p-1) / float64(p) * float64(total)
-	return vol / elapsed, utilization(w), nil
 }
 
 // mesh4Placement puts ranks on nodes so that world rank r lives on node

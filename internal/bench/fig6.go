@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 	"commoverlap/internal/trace"
 )
 
@@ -40,7 +41,7 @@ type Fig6Result struct {
 // Fig6 reproduces the paper's timing diagram: 8 MB reductions and
 // broadcasts on 4 nodes under blocking, nonblocking overlap (N_DUP=4) and
 // 4-PPN overlap, plus the 2 MB and 8 MB single-operation references.
-func Fig6(w io.Writer) (Fig6Result, error) {
+func Fig6(w io.Writer, o Options) (Fig6Result, error) {
 	var res Fig6Result
 	const total = 8 << 20
 	ops := []string{"reduce", "bcast"}
@@ -61,7 +62,7 @@ func Fig6(w io.Writer) (Fig6Result, error) {
 		entries []TimelineEntry
 		util    CaseUtil
 	}
-	cases, err := parcases(len(ops)*jobsPerOp, func(i int) (caseOut, error) {
+	cases, err := parcases(o, len(ops)*jobsPerOp, func(i int) (caseOut, error) {
 		op := ops[i/jobsPerOp]
 		var (
 			es   []TimelineEntry
@@ -72,14 +73,14 @@ func Fig6(w io.Writer) (Fig6Result, error) {
 		switch j := i % jobsPerOp; {
 		case j < len(refs):
 			// Blocking and nonblocking single-shot references.
-			es, u, err = timelineSingle(op, refs[j].label, refs[j].bytes, refs[j].nb)
+			es, u, err = timelineSingle(o, op, refs[j].label, refs[j].bytes, refs[j].nb)
 			name = refs[j].label
 		case j == len(refs):
 			// Nonblocking overlap: four 2 MB operations on duplicated comms.
-			es, u, err = timelineOverlap(op)
+			es, u, err = timelineOverlap(o, op)
 		default:
 			// 4-PPN overlap: four processes per node, each a blocking 2 MB op.
-			es, u, err = timelinePPN(op)
+			es, u, err = timelinePPN(o, op)
 		}
 		if err != nil {
 			return caseOut{}, err
@@ -162,9 +163,9 @@ func (r Fig6Result) WriteChromeTrace(w io.Writer) error {
 	return timelineRecorder(entries).WriteChromeTrace(w)
 }
 
-func timelineSingle(op, label string, bytes int64, nonblocking bool) ([]TimelineEntry, UtilStats, error) {
+func timelineSingle(o Options, op, label string, bytes int64, nonblocking bool) ([]TimelineEntry, UtilStats, error) {
 	var entry TimelineEntry
-	w, err := jobWorld(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
+	w, err := job(o, fig5Nodes, fig5Nodes, nil, progress.Spec{}, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()
@@ -200,10 +201,10 @@ func timelineSingle(op, label string, bytes int64, nonblocking bool) ([]Timeline
 	return []TimelineEntry{entry}, jobUtil(w, err), err
 }
 
-func timelineOverlap(op string) ([]TimelineEntry, UtilStats, error) {
+func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ndup = 4
 	entries := make([]TimelineEntry, ndup)
-	w, err := jobWorld(fig5Nodes, fig5Nodes, nil, func(pr *mpi.Proc) {
+	w, err := job(o, fig5Nodes, fig5Nodes, nil, progress.Spec{}, func(pr *mpi.Proc) {
 		c := pr.World()
 		comms := c.DupN(ndup)
 		c.Barrier()
@@ -236,10 +237,10 @@ func timelineOverlap(op string) ([]TimelineEntry, UtilStats, error) {
 	return entries, jobUtil(w, err), err
 }
 
-func timelinePPN(op string) ([]TimelineEntry, UtilStats, error) {
+func timelinePPN(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := jobWorld(fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), func(pr *mpi.Proc) {
+	w, err := job(o, fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), progress.Spec{}, func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

@@ -106,10 +106,10 @@ func mlSpec(pat workload.Pattern, overlap bool, ndup int, quick bool) workload.S
 // MLWork measures every pattern blocking and overlapped and reports the
 // per-pattern winners. Cells fan through the replica runner; the result is
 // byte-identical at any worker count.
-func MLWork(w io.Writer, quick bool) (MLWorkResult, error) {
+func MLWork(w io.Writer, o Options) (MLWorkResult, error) {
 	res := MLWorkResult{Best: make(map[string]MLWorkRow), Blocking: make(map[string]MLWorkRow)}
 	perPattern := 1 + len(mlNDups) // blocking + overlapped sweep
-	cells, err := parcases(len(mlPatterns)*perPattern, func(i int) (MLWorkRow, error) {
+	cells, err := parcases(o, len(mlPatterns)*perPattern, func(i int) (MLWorkRow, error) {
 		pat := mlPatterns[i/perPattern]
 		j := i % perPattern
 		overlap, ndup := j > 0, 1
@@ -121,7 +121,7 @@ func MLWork(w io.Writer, quick bool) (MLWorkResult, error) {
 			variant = "overlap"
 		}
 		row := MLWorkRow{Pattern: string(pat), Variant: variant, NDup: ndup}
-		r, err := workload.Run(mlSpec(pat, overlap, ndup, quick))
+		r, err := workload.Run(mlSpec(pat, overlap, ndup, o.Quick))
 		if err != nil {
 			return row, err
 		}

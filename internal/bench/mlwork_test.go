@@ -12,7 +12,7 @@ import (
 // blocking baseline, and every variant of a pattern produces the identical
 // checksum.
 func TestMLWorkOverlapWins(t *testing.T) {
-	res, err := MLWork(io.Discard, true)
+	res, err := MLWork(io.Discard, Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,7 @@ func TestMLWorkOverlapWins(t *testing.T) {
 // the replica pool runs sequentially and when it runs 8 wide.
 func TestMLWorkDeterminism(t *testing.T) {
 	runAt := func(workers int) string {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		res, err := MLWork(io.Discard, true)
+		res, err := MLWork(io.Discard, Options{Workers: workers, Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ type NoiseResult struct {
 // Noise measures reduction bandwidth for the three Fig. 5 cases across the
 // noise-amplitude axis and reports each case's bandwidth retention relative
 // to its own clean-machine baseline.
-func Noise(w io.Writer) (NoiseResult, error) {
+func Noise(w io.Writer, o Options) (NoiseResult, error) {
 	res := NoiseResult{Amps: NoiseAmps}
 	fprintf(w, "Skew resilience: reduce bandwidth on %d nodes, %d B payload, under machine noise\n",
 		fig5Nodes, noiseSize)
@@ -59,8 +59,8 @@ func Noise(w io.Writer) (NoiseResult, error) {
 		fprintf(w, "  %-28s", c)
 	}
 	fprintf(w, "\n")
-	cells, err := parcases(len(res.Amps)*3, func(i int) (float64, error) {
-		return noisyCollectiveRun("reduce", CollCase(i%3), noiseSize, res.Amps[i/3])
+	cells, err := parcases(o, len(res.Amps)*3, func(i int) (float64, error) {
+		return noisyCollectiveRun(o, "reduce", CollCase(i%3), noiseSize, res.Amps[i/3])
 	})
 	if err != nil {
 		return res, err
@@ -83,51 +83,22 @@ func Noise(w io.Writer) (NoiseResult, error) {
 // noisyCollectiveRun measures one (case, amplitude) cell: the Fig. 5
 // collective job with a seeded fault injector installed. Amplitude 0 runs
 // clean (no injector), so the baseline is exactly collectiveRun's machine.
-func noisyCollectiveRun(op string, cc CollCase, total int64, amp float64) (float64, error) {
+func noisyCollectiveRun(o Options, op string, cc CollCase, total int64, amp float64) (float64, error) {
 	p := fig5Nodes
-	ppn, ndup := 1, 1
-	switch cc {
-	case NonblockingOverlap:
-		ndup = 4
-	case MultiPPNOverlap:
-		ppn = 4
-	}
+	ppn, ndup := cc.shape()
 	var elapsed float64
-	body := func(pr *mpi.Proc) {
-		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
-		comms := col.DupN(ndup)
-		pr.World().Barrier()
-		t0 := pr.Now()
-		share := total / int64(ppn) / int64(ndup)
-		if share == 0 {
-			share = 1
-		}
-		reqs := make([]*mpi.Request, ndup)
-		for d := 0; d < ndup; d++ {
-			b := mpi.Phantom(share)
-			if op == "bcast" {
-				reqs[d] = comms[d].Ibcast(0, b)
-			} else {
-				reqs[d] = comms[d].Ireduce(0, b, b, mpi.OpSum)
-			}
-		}
-		mpi.Waitall(reqs...)
-		if dt := pr.Now() - t0; dt > elapsed {
-			elapsed = dt
-		}
-	}
-	cfg := faults.Noise(noiseSeed, amp)
-	if err := jobNoise(p, p*ppn, mesh4Placement(p, ppn), cfg, body); err != nil {
+	body := collectiveBody(op, ppn, ndup, total, &elapsed)
+	if err := jobNoise(o, p, p*ppn, mesh4Placement(p, ppn), faults.Noise(noiseSeed, amp), body); err != nil {
 		return 0, err
 	}
 	vol := 2 * float64(p-1) / float64(p) * float64(total)
 	return vol / elapsed, nil
 }
 
-// jobNoise is jobWorld with a fault injector installed between world
+// jobNoise is job with a fault injector installed between world
 // construction and launch. An all-zero config (amplitude 0) skips
-// installation entirely so clean runs are bit-identical to jobWorld's.
-func jobNoise(nodes, ranks int, placement []int, cfg faults.Config, body func(p *mpi.Proc)) error {
+// installation entirely so clean runs are bit-identical to job's.
+func jobNoise(o Options, nodes, ranks int, placement []int, cfg faults.Config, body func(p *mpi.Proc)) error {
 	eng := sim.NewEngine()
 	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
 	if err != nil {
@@ -137,8 +108,8 @@ func jobNoise(nodes, ranks int, placement []int, cfg faults.Config, body func(p 
 	if err != nil {
 		return err
 	}
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
+	if o.Metrics != nil {
+		w.SetMetrics(o.Metrics)
 	}
 	if cfg != (faults.Config{Seed: cfg.Seed}) {
 		inj, err := faults.New(cfg)

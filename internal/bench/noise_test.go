@@ -13,7 +13,7 @@ import (
 // statistical ones; see noiseSeed's comment for how representative the
 // draw is across seeds.
 func TestNoiseSkewResilience(t *testing.T) {
-	res, err := Noise(io.Discard)
+	res, err := Noise(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestNoiseSkewResilience(t *testing.T) {
 // TestNoiseDeterministic re-measures the experiment and demands identical
 // numbers: the whole fault pipeline replays bit-exactly from its seed.
 func TestNoiseDeterministic(t *testing.T) {
-	a, err := Noise(io.Discard)
+	a, err := Noise(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Noise(io.Discard)
+	b, err := Noise(io.Discard, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

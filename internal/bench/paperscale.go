@@ -8,6 +8,7 @@ import (
 	"commoverlap/internal/core"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 	"commoverlap/internal/purify"
 	"commoverlap/internal/tune"
 )
@@ -73,10 +74,8 @@ type PaperScaleResult struct {
 
 // PaperScale runs the 64-node collective micro-benchmark and the
 // 64..216-node strong-scaling sweep at dimension n (default 1hsg_70).
-func PaperScale(w io.Writer, n int) (PaperScaleResult, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
+	n := o.n()
 	ne := Systems[2].Ne
 	res := PaperScaleResult{CollNodes: PaperScaleNodes, CollSize: paperScaleSize}
 
@@ -84,21 +83,21 @@ func PaperScale(w io.Writer, n int) (PaperScaleResult, error) {
 	// mesh edge, the N_DUP=1 kernel, the N_DUP=4 kernel, and the
 	// purification application run.
 	const perMesh = 3
-	cells, err := parcases(3+len(paperScaleMeshes)*perMesh, func(i int) (float64, error) {
+	cells, err := parcases(o, 3+len(paperScaleMeshes)*perMesh, func(i int) (float64, error) {
 		if i < 3 {
-			bw, _, err := collectiveRunNodes("reduce", CollCase(i), paperScaleSize, PaperScaleNodes)
+			bw, _, err := collectiveRun(o, "reduce", CollCase(i), paperScaleSize, PaperScaleNodes)
 			return bw, err
 		}
 		p := paperScaleMeshes[(i-3)/perMesh]
 		switch (i - 3) % perMesh {
 		case 0:
-			kr, err := Kernel(core.Optimized, n, p, 1, 1)
+			kr, err := kernel(o, core.Optimized, n, p, 1, 1)
 			return kr.TFlops, err
 		case 1:
-			kr, err := Kernel(core.Optimized, n, p, 4, 1)
+			kr, err := kernel(o, core.Optimized, n, p, 4, 1)
 			return kr.TFlops, err
 		default:
-			return purifyTFlops(n, ne, p, 4, paperScaleIters)
+			return purifyTFlops(o, n, ne, p, 4, paperScaleIters)
 		}
 	})
 	if err != nil {
@@ -138,14 +137,12 @@ func PaperScale(w io.Writer, n int) (PaperScaleResult, error) {
 // fixed-parameter sweep it re-measures the 64-node reduction at the table's
 // per-kernel winner and the optimized kernel with tuned per-phase pipeline
 // widths (tune.Table.KernelConfig) at every mesh edge.
-func PaperScaleTuned(w io.Writer, n int, table *tune.Table) (PaperScaleResult, error) {
-	res, err := PaperScale(w, n)
+func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResult, error) {
+	res, err := PaperScale(w, o)
 	if err != nil {
 		return res, err
 	}
-	if n == 0 {
-		n = Systems[2].N
-	}
+	n := o.n()
 	want := tune.Kernel{Op: "reduce", Bytes: paperScaleSize, Nodes: PaperScaleNodes}
 	entry := table.Lookup(want)
 	if entry == nil {
@@ -154,7 +151,7 @@ func PaperScaleTuned(w io.Writer, n int, table *tune.Table) (PaperScaleResult, e
 	if entry == nil {
 		return res, fmt.Errorf("bench: tuning table has no reduce entries")
 	}
-	cells, err := parcases(1+len(paperScaleMeshes), func(i int) (float64, error) {
+	cells, err := parcases(o, 1+len(paperScaleMeshes), func(i int) (float64, error) {
 		if i == 0 {
 			bw, _, err := tune.MeasureCached(cache.Shared(), want, entry.Best, table.Grid.LaunchPPN)
 			return bw, err
@@ -168,7 +165,7 @@ func PaperScaleTuned(w io.Writer, n int, table *tune.Table) (PaperScaleResult, e
 		// applies to the collective workload, so here only the per-phase
 		// widths carry over.
 		tc.Config.PPN = 1
-		kr, err := KernelCfg(p, tc.Config)
+		kr, err := kernelCfg(o, core.Optimized, p, tc.Config)
 		return kr.TFlops, err
 	})
 	if err != nil {
@@ -193,10 +190,10 @@ func PaperScaleTuned(w io.Writer, n int, table *tune.Table) (PaperScaleResult, e
 
 // purifyTFlops runs a phantom purification (the Table I methodology) on a
 // p^3 mesh and returns the application-averaged kernel TFlops.
-func purifyTFlops(n, ne, p, ndup, iters int) (float64, error) {
+func purifyTFlops(o Options, n, ne, p, ndup, iters int) (float64, error) {
 	dims := mesh.Cubic(p)
 	var kernelTime float64
-	err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
+	_, err := job(o, dims.Size(), dims.Size(), nil, progress.Spec{}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup})
 		if err != nil {
 			panic(err)

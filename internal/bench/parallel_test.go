@@ -13,24 +13,13 @@ import (
 // Determinism lives in the index keying, not the scheduling — these tests
 // pin that contract.
 
-// withWorkers runs fn under the given pool width, restoring the previous
-// setting (the package variable is process-global, so these tests cannot
-// run in parallel with each other).
-func withWorkers(t *testing.T, w int, fn func()) {
-	t.Helper()
-	saved := Workers
-	Workers = w
-	defer func() { Workers = saved }()
-	fn()
-}
-
 // TestParallelFigureSweepByteIdentical regenerates a full figure — table
 // text plus CSV — sequentially and at 8 workers and requires identical
 // bytes.
 func TestParallelFigureSweepByteIdentical(t *testing.T) {
-	render := func() string {
+	render := func(workers int) string {
 		var sb strings.Builder
-		res, err := Fig5(&sb)
+		res, err := Fig5(&sb, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +28,7 @@ func TestParallelFigureSweepByteIdentical(t *testing.T) {
 		}
 		return sb.String()
 	}
-	var seq, par string
-	withWorkers(t, 1, func() { seq = render() })
-	withWorkers(t, 8, func() { par = render() })
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Fatalf("fig5 output differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- 8 workers ---\n%s", seq, par)
 	}
@@ -54,16 +41,14 @@ func TestParallelFigureSweepByteIdentical(t *testing.T) {
 // (different job shape: nested engines, world construction, placement) at a
 // reduced size so the test stays fast.
 func TestParallelKernelTableByteIdentical(t *testing.T) {
-	render := func() string {
+	render := func(workers int) string {
 		var sb strings.Builder
-		if _, err := Table3(&sb, 2000); err != nil {
+		if _, err := Table3(&sb, Options{Workers: workers, N: 2000}); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
 	}
-	var seq, par string
-	withWorkers(t, 1, func() { seq = render() })
-	withWorkers(t, 8, func() { par = render() })
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Fatalf("table3 output differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- 8 workers ---\n%s", seq, par)
 	}
@@ -73,11 +58,7 @@ func TestParallelKernelTableByteIdentical(t *testing.T) {
 // piece of cross-replica state, so parcases must ignore the pool width
 // while it is installed (otherwise registry accumulation would race).
 func TestMetricsPinsPoolToOneWorker(t *testing.T) {
-	defer func() { Metrics = nil }()
-	Metrics = &metrics.Registry{}
-	withWorkers(t, 8, func() {
-		if _, err := Fig3(nil); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if _, err := Fig3(nil, Options{Workers: 8, Metrics: &metrics.Registry{}}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -162,7 +162,8 @@ func (r ProgressResult) WriteCSV(w io.Writer) error {
 // ProgressBench measures every mechanism class on every case and reports
 // the tuned winners. Cells fan through the replica runner; the result is
 // byte-identical at any worker count.
-func ProgressBench(w io.Writer, quick bool) (ProgressResult, error) {
+func ProgressBench(w io.Writer, o Options) (ProgressResult, error) {
+	quick := o.Quick
 	cases := progressCases(quick)
 	type cellRef struct {
 		ci    int
@@ -178,7 +179,7 @@ func ProgressBench(w io.Writer, quick bool) (ProgressResult, error) {
 		}
 	}
 	res := ProgressResult{Best: make(map[string]map[string]ProgressRow)}
-	rows, err := parcases(len(refs), func(i int) (ProgressRow, error) {
+	rows, err := parcases(o, len(refs), func(i int) (ProgressRow, error) {
 		ref := refs[i]
 		c := cases[ref.ci]
 		row := ProgressRow{Case: c.Name, Class: ref.class,

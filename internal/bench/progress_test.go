@@ -19,7 +19,7 @@ import (
 //     active ranks (PPN) dilutes per-rank compute there, so only the
 //     engine's offload path improves goodput.
 func TestProgressEngineWins(t *testing.T) {
-	res, err := ProgressBench(nil, true)
+	res, err := ProgressBench(nil, Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestProgressEngineWins(t *testing.T) {
 // TestProgressDeterminism: the whole experiment — rendered table plus CSV —
 // is byte-identical sequentially and at 8 workers.
 func TestProgressDeterminism(t *testing.T) {
-	render := func() string {
+	render := func(workers int) string {
 		var sb strings.Builder
-		res, err := ProgressBench(&sb, true)
+		res, err := ProgressBench(&sb, Options{Workers: workers, Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,9 +74,7 @@ func TestProgressDeterminism(t *testing.T) {
 		}
 		return sb.String()
 	}
-	var seq, par string
-	withWorkers(t, 1, func() { seq = render() })
-	withWorkers(t, 8, func() { par = render() })
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Errorf("progress experiment differs between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
@@ -84,7 +82,7 @@ func TestProgressDeterminism(t *testing.T) {
 		t.Error("rendered table is missing the progress/ppn headline")
 	}
 	var csv bytes.Buffer
-	res, err := ProgressBench(nil, true)
+	res, err := ProgressBench(nil, Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,17 @@ type Claim struct {
 // Report runs the full evaluation and checks every claim of the paper
 // against the measurements, producing the verdict table that EXPERIMENTS.md
 // records in prose. It returns the claims and the number of failures.
-// Problem sizes are the paper's (N = 7645 etc.); expect ~60 s of wall time.
-func Report(w io.Writer) ([]Claim, int, error) {
+// Problem sizes are the paper's (N = 7645 etc.) whatever o.N says; expect
+// ~60 s of wall time.
+func Report(w io.Writer, o Options) ([]Claim, int, error) {
+	o.N = 0
 	var claims []Claim
 	add := func(id, text, paper, measured string, holds bool) {
 		claims = append(claims, Claim{ID: id, Text: text, Paper: paper, Measured: measured, Holds: holds})
 	}
 
 	// Figure 3.
-	f3, err := Fig3(nil)
+	f3, err := Fig3(nil, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -48,7 +50,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		ppn1Short)
 
 	// Figure 5.
-	f5, err := Fig5(nil)
+	f5, err := Fig5(nil, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -61,7 +63,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		redO >= redB && redP >= redB)
 
 	// Table I.
-	t1, err := Table1(nil, nil)
+	t1, err := Table1(nil, o, Systems)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -83,7 +85,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		fmt.Sprintf("%.2f-%.2fx", minSp, maxSp), minSp >= 1.1 && maxSp <= 1.6)
 
 	// Table II.
-	t2, err := Table2(nil, []System{Systems[2]})
+	t2, err := Table2(nil, o, []System{Systems[2]})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -93,7 +95,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		fmt.Sprintf("ndup1 %.1f, ndup4 %.1f, ndup6 %.1f TF", tf[0], tf[3], tf[5]), plateau)
 
 	// Table III.
-	t3, err := Table3(nil, 0)
+	t3, err := Table3(nil, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -114,7 +116,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		fmt.Sprintf("%.2fx over plain baseline", combined), combined > 1.4)
 
 	// Table IV.
-	t4, err := Table4(nil, 0)
+	t4, err := Table4(nil, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -126,7 +128,7 @@ func Report(w io.Writer) ([]Claim, int, error) {
 		volGrows && timeFalls)
 
 	// Table V.
-	t5, err := Table5(nil, 0)
+	t5, err := Table5(nil, o)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"commoverlap/internal/core"
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 	"commoverlap/internal/sparse"
 )
 
@@ -22,7 +23,8 @@ type SparseRow struct {
 // operand bandwidth — and with it the fill — grows. The sparse kernel wins
 // while the matrix is genuinely sparse and loses once fill approaches
 // dense, the crossover the paper's sparse remark implies.
-func Sparse(w io.Writer, n int) ([]SparseRow, error) {
+func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
+	n := o.N
 	if n == 0 {
 		n = 4000
 	}
@@ -36,15 +38,15 @@ func Sparse(w io.Writer, n int) ([]SparseRow, error) {
 	// The banded operand is rebuilt per cell: sparse.CSR is read-only during
 	// the run but cheap to construct, and sharing one across replicas would
 	// be the only cross-cell state.
-	cells, err := parcases(1+len(halfBWs)*2, func(i int) (float64, error) {
+	cells, err := parcases(o, 1+len(halfBWs)*2, func(i int) (float64, error) {
 		if i == 0 {
-			return dense2DTime(q, n)
+			return dense2DTime(o, q, n)
 		}
 		hb := halfBWs[(i-1)/2]
 		pipelined := (i-1)%2 == 1
 		h := sparse.BandedHamiltonian(n, hb, float64(hb)/3)
 		var worst float64
-		err := job(16, 16, nil, func(pr *mpi.Proc) {
+		_, err := job(o, 16, 16, nil, progress.Spec{}, func(pr *mpi.Proc) {
 			env, err := core.NewSpEnv(pr, q, n, 2, 1, 0)
 			if err != nil {
 				panic(err)
@@ -74,9 +76,9 @@ func Sparse(w io.Writer, n int) ([]SparseRow, error) {
 	return rows, nil
 }
 
-func dense2DTime(q, n int) (float64, error) {
+func dense2DTime(o Options, q, n int) (float64, error) {
 	var worst float64
-	err := job(q*q, q*q, nil, func(pr *mpi.Proc) {
+	_, err := job(o, q*q, q*q, nil, progress.Spec{}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv2D(pr, q, core.Config{N: n, NDup: 2})
 		if err != nil {
 			panic(err)

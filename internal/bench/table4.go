@@ -5,6 +5,7 @@ import (
 
 	"commoverlap/internal/core"
 	"commoverlap/internal/mpi"
+	"commoverlap/internal/progress"
 )
 
 // Table4Row is one row of Table IV: the baseline kernel's inter-node
@@ -29,10 +30,8 @@ var table4OpMix = struct{ reduce, bcast float64 }{2.0 / 7.0, 5.0 / 7.0}
 // Table4 reproduces Table IV for the baseline algorithm at N (default
 // 1hsg_70): measured volume, micro-benchmarked bandwidths, and estimated vs
 // actual communication time.
-func Table4(w io.Writer, n int) ([]Table4Row, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Table4(w io.Writer, o Options) ([]Table4Row, error) {
+	n := o.n()
 	fprintf(w, "Table IV: estimated vs actual inter-node communication, baseline kernel (N=%d)\n", n)
 	fprintf(w, "%4s %12s %12s %12s %10s %12s\n",
 		"PPN", "volume(MB)", "ReduceBW", "BcastBW", "est time", "actual time")
@@ -43,17 +42,17 @@ func Table4(w io.Writer, n int) ([]Table4Row, error) {
 		kr       KernelRun
 		rbw, bbw float64
 	}
-	cells, err := parcases(len(Table3Configs)*3, func(i int) (cell, error) {
+	cells, err := parcases(o, len(Table3Configs)*3, func(i int) (cell, error) {
 		cfg := Table3Configs[i/3]
 		switch i % 3 {
 		case 0:
-			kr, err := Kernel(core.Baseline, n, cfg.Mesh, 1, cfg.PPN)
+			kr, err := kernel(o, core.Baseline, n, cfg.Mesh, 1, cfg.PPN)
 			return cell{kr: kr}, err
 		case 1:
-			rbw, err := ppnCollectiveBW("reduce", cfg.PPN)
+			rbw, err := ppnCollectiveBW(o, "reduce", cfg.PPN)
 			return cell{rbw: rbw}, err
 		default:
-			bbw, err := ppnCollectiveBW("bcast", cfg.PPN)
+			bbw, err := ppnCollectiveBW(o, "bcast", cfg.PPN)
 			return cell{bbw: bbw}, err
 		}
 	})
@@ -85,11 +84,11 @@ func Table4(w io.Writer, n int) ([]Table4Row, error) {
 // processes per node overlapping (the MultiPPNOverlap case generalized to
 // any PPN): ppn column communicators of one rank per node, each moving
 // total/ppn bytes, on the 4-node micro-benchmark machine.
-func ppnCollectiveBW(op string, ppn int) (float64, error) {
+func ppnCollectiveBW(o Options, op string, ppn int) (float64, error) {
 	const total = 16 << 20
 	p := fig5Nodes
 	var elapsed float64
-	err := job(p, p*ppn, mesh4Placement(p, ppn), func(pr *mpi.Proc) {
+	_, err := job(o, p, p*ppn, mesh4Placement(p, ppn), progress.Spec{}, func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/mesh"
-	"commoverlap/internal/mpi"
-	"commoverlap/internal/purify"
 )
 
 // table1MeshEdge: Tables I and II run on 64 nodes with one process per
@@ -27,21 +24,18 @@ type Table1Row struct {
 
 // Table1 reproduces Table I: performance of the three SymmSquareCube
 // variants on the 4x4x4 mesh with N_DUP = 4 for the optimized algorithm.
-func Table1(w io.Writer, systems []System) ([]Table1Row, error) {
-	if systems == nil {
-		systems = Systems
-	}
+func Table1(w io.Writer, o Options, systems []System) ([]Table1Row, error) {
 	fprintf(w, "Table I: SymmSquareCube performance (TFlops), %d^3 mesh, PPN=1\n", table1MeshEdge)
 	fprintf(w, "%-10s %-6s %8s %8s %8s %14s %20s\n",
 		"system", "N", "alg3", "alg4", "alg5", "alg5/alg4", "wire% a3/a4/a5")
 	variants := []core.Variant{core.Original, core.Baseline, core.Optimized}
-	cells, err := parcases(len(systems)*len(variants), func(i int) (KernelRun, error) {
+	cells, err := parcases(o, len(systems)*len(variants), func(i int) (KernelRun, error) {
 		v := variants[i%len(variants)]
 		ndup := 1
 		if v == core.Optimized {
 			ndup = 4
 		}
-		return Kernel(v, systems[i/len(variants)].N, table1MeshEdge, ndup, 1)
+		return kernel(o, v, systems[i/len(variants)].N, table1MeshEdge, ndup, 1)
 	})
 	if err != nil {
 		return nil, err
@@ -75,10 +69,7 @@ var Table2NDups = []int{1, 2, 3, 4, 5, 6}
 
 // Table2 reproduces Table II: optimized-kernel performance for N_DUP 1..6
 // (N_DUP = 1 equals the baseline algorithm).
-func Table2(w io.Writer, systems []System) ([]Table2Row, error) {
-	if systems == nil {
-		systems = Systems
-	}
+func Table2(w io.Writer, o Options, systems []System) ([]Table2Row, error) {
 	fprintf(w, "Table II: optimized SymmSquareCube (TFlops) vs N_DUP, %d^3 mesh\n", table1MeshEdge)
 	fprintf(w, "%-10s", "system")
 	for _, nd := range Table2NDups {
@@ -86,8 +77,8 @@ func Table2(w io.Writer, systems []System) ([]Table2Row, error) {
 	}
 	fprintf(w, "\n")
 	nd := len(Table2NDups)
-	cells, err := parcases(len(systems)*nd, func(i int) (KernelRun, error) {
-		return Kernel(core.Optimized, systems[i/nd].N, table1MeshEdge, Table2NDups[i%nd], 1)
+	cells, err := parcases(o, len(systems)*nd, func(i int) (KernelRun, error) {
+		return kernel(o, core.Optimized, systems[i/nd].N, table1MeshEdge, Table2NDups[i%nd], 1)
 	})
 	if err != nil {
 		return nil, err
@@ -130,19 +121,17 @@ type Table3Row struct {
 // Table3 reproduces Table III: the optimized kernel with N_DUP in {1, 4}
 // across PPN configurations (the multiple-PPN overlap technique, alone and
 // combined with nonblocking overlap), for the 1hsg_70 system.
-func Table3(w io.Writer, n int) ([]Table3Row, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Table3(w io.Writer, o Options) ([]Table3Row, error) {
+	n := o.n()
 	fprintf(w, "Table III: optimized SymmSquareCube vs PPN (N=%d)\n", n)
 	fprintf(w, "%4s %-10s %11s %10s %10s\n", "PPN", "mesh", "total nodes", "N_DUP=1", "N_DUP=4")
-	cells, err := parcases(len(Table3Configs)*2, func(i int) (KernelRun, error) {
+	cells, err := parcases(o, len(Table3Configs)*2, func(i int) (KernelRun, error) {
 		cfg := Table3Configs[i/2]
 		ndup := 1
 		if i%2 == 1 {
 			ndup = 4
 		}
-		return Kernel(core.Optimized, n, cfg.Mesh, ndup, cfg.PPN)
+		return kernel(o, core.Optimized, n, cfg.Mesh, ndup, cfg.PPN)
 	})
 	if err != nil {
 		return nil, err
@@ -183,19 +172,17 @@ type Table5Row struct {
 // Table5 reproduces Table V: SymmSquareCube built on 2.5D matrix
 // multiplication with Cannon's algorithm, with and without nonblocking
 // overlap, for the 1hsg_70 system.
-func Table5(w io.Writer, n int) ([]Table5Row, error) {
-	if n == 0 {
-		n = Systems[2].N
-	}
+func Table5(w io.Writer, o Options) ([]Table5Row, error) {
+	n := o.n()
 	fprintf(w, "Table V: 2.5D SymmSquareCube vs mesh/replication/PPN (N=%d)\n", n)
 	fprintf(w, "%4s %-12s %11s %10s %10s\n", "PPN", "mesh(qxqxc)", "total nodes", "N_DUP=1", "N_DUP=4")
-	cells, err := parcases(len(Table5Configs)*2, func(i int) (KernelRun, error) {
+	cells, err := parcases(o, len(Table5Configs)*2, func(i int) (KernelRun, error) {
 		cfg := Table5Configs[i/2]
 		ndup := 1
 		if i%2 == 1 {
 			ndup = 4
 		}
-		return Kernel25(cfg.Q, cfg.C, n, ndup, cfg.PPN)
+		return kernel25(o, cfg.Q, cfg.C, n, ndup, cfg.PPN)
 	})
 	if err != nil {
 		return nil, err
@@ -217,30 +204,14 @@ func Table5(w io.Writer, n int) ([]Table5Row, error) {
 // invocation. The simulator is deterministic, so the average matches the
 // single-shot Table1 numbers; this entry point documents and checks that
 // methodological equivalence.
-func Table1App(w io.Writer, sys System, iters int) (float64, error) {
+func Table1App(w io.Writer, o Options, sys System, iters int) (float64, error) {
 	if iters <= 0 {
 		iters = 3
 	}
-	dims := mesh.Cubic(table1MeshEdge)
-	var kernelTime float64
-	err := job(dims.Size(), dims.Size(), nil, func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: sys.N, NDup: 4})
-		if err != nil {
-			panic(err)
-		}
-		dd := purify.NewDist(env, core.Optimized)
-		_, st, err := dd.Run(nil, purify.Options{Ne: max(sys.Ne, 1), MaxIter: iters})
-		if err != nil {
-			panic(err)
-		}
-		if st.KernelTime > kernelTime {
-			kernelTime = st.KernelTime
-		}
-	})
+	tf, err := purifyTFlops(o, sys.N, sys.Ne, table1MeshEdge, 4, iters)
 	if err != nil {
 		return 0, err
 	}
-	tf := float64(iters) * core.KernelFlops(sys.N) / kernelTime / 1e12
 	fprintf(w, "Table I (application-averaged, %d purification iterations): %s %.2f TFlops\n",
 		iters, sys.Name, tf)
 	return tf, nil

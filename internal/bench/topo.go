@@ -86,16 +86,16 @@ func (r TopoResult) WriteCSV(w io.Writer) error {
 
 // Topo measures the allreduce overlap/algorithm sweep on the flat and
 // hierarchical fabrics and reports the per-fabric winners.
-func Topo(w io.Writer) (TopoResult, error) {
+func Topo(w io.Writer, o Options) (TopoResult, error) {
 	res := TopoResult{Best: make(map[string]TopoRow)}
 	perFabric := len(topoNDups) * len(topoPPNs) * len(topoAlgs)
-	cells, err := parcases(len(topoFabrics)*perFabric, func(i int) (TopoRow, error) {
+	cells, err := parcases(o, len(topoFabrics)*perFabric, func(i int) (TopoRow, error) {
 		fabric := topoFabrics[i/perFabric]
 		j := i % perFabric
 		ndup := topoNDups[j/(len(topoPPNs)*len(topoAlgs))]
 		ppn := topoPPNs[j/len(topoAlgs)%len(topoPPNs)]
 		alg := topoAlgs[j%len(topoAlgs)]
-		return topoCell(fabric, ndup, ppn, alg)
+		return topoCell(o, fabric, ndup, ppn, alg)
 	})
 	if err != nil {
 		return res, err
@@ -131,7 +131,7 @@ func Topo(w io.Writer) (TopoResult, error) {
 // topoCell measures one (fabric, ndup, ppn, alg) cell: the tuner's
 // measurement job (column communicators, duplicated comms, surplus ranks
 // parked) plus a post-run per-link-class utilization snapshot.
-func topoCell(fabric string, ndup, ppn int, alg string) (TopoRow, error) {
+func topoCell(o Options, fabric string, ndup, ppn int, alg string) (TopoRow, error) {
 	row := TopoRow{Fabric: fabric, NDup: ndup, PPN: ppn, Alg: alg}
 	name := fabric
 	if name == "flat" {
@@ -153,8 +153,8 @@ func topoCell(fabric string, ndup, ppn int, alg string) (TopoRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if Metrics != nil {
-		w.SetMetrics(Metrics)
+	if o.Metrics != nil {
+		w.SetMetrics(o.Metrics)
 	}
 	w.AllreduceAlg = alg
 	var elapsed float64

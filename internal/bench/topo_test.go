@@ -15,7 +15,7 @@ import (
 // width wins, while the oversubscribed shared uplink flips the algorithm
 // axis to the ring, whose traffic crosses group seams only.
 func TestTopoWinnerShifts(t *testing.T) {
-	res, err := Topo(nil)
+	res, err := Topo(nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,9 @@ func TestTopoWinnerShifts(t *testing.T) {
 // TestTopoSweepByteIdentical: the topology sweep — table text plus CSV — is
 // byte-identical whether its cells run sequentially or on eight workers.
 func TestTopoSweepByteIdentical(t *testing.T) {
-	render := func() string {
+	render := func(workers int) string {
 		var sb strings.Builder
-		res, err := Topo(&sb)
+		res, err := Topo(&sb, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,9 +76,7 @@ func TestTopoSweepByteIdentical(t *testing.T) {
 		}
 		return sb.String()
 	}
-	var seq, par string
-	withWorkers(t, 1, func() { seq = render() })
-	withWorkers(t, 8, func() { par = render() })
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Fatalf("topo output differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- 8 workers ---\n%s", seq, par)
 	}

@@ -35,7 +35,7 @@ type TunedResult struct {
 }
 
 // Tuned runs the tuned-vs-fixed comparison over the table's kernels.
-func Tuned(w io.Writer, table *tune.Table) (TunedResult, error) {
+func Tuned(w io.Writer, o Options, table *tune.Table) (TunedResult, error) {
 	var res TunedResult
 	if len(table.Entries) == 0 {
 		return res, fmt.Errorf("bench: empty tuning table")
@@ -64,7 +64,7 @@ func Tuned(w io.Writer, table *tune.Table) (TunedResult, error) {
 
 	// Every (strategy, kernel) cell is an independent replica.
 	nk := len(res.Kernels)
-	times, err := parcases(len(strategies)*nk, func(i int) (float64, error) {
+	times, err := parcases(o, len(strategies)*nk, func(i int) (float64, error) {
 		s, k := strategies[i/nk], res.Kernels[i%nk]
 		// Strategies repeat cells — "blocking" is the fixed ndup=1/ppn=1
 		// grid point, and the per-kernel winner usually matches one of the

@@ -2,10 +2,18 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"commoverlap/internal/tune"
 )
+
+// quickTable is one cold quick-grid search over the default kernels,
+// shared by the tests that apply it (the search is deterministic, so every
+// caller would compute the identical table).
+var quickTable = sync.OnceValues(func() (*tune.Table, error) {
+	return tune.Search(tune.Options{Grid: tune.QuickGrid()})
+})
 
 // TestTunedBeatsFixed is the auto-tuner's asserted benchmark: over the
 // default kernel workload (the Fig. 5 reduce regimes plus the 64-node
@@ -15,11 +23,11 @@ import (
 // blocking collectives. The simulator is exact, so the comparisons need no
 // tolerance.
 func TestTunedBeatsFixed(t *testing.T) {
-	table, err := tune.Search(tune.Options{Grid: tune.QuickGrid()})
+	table, err := quickTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Tuned(nil, table)
+	res, err := Tuned(nil, Options{}, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestTunedByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		res, err := Tuned(&sb, table)
+		res, err := Tuned(&sb, Options{Workers: workers}, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +96,7 @@ func TestTunedByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		return sb.String()
 	}
-	var seq, par string
-	withWorkers(t, 1, func() { seq = render(1) })
-	withWorkers(t, 8, func() { par = render(8) })
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Fatalf("tuned output differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- 8 workers ---\n%s", seq, par)
 	}
@@ -106,12 +112,12 @@ func TestPaperScaleTuned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale sweep in -short mode")
 	}
-	table, err := tune.Search(tune.Options{Grid: tune.QuickGrid()})
+	table, err := quickTable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	res, err := PaperScaleTuned(&sb, 4000, table)
+	res, err := PaperScaleTuned(&sb, Options{N: 4000}, table)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestSchedules(t *testing.T) {
 		}
 		policies = []Policy{pol}
 	}
-	sum := Explore(scens, policies, *flagSchedules, *flagSeed, func(r Result) {
+	sum := Explore(scens, policies, *flagSchedules, *flagSeed, 0, func(r Result) {
 		if testing.Verbose() {
 			t.Logf("%-40s events=%-6d msgs=%-5d t=%.6gs violations=%d",
 				r.Schedule(), r.Events, r.Messages, r.FinalTime, len(r.Violations))

@@ -7,13 +7,6 @@ import (
 	"commoverlap/internal/sim"
 )
 
-// Workers bounds how many schedules the explorers run concurrently: 0 picks
-// the runner default (OVERLAP_WORKERS or GOMAXPROCS), 1 forces the
-// sequential order. Every (scenario, profile, policy, seed) run is an
-// isolated engine, and runs are aggregated and reported in enumeration
-// order, so summaries and reports are identical at any worker count.
-var Workers int
-
 // Policy is a named family of tie-break policies. Seeded reports whether
 // the seed changes the schedule (only the random policy); for unseeded
 // policies the explorer runs each scenario once instead of once per seed.
@@ -91,15 +84,17 @@ type Summary struct {
 // the seeded policy once per seed in [baseSeed, baseSeed+nSeeds) — and
 // reports each run to report (if non-nil) in enumeration order. It returns
 // the aggregate summary; exploration continues past failures so one bad
-// schedule does not mask another. Runs execute on the package replica pool
-// (see Workers); the summary and report stream are byte-identical to a
-// sequential exploration at any worker count.
-func Explore(scens []Scenario, policies []Policy, nSeeds int, baseSeed int64, report func(Result)) Summary {
+// schedule does not mask another. Runs execute on a replica pool of the
+// given width: 0 picks the runner default (OVERLAP_WORKERS or GOMAXPROCS),
+// 1 forces the sequential order. Every run is an isolated engine, so the
+// summary and report stream are byte-identical to a sequential exploration
+// at any worker count.
+func Explore(scens []Scenario, policies []Policy, nSeeds int, baseSeed int64, workers int, report func(Result)) Summary {
 	var specs []caseSpec
 	for _, sc := range scens {
 		specs = appendPolicyCases(specs, sc, nil, policies, nSeeds, baseSeed)
 	}
-	return exploreCases(specs, report)
+	return exploreCases(specs, workers, report)
 }
 
 // caseSpec is one (scenario, profile, policy, seed) run of an exploration;
@@ -131,8 +126,8 @@ func appendPolicyCases(specs []caseSpec, sc Scenario, fp *FaultProfile, policies
 // is an isolated engine, so replicas share no state — then aggregates and
 // reports them in enumeration order, which keeps the summary and the report
 // stream independent of worker interleaving.
-func exploreCases(specs []caseSpec, report func(Result)) Summary {
-	results, _ := runner.Map(len(specs), Workers, func(i int) (Result, error) {
+func exploreCases(specs []caseSpec, workers int, report func(Result)) Summary {
+	results, _ := runner.Map(len(specs), workers, func(i int) (Result, error) {
 		spec := specs[i]
 		res := Result{Scenario: spec.sc.Name, Policy: spec.pol.Name, Seed: spec.seed}
 		opts := Options{Tie: spec.pol.New(spec.seed)}

@@ -48,14 +48,14 @@ func FindFaultProfile(name string) (FaultProfile, bool) {
 // invariant set armed, delivery included: perturbation may slow a run
 // arbitrarily but must never lose a payload, reorder admission, or break
 // accounting. Results, aggregation and the replica pool mirror Explore.
-func ExploreFaults(scens []Scenario, profiles []FaultProfile, policies []Policy, nSeeds int, baseSeed int64, report func(Result)) Summary {
+func ExploreFaults(scens []Scenario, profiles []FaultProfile, policies []Policy, nSeeds int, baseSeed int64, workers int, report func(Result)) Summary {
 	var specs []caseSpec
 	for _, sc := range scens {
 		for fi := range profiles {
 			specs = appendPolicyCases(specs, sc, &profiles[fi], policies, nSeeds, baseSeed)
 		}
 	}
-	return exploreCases(specs, report)
+	return exploreCases(specs, workers, report)
 }
 
 // faultRepro renders the -faults argument for a Result's repro commands.

@@ -20,7 +20,7 @@ func TestFaultProfilesPass(t *testing.T) {
 		}
 		scens = append(scens, sc)
 	}
-	sum := ExploreFaults(scens, FaultProfiles(), Policies(), 2, 1, nil)
+	sum := ExploreFaults(scens, FaultProfiles(), Policies(), 2, 1, 0, nil)
 	if len(sum.Failures) > 0 {
 		for _, f := range sum.Failures {
 			t.Errorf("%s: %d violation(s), first: %s", f.Schedule(), len(f.Violations), f.Violations[0])

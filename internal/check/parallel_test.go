@@ -13,7 +13,7 @@ import (
 
 // exploreTranscript renders an exploration as one string: every report
 // callback in order, then the summary.
-func exploreTranscript(t *testing.T, faults bool) string {
+func exploreTranscript(t *testing.T, faults bool, workers int) string {
 	t.Helper()
 	var sb strings.Builder
 	report := func(r Result) {
@@ -22,27 +22,17 @@ func exploreTranscript(t *testing.T, faults bool) string {
 	}
 	var sum Summary
 	if faults {
-		sum = ExploreFaults(Catalog(), FaultProfiles(), Policies(), 3, 1, report)
+		sum = ExploreFaults(Catalog(), FaultProfiles(), Policies(), 3, 1, workers, report)
 	} else {
-		sum = Explore(Catalog(), Policies(), 3, 1, report)
+		sum = Explore(Catalog(), Policies(), 3, 1, workers, report)
 	}
 	fmt.Fprintf(&sb, "runs=%d schedules=%d failures=%d\n", sum.Runs, sum.Schedules, len(sum.Failures))
 	return sb.String()
 }
 
-func withCheckWorkers(t *testing.T, w int, fn func()) {
-	t.Helper()
-	saved := Workers
-	Workers = w
-	defer func() { Workers = saved }()
-	fn()
-}
-
 // TestParallelExploreByteIdentical: the clean exploration at 1 vs 8 workers.
 func TestParallelExploreByteIdentical(t *testing.T) {
-	var seq, par string
-	withCheckWorkers(t, 1, func() { seq = exploreTranscript(t, false) })
-	withCheckWorkers(t, 8, func() { par = exploreTranscript(t, false) })
+	seq, par := exploreTranscript(t, false, 1), exploreTranscript(t, false, 8)
 	if seq != par {
 		t.Fatalf("Explore transcript differs between 1 and 8 workers:\n--- sequential ---\n%s--- 8 workers ---\n%s", seq, par)
 	}
@@ -56,9 +46,7 @@ func TestParallelExploreByteIdentical(t *testing.T) {
 // workers. This is the heaviest shared path (injectors, retransmission,
 // per-run seeded rand) and must stay schedule-independent.
 func TestParallelExploreFaultsByteIdentical(t *testing.T) {
-	var seq, par string
-	withCheckWorkers(t, 1, func() { seq = exploreTranscript(t, true) })
-	withCheckWorkers(t, 8, func() { par = exploreTranscript(t, true) })
+	seq, par := exploreTranscript(t, true, 1), exploreTranscript(t, true, 8)
 	if seq != par {
 		t.Fatalf("ExploreFaults transcript differs between 1 and 8 workers:\n--- sequential ---\n%s--- 8 workers ---\n%s", seq, par)
 	}

@@ -67,7 +67,7 @@ type Config struct {
 	// Progress selects the asynchronous progress engine for the job the
 	// kernel runs in (progress.Parse labels: "" off, "rankN" agents per
 	// node, "dma" the per-node offload engine). The kernel itself only
-	// validates the label; the launching harness (bench.KernelCfg) builds
+	// validates the label; the launching harness (internal/bench) builds
 	// the machine and world accordingly — rank-mode agents ride in extra
 	// launched lanes that park while the mesh ranks work.
 	Progress string

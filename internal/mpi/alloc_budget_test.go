@@ -69,6 +69,28 @@ func TestAllocBudgetAllreduceHeadline(t *testing.T) {
 	t.Logf("allreduce 64-rank 1MB steady state: %.0f allocs/op", got)
 }
 
+// TestAllocBudgetP2PStream pins the eager point-to-point stream — 100
+// back-to-back 4 KiB sends between two nodes per op — at zero steady-state
+// allocations: envelopes, requests and transfer chunks all recycle.
+func TestAllocBudgetP2PStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets need benchmark iterations")
+	}
+	got := allocBudget(t, 2, 2, nil, func(p *Proc) {
+		c := p.World()
+		for m := 0; m < 100; m++ {
+			if p.Rank() == 0 {
+				c.Send(1, m, Phantom(4096))
+			} else {
+				c.Recv(0, m, Phantom(4096))
+			}
+		}
+	})
+	if budget := float64(0 * raceAllocFactor); got > budget {
+		t.Errorf("p2p stream 100 msgs: %.0f allocs/op, budget %.0f", got, budget)
+	}
+}
+
 // reduceBody reduces to root 0; the root supplies a receive buffer (an
 // intentional per-op allocation, inside the budget), other ranks pass the
 // zero Buffer as the Reduce contract asks.

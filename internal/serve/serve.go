@@ -22,7 +22,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"commoverlap/internal/cache"
@@ -188,12 +187,15 @@ type Server struct {
 	http    *http.Server
 	ln      net.Listener
 
+	// mu guards jobs, seq, peak and drain. drain flips and the queue closes
+	// under it, and submissions check drain and send under it, so a send
+	// never meets a closed queue.
 	mu    sync.Mutex
 	jobs  map[string]*job
 	seq   int
 	peak  int // high-water aggregate granted workers
+	drain bool
 	wg    sync.WaitGroup
-	drain atomic.Bool
 
 	// testHold, when set before Start, is called by each job runner right
 	// after a job enters StateRunning; tests block in it to pin a job in
@@ -248,8 +250,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // closes. Clients polling an accepted job keep getting answers until the
 // end.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.drain.Store(true)
+	s.mu.Lock()
+	s.drain = true
 	close(s.queue)
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
 	select {
@@ -337,10 +341,6 @@ func (s *Server) finishJob(j *job, table *tune.Table, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.drain.Load() {
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
-		return
-	}
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
@@ -351,6 +351,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	if s.drain {
+		s.mu.Unlock()
+		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+		return
+	}
 	s.seq++
 	j := &job{
 		id:   fmt.Sprintf("job-%d", s.seq),
@@ -358,13 +363,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		wake: make(chan struct{}),
 	}
 	j.status = JobStatus{ID: j.id, State: StateQueued}
-	s.jobs[j.id] = j
-	s.mu.Unlock()
 	select {
 	case s.queue <- j:
+		s.jobs[j.id] = j
+		s.mu.Unlock()
 	default:
-		s.mu.Lock()
-		delete(s.jobs, j.id)
 		s.mu.Unlock()
 		http.Error(w, "job queue is full", http.StatusServiceUnavailable)
 		return
@@ -453,7 +456,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WorkersUsed: s.limiter.InUse(),
 		WorkersPeak: s.peak,
 		WorkerCap:   s.limiter.Cap(),
-		Draining:    s.drain.Load(),
+		Draining:    s.drain,
 	}
 	s.mu.Unlock()
 	writeJSON(w, stats)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -312,6 +313,79 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	if st := j.snapshot(); st.State != StateDone {
 		t.Fatalf("drained job state %q, want done (err %q)", st.State, st.Error)
+	}
+}
+
+// TestServerSubmitRacesShutdown: submissions racing Shutdown are either
+// accepted (202, and the drain runs the job to completion) or refused (503,
+// leaving no job record behind) — never a send on the closed queue, which
+// the client would see as a dropped connection. The submitters post
+// through a second listener so Shutdown closing the server's own listener
+// does not end the race early.
+func TestServerSubmitRacesShutdown(t *testing.T) {
+	store := cache.New(0)
+	for it := 0; it < 20; it++ {
+		srv := New(Config{Cache: store, QueueDepth: 1024})
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.http.Handler)
+		const submitters = 8
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			accepted []string
+			errs     []error
+			first    sync.Once
+		)
+		running := make(chan struct{})
+		for c := 0; c < submitters; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					id, err := SubmitJob(ts.URL, testRequest(1))
+					mu.Lock()
+					switch {
+					case err == nil:
+						accepted = append(accepted, id)
+					case !strings.Contains(err.Error(), "503"):
+						errs = append(errs, err)
+					}
+					mu.Unlock()
+					first.Do(func() { close(running) })
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+		<-running
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		wg.Wait()
+		ts.Close()
+		for _, err := range errs {
+			t.Errorf("iteration %d: submit racing shutdown: %v", it, err)
+		}
+		srv.mu.Lock()
+		if len(srv.jobs) != len(accepted) {
+			t.Errorf("iteration %d: %d jobs recorded, %d accepted", it, len(srv.jobs), len(accepted))
+		}
+		for _, id := range accepted {
+			if j := srv.jobs[id]; j == nil {
+				t.Errorf("iteration %d: accepted %s is not recorded", it, id)
+			} else if st := j.snapshot(); st.State != StateDone {
+				t.Errorf("iteration %d: accepted %s drained in state %q", it, id, st.State)
+			}
+		}
+		srv.mu.Unlock()
+		if t.Failed() {
+			return
+		}
 	}
 }
 

@@ -1,0 +1,17 @@
+package sim
+
+import "testing"
+
+// TestAllocBudgetEventDispatch pins steady-state event dispatch at zero
+// allocations per event: 64 processes sleeping in a loop exercise schedule,
+// heap pop and resume with every event node recycled. A reintroduced
+// per-event allocation shows up as at least one alloc/op.
+func TestAllocBudgetEventDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets need benchmark iterations")
+	}
+	res := testing.Benchmark(BenchmarkEventThroughput)
+	if got := res.AllocsPerOp(); got != 0 {
+		t.Errorf("event dispatch: %d allocs/op, budget 0", got)
+	}
+}
