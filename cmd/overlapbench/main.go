@@ -5,9 +5,8 @@
 //
 //	overlapbench [flags] [experiment ...]
 //	overlapbench -validate-trace file
-//	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]
+//	overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]
 //	overlapbench serve [-addr host:port] [-queue n] [-max-jobs n] [-worker-cap n]
-//	overlapbench loadbench [-cpu 1,2,4] [-clients n] [-jobs n] [-csv file]
 //
 // The experiments are internal/bench's registry, which -h lists: the
 // paper's figures and tables (fig3-fig6, table1-table5), then this
@@ -24,11 +23,10 @@
 //
 // The tune subcommand regenerates the -table tuning table (see
 // internal/tune): a deterministic parallel search over the overlap
-// parameter space, warm-started from the existing table when its cells'
-// provenance hashes still match. -quick sweeps the coarse CI grid instead
-// of the full one; -cache routes every cell through the process-wide
-// content-addressed result store (internal/cache) the experiment paths
-// also consult, so repeated cells become hash lookups.
+// parameter space through a content-addressed result store
+// (internal/cache) seeded from the existing table, so only cells whose
+// provenance hashes no longer match are re-simulated; -cold starts from an
+// empty store. -quick sweeps the coarse CI grid instead of the full one.
 //
 // The serve subcommand runs overlapbench as a long-running tuning service
 // (see internal/serve): an HTTP/JSON job API — POST /jobs, GET /jobs/{id},
@@ -36,10 +34,7 @@
 // the replica pool, with the cross-job result cache so the same cell is
 // never simulated twice, a bounded job queue (503 on overflow), a global
 // worker cap shared across concurrent jobs, and graceful drain on
-// SIGINT/SIGTERM. loadbench is the matching many-client load benchmark:
-// per -cpu worker width it measures one cold job then -clients concurrent
-// clients re-submitting it, asserting byte-identical responses and the
-// >= 90% warm cache-hit contract.
+// SIGINT/SIGTERM.
 //
 // -trace writes the fig6 operation timeline as Chrome trace-event JSON
 // (load in Perfetto or chrome://tracing). -metrics installs a virtual-time
@@ -70,9 +65,8 @@ import (
 // subcommands are the non-experiment modes, each with its own flag set.
 // tune takes the top-level -workers pool width.
 var subcommands = map[string]func(args []string, workers int) error{
-	"tune":      runTune,
-	"serve":     func(args []string, _ int) error { return runServe(args) },
-	"loadbench": func(args []string, _ int) error { return runLoadBench(args) },
+	"tune":  runTune,
+	"serve": func(args []string, _ int) error { return runServe(args) },
 }
 
 // usage lists the invocation forms, generated from the experiment registry.
@@ -234,57 +228,47 @@ func realMain() int {
 }
 
 // runTune regenerates a tuning table: a full or -quick grid search over the
-// default kernel set, warm-started from an existing table at -table when
-// its cells' provenance hashes still match, then persisted back to -table
-// (plus a per-cell CSV with -cells-csv).
+// default kernel set through a store seeded from the existing table at
+// -table (unless -cold), so only cells whose provenance hashes changed are
+// simulated, then persisted back to -table (plus a per-cell CSV with
+// -cells-csv).
 func runTune(args []string, workers int) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "coarse grid (the CI smoke table) instead of the full search space")
-	tablePath := fs.String("table", "TUNING.json", "tuning table to warm-start from and write back to")
+	tablePath := fs.String("table", "TUNING.json", "tuning table to seed the search from and write back to")
 	cellsCSV := fs.String("cells-csv", "", "also write every measured cell as CSV to this file")
 	cold := fs.Bool("cold", false, "ignore an existing table (re-measure every cell)")
-	useCache := fs.Bool("cache", false, "consult the in-process result cache (shared with the experiment paths)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if len(fs.Args()) != 0 {
-		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold] [-cache]", fs.Args())
+		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench tune [-quick] [-table file] [-cells-csv file] [-cold]", fs.Args())
 	}
 	grid := tune.FullGrid()
 	if *quick {
 		grid = tune.QuickGrid()
 	}
-	var warm *tune.Table
+	store := cache.New(0)
 	if !*cold {
 		if t, err := tune.LoadTable(*tablePath); err == nil {
-			warm = t
+			t.Seed(store)
 		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "  [ignoring warm-start table: %v]\n", err)
+			fmt.Fprintf(os.Stderr, "  [not seeding from the table: %v]\n", err)
 		}
 	}
-	opts := tune.Options{
+	start := time.Now()
+	table, err := tune.Search(tune.Options{
 		Grid:     grid,
 		Workers:  workers,
-		Warm:     warm,
+		Cache:    store,
 		Progress: func(line string) { fmt.Printf("  %s\n", line) },
-	}
-	if *useCache {
-		opts.Cache = cache.Shared()
-	}
-	start := time.Now()
-	table, err := tune.Search(opts)
+	})
 	if err != nil {
 		return err
 	}
-	warmN, total := table.WarmCount()
-	if *useCache {
-		cached, dup, _ := table.CachedCount()
-		fmt.Printf("  [%s grid: %d cells (%d warm-started, %d cache hits, %d in-job dups) in %.1fs wall time]\n",
-			grid.Name, total, warmN, cached, dup, time.Since(start).Seconds())
-	} else {
-		fmt.Printf("  [%s grid: %d cells (%d warm-started) in %.1fs wall time]\n",
-			grid.Name, total, warmN, time.Since(start).Seconds())
-	}
+	reused, total := table.CachedCount()
+	fmt.Printf("  [%s grid: %d of %d cells reused from the table, in %.1fs wall time]\n",
+		grid.Name, reused, total, time.Since(start).Seconds())
 	if err := tune.SaveTable(*tablePath, table); err != nil {
 		return err
 	}

@@ -75,14 +75,10 @@ func TestCLIArgValidation(t *testing.T) {
 			wantOut: "usage: overlapbench serve"},
 		{name: "serve unknown flag", args: []string{"serve", "-frobnicate"},
 			wantOut: "flag provided but not defined"},
-		{name: "loadbench trailing junk", args: []string{"loadbench", "junk"},
-			wantOut: "usage: overlapbench loadbench"},
-		{name: "loadbench bad cpu list", args: []string{"loadbench", "-cpu", "1,zero"},
-			wantOut: "comma-separated list of positive widths"},
-		{name: "loadbench single point", args: []string{"loadbench", "-cpu", "1", "-clients", "2", "-jobs", "1",
-			"-csv", filepath.Join(csvDir, "loadbench.csv")},
-			wantOK: true, wantOut: "Service load benchmark",
-			wantFile: filepath.Join(csvDir, "loadbench.csv")},
+		{name: "loadbench is unknown", args: []string{"loadbench"}, wantCode: 2,
+			wantOut: `unknown experiment or subcommand "loadbench"`},
+		{name: "tune cache flag is unknown", args: []string{"tune", "-cache"},
+			wantOut: "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		tc := tc

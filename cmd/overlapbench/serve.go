@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -56,59 +54,4 @@ func runServe(args []string) error {
 	}
 	fmt.Println("overlapbench serve: drained")
 	return nil
-}
-
-// runLoadBench runs the many-client service load benchmark (see
-// internal/serve LoadBench): per worker count, one cold job against a
-// fresh in-process server, then a swarm of concurrent clients re-submitting
-// the identical job — asserting byte-identical responses and the >= 90%
-// warm cache-hit contract, and reporting the cold-vs-warm latency ratio.
-func runLoadBench(args []string) error {
-	fs := flag.NewFlagSet("loadbench", flag.ContinueOnError)
-	cpu := fs.String("cpu", "1,2,4", "comma-separated per-job worker widths to sweep")
-	clients := fs.Int("clients", 4, "concurrent clients in the warm phase")
-	jobs := fs.Int("jobs", 2, "warm jobs per client")
-	csvPath := fs.String("csv", "", "write the per-point results as CSV to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if len(fs.Args()) != 0 {
-		return fmt.Errorf("unexpected arguments %q\nusage: overlapbench loadbench [-cpu 1,2,4] [-clients n] [-jobs n] [-csv file]", fs.Args())
-	}
-	var widths []int
-	for _, s := range strings.Split(*cpu, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v < 1 {
-			return fmt.Errorf("-cpu %q: want a comma-separated list of positive widths", *cpu)
-		}
-		widths = append(widths, v)
-	}
-	run := func(csv *os.File) error {
-		opts := serve.LoadOptions{
-			Workers:       widths,
-			Clients:       *clients,
-			JobsPerClient: *jobs,
-			Out:           os.Stdout,
-		}
-		if csv != nil {
-			opts.CSV = csv
-		}
-		_, err := serve.LoadBench(opts)
-		return err
-	}
-	if *csvPath == "" {
-		return run(nil)
-	}
-	f, err := os.Create(*csvPath)
-	if err != nil {
-		return err
-	}
-	err = run(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Printf("  [wrote %s]\n", *csvPath)
-	}
-	return err
 }

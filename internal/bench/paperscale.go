@@ -134,9 +134,10 @@ func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 }
 
 // PaperScaleTuned is PaperScale with the tuning table applied: after the
-// fixed-parameter sweep it re-measures the 64-node reduction at the table's
-// per-kernel winner and the optimized kernel with tuned per-phase pipeline
-// widths (tune.Table.KernelConfig) at every mesh edge.
+// fixed-parameter sweep it measures the 64-node reduction at the table's
+// per-kernel winner (through a store seeded from the table, so a cell the
+// table holds is read) and the optimized kernel with tuned per-phase
+// pipeline widths (tune.Table.KernelConfig) at every mesh edge.
 func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResult, error) {
 	res, err := PaperScale(w, o)
 	if err != nil {
@@ -151,9 +152,11 @@ func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResul
 	if entry == nil {
 		return res, fmt.Errorf("bench: tuning table has no reduce entries")
 	}
+	store := cache.New(0)
+	table.Seed(store)
 	cells, err := parcases(o, 1+len(paperScaleMeshes), func(i int) (float64, error) {
 		if i == 0 {
-			bw, _, err := tune.MeasureCached(cache.Shared(), want, entry.Best, table.Grid.LaunchPPN)
+			bw, _, err := tune.MeasureCached(store, want, entry.Best, table.Grid.LaunchPPN)
 			return bw, err
 		}
 		p := paperScaleMeshes[i-1]

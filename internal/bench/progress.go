@@ -179,15 +179,16 @@ func ProgressBench(w io.Writer, o Options) (ProgressResult, error) {
 		}
 	}
 	res := ProgressResult{Best: make(map[string]map[string]ProgressRow)}
+	// Classes overlap in parameter space (the ndup=1 cell of one class is
+	// another class's baseline); the run's store collapses every repeat to
+	// a hash lookup with an identical value.
+	store := cache.New(0)
 	rows, err := parcases(o, len(refs), func(i int) (ProgressRow, error) {
 		ref := refs[i]
 		c := cases[ref.ci]
 		row := ProgressRow{Case: c.Name, Class: ref.class,
 			NDup: ref.p.NDup, PPN: ref.p.PPN, Progress: ref.p.Progress}
-		// Classes overlap in parameter space (the ndup=1 cell of one class
-		// is another class's baseline); the shared result cache collapses
-		// every repeat to a hash lookup with an identical value.
-		bw, _, err := tune.MeasureCached(cache.Shared(), c.Kernel, ref.p, c.LaunchPPN)
+		bw, _, err := tune.MeasureCached(store, c.Kernel, ref.p, c.LaunchPPN)
 		row.BW = bw
 		return row, err
 	})

@@ -3,8 +3,30 @@ package bench
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// progressRun is one quick progress sweep: the result and its rendered
+// table plus CSV.
+type progressRun struct {
+	res  ProgressResult
+	text string
+}
+
+func renderProgress(workers int) (progressRun, error) {
+	var sb strings.Builder
+	res, err := ProgressBench(&sb, Options{Workers: workers, Quick: true})
+	if err == nil {
+		err = res.WriteCSV(&sb)
+	}
+	return progressRun{res, sb.String()}, err
+}
+
+// quickProgress is the quick sweep at 8 workers, shared by the tests that
+// read it (the sweep is deterministic, so every caller would compute the
+// identical result).
+var quickProgress = sync.OnceValues(func() (progressRun, error) { return renderProgress(8) })
 
 // The progress-engine head-to-head claims, pinned on the quick sweep (the
 // simulator is exact, so these relations are deterministic, not
@@ -19,10 +41,11 @@ import (
 //     active ranks (PPN) dilutes per-rank compute there, so only the
 //     engine's offload path improves goodput.
 func TestProgressEngineWins(t *testing.T) {
-	res, err := ProgressBench(nil, Options{Quick: true})
+	run, err := quickProgress()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.res
 	for _, cs := range []string{"fig5-reduce-16MiB-4n", "fig6-reduce-8MiB-4n"} {
 		byClass := res.Best[cs]
 		pe, ppn := byClass["progress"], byClass["ppn"]
@@ -63,30 +86,22 @@ func TestProgressEngineWins(t *testing.T) {
 // TestProgressDeterminism: the whole experiment — rendered table plus CSV —
 // is byte-identical sequentially and at 8 workers.
 func TestProgressDeterminism(t *testing.T) {
-	render := func(workers int) string {
-		var sb strings.Builder
-		res, err := ProgressBench(&sb, Options{Workers: workers, Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteCSV(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	seq, par := render(1), render(8)
-	if seq != par {
-		t.Errorf("progress experiment differs between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "progress/ppn") {
-		t.Error("rendered table is missing the progress/ppn headline")
-	}
-	var csv bytes.Buffer
-	res, err := ProgressBench(nil, Options{Quick: true})
+	par, err := quickProgress()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.WriteCSV(&csv); err != nil {
+	seq, err := renderProgress(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.text != par.text {
+		t.Errorf("progress experiment differs between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq.text, par.text)
+	}
+	if !strings.Contains(seq.text, "progress/ppn") {
+		t.Error("rendered table is missing the progress/ppn headline")
+	}
+	var csv bytes.Buffer
+	if err := par.res.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(csv.String(), "case,class,ndup,ppn,progress,bw_mbs,best\n") {

@@ -11,11 +11,13 @@ import (
 // The tuned-vs-fixed experiment: the auto-tuner's central claim is the
 // paper's Section III-B one — no single (N_DUP, PPN) serves every kernel,
 // so picking them per kernel from a tuning table beats the best fixed
-// choice. This experiment re-measures every kernel of a table under (a)
+// choice. This experiment measures every kernel of a table under (a)
 // blocking collectives, (b) every fixed (N_DUP, PPN) of the table's grid
 // applied uniformly, and (c) the table's per-kernel winners, and compares
-// the workload's total communication time. Every cell is a fresh replica
-// fanned through the pool; the result is byte-identical at any width.
+// the workload's total communication time. Every cell goes through a store
+// seeded from the table, so a cell the table vouches for (by provenance
+// hash) is read, and any other is a fresh replica fanned through the pool;
+// the result is byte-identical at any width.
 
 // TunedStrategy is one parameter-choice policy evaluated over the workload.
 type TunedStrategy struct {
@@ -62,15 +64,16 @@ func Tuned(w io.Writer, o Options, table *tune.Table) (TunedResult, error) {
 	}
 	strategies = append(strategies, tuned)
 
-	// Every (strategy, kernel) cell is an independent replica.
+	// Every (strategy, kernel) cell is an independent replica unless the
+	// store already holds it. Strategies also repeat cells — "blocking" is
+	// the fixed ndup=1/ppn=1 grid point — so the store pays for each
+	// distinct (kernel, params) once.
+	store := cache.New(0)
+	table.Seed(store)
 	nk := len(res.Kernels)
 	times, err := parcases(o, len(strategies)*nk, func(i int) (float64, error) {
 		s, k := strategies[i/nk], res.Kernels[i%nk]
-		// Strategies repeat cells — "blocking" is the fixed ndup=1/ppn=1
-		// grid point, and the per-kernel winner usually matches one of the
-		// fixed cells — so the shared result cache pays for each distinct
-		// (kernel, params) once.
-		bw, _, err := tune.MeasureCached(cache.Shared(), k, s.Params[i%nk], launch)
+		bw, _, err := tune.MeasureCached(store, k, s.Params[i%nk], launch)
 		if err != nil {
 			return 0, err
 		}

@@ -1,7 +1,9 @@
-// Package cache is the process-wide, content-addressed result store behind
-// the "never simulate the same cell twice" optimization: a sharded in-memory
-// map from a cell's FNV-64a provenance hash (see tune.Params and its cell
-// hashes) to the measured bandwidth.
+// Package cache is the content-addressed result store behind the "never
+// simulate the same cell twice" optimization, and the one place that
+// decides how a measured cell is reused: a sharded in-memory map from a
+// cell's FNV-64a provenance hash (see tune.Params and its cell hashes) to
+// the measured bandwidth. Every tuning search runs through a Store; a
+// persisted tuning table only seeds one (tune.Table.Seed).
 //
 // The simulator is fully deterministic — a cell's provenance hash covers
 // everything that determines its result (machine calibration, kernel,
@@ -88,20 +90,6 @@ type flight struct {
 	done chan struct{}
 	bw   float64
 	err  error
-}
-
-var (
-	sharedOnce sync.Once
-	shared     *Store
-)
-
-// Shared returns the process-wide store, created on first use with the
-// default byte budget. The CLI's experiment paths and the overlapbench
-// server both consult it, so a repeated cell — within one run or across
-// concurrent jobs — is simulated exactly once per process.
-func Shared() *Store {
-	sharedOnce.Do(func() { shared = New(0) })
-	return shared
 }
 
 // New returns an empty store bounded to maxBytes of key+overhead accounting
@@ -192,8 +180,8 @@ func (s *Store) GetOrCompute(key string, fn func() (float64, error)) (bw float64
 }
 
 // Put stores a value unconditionally (overwriting any previous one) and
-// counts as neither hit nor miss. Searches that computed a cell without
-// consulting the cache (a warm-table reuse) use it to seed the store.
+// counts as neither hit nor miss. tune.Table.Seed uses it to load a
+// persisted table's cells.
 func (s *Store) Put(key string, bw float64) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()

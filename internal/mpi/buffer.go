@@ -46,7 +46,8 @@ func (b Buffer) Len() int {
 }
 
 // Slice returns the sub-buffer of elements [lo, hi). For phantom buffers the
-// slice is a phantom of the proportional byte count.
+// slice is a phantom of the proportional byte count; a non-empty tail slice
+// keeps the exact remainder of a byte count that is not a multiple of 8.
 func (b Buffer) Slice(lo, hi int) Buffer {
 	if lo < 0 || hi < lo || hi > b.Len() {
 		panic(fmt.Sprintf("mpi: slice [%d:%d) of buffer with %d elements", lo, hi, b.Len()))
@@ -55,7 +56,7 @@ func (b Buffer) Slice(lo, hi int) Buffer {
 		return Buffer{Data: b.Data[lo:hi:hi]}
 	}
 	n := int64(hi-lo) * 8
-	if hi == b.Len() && b.phantom%8 != 0 {
+	if hi == b.Len() && hi > lo && b.phantom%8 != 0 {
 		n = b.phantom - int64(lo)*8 // preserve exact byte count on the tail
 	}
 	return Buffer{phantom: n}

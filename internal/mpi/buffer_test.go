@@ -52,6 +52,20 @@ func TestBufferSlicePhantomPreservesTailBytes(t *testing.T) {
 	if tail.Bytes() != 9 { // 17 - 8: the odd byte stays on the tail
 		t.Errorf("tail bytes %d", tail.Bytes())
 	}
+	// An empty slice at the end carries no bytes, so the four ceil-sized
+	// pieces a 4-rank scatter-allgather cuts from 5 elements still sum to
+	// the whole payload.
+	b = Phantom(33)
+	if got := b.Slice(5, 5).Bytes(); got != 0 {
+		t.Errorf("Slice(5, 5) of Phantom(33) has %d bytes, want 0", got)
+	}
+	var sum int64
+	for _, r := range [][2]int{{0, 2}, {2, 4}, {4, 5}, {5, 5}} {
+		sum += b.Slice(r[0], r[1]).Bytes()
+	}
+	if sum != 33 {
+		t.Errorf("four pieces of Phantom(33) sum to %d bytes, want 33", sum)
+	}
 }
 
 func TestBufferSliceOutOfRangePanics(t *testing.T) {

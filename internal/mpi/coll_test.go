@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"commoverlap/internal/sim"
+	"commoverlap/internal/simnet"
 )
 
 // collSizes covers both algorithm branches (short/binomial and
@@ -294,6 +297,32 @@ func TestPhantomCollectivesAdvanceTime(t *testing.T) {
 	}
 	if reduceT <= bcastT {
 		t.Errorf("reduce (%g) should cost more than bcast (%g): it pays combine arithmetic", reduceT, bcastT)
+	}
+}
+
+// TestPhantomScatterAllgatherOddSizes: the scatter-allgather bcast splits
+// the payload into ceil(n/p)-element pieces, so on a phantom whose byte count
+// is not a multiple of 8 the last ranks hold empty tail pieces whenever
+// ceil(n/p)·(p-1) >= n. Those pieces must move 0 bytes: a negative size
+// panics inside the fabric, on a rank goroutine no caller can recover.
+func TestPhantomScatterAllgatherOddSizes(t *testing.T) {
+	for _, p := range []int{3, 4, 7} {
+		for _, n := range []int64{2, 33} {
+			eng := sim.NewEngine()
+			net, err := simnet.New(eng, simnet.DefaultConfig(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(net, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.BcastAlg = AlgScatterAllgather
+			w.Launch(func(pr *Proc) { pr.World().Bcast(0, Phantom(n)) })
+			if err := eng.Run(); err != nil {
+				t.Fatalf("p=%d n=%d: %v", p, n, err)
+			}
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package serve turns overlapbench into a long-running tuning service: an
-// HTTP/JSON job API in front of the replica pool, with the shared
+// HTTP/JSON job API in front of the replica pool, with the server's
 // content-addressed result cache (internal/cache) persisting across jobs so
 // the same cell is never simulated twice — the second client asking for a
 // grid gets hash lookups, not simulations.
@@ -11,13 +11,14 @@
 // oversubscribe the machine no matter what widths they ask for. Results are
 // the canonical tuning-table JSON, byte-identical to what `overlapbench
 // tune` writes at any worker count — determinism is the service's
-// correctness contract, and the load benchmark (loadbench.go) asserts it.
+// correctness contract, and serve_test.go asserts it.
 package serve
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,8 +49,7 @@ type Config struct {
 	// (default 1; jobs are deterministic at any width, so the default
 	// favors fairness over single-job latency).
 	DefaultWorkers int
-	// Cache is the cross-job result store; nil selects cache.Shared(), the
-	// process-wide store the CLI experiment paths also use.
+	// Cache is the cross-job result store; nil gives the server its own.
 	Cache *cache.Store
 }
 
@@ -67,7 +67,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultWorkers = 1
 	}
 	if c.Cache == nil {
-		c.Cache = cache.Shared()
+		c.Cache = cache.New(0)
 	}
 	return c
 }
@@ -100,6 +100,24 @@ func (r JobRequest) grid() (tune.Grid, error) {
 	return tune.Grid{}, fmt.Errorf("unknown grid %q (want quick, full, or a grid_spec)", r.Grid)
 }
 
+// DefaultLoadRequest is a small job for tests and the service benchmark:
+// two kernels over an inline grid, twelve cells in all.
+func DefaultLoadRequest() JobRequest {
+	return JobRequest{
+		Kernels: []tune.Kernel{
+			{Op: "reduce", Bytes: 256 << 10, Nodes: 4},
+			{Op: "allreduce", Bytes: 256 << 10, Nodes: 4},
+		},
+		GridSpec: &tune.Grid{
+			Name:      "loadbench",
+			NDups:     []int{1, 2, 4},
+			PPNs:      []int{1, 2},
+			LaunchPPN: 2,
+			Protocols: []tune.Params{{}},
+		},
+	}
+}
+
 // Job states.
 const (
 	StateQueued  = "queued"
@@ -117,10 +135,9 @@ type JobStatus struct {
 	Total int `json:"total"`
 	// Workers is the granted pool width (0 until the job starts).
 	Workers int `json:"workers"`
-	// Cached and Dup break down how the finished job's cells were obtained:
-	// Cached from the cross-job cache, Dup copied from an in-job duplicate.
+	// Cached counts the finished job's cells it did not simulate: cache
+	// hits, including waits on a simulation already in flight.
 	Cached int `json:"cached"`
-	Dup    int `json:"dup"`
 	// Elapsed is the job's run time in seconds (0 until it finishes).
 	Elapsed float64 `json:"elapsed"`
 	Error   string  `json:"error,omitempty"`
@@ -134,7 +151,6 @@ type CellEvent struct {
 	Total  int     `json:"total"`
 	BW     float64 `json:"bw,omitempty"`
 	Cached bool    `json:"cached,omitempty"`
-	Dup    bool    `json:"dup,omitempty"`
 	State  string  `json:"state,omitempty"` // terminal event only
 }
 
@@ -311,7 +327,7 @@ func (s *Server) runJob(j *job) {
 			j.status.Done, j.status.Total = done, total
 			j.mu.Unlock()
 			j.append(CellEvent{Kernel: kernel, Done: done, Total: total,
-				BW: c.BW, Cached: c.Cached, Dup: c.Dup})
+				BW: c.BW, Cached: c.Cached})
 		},
 	})
 	s.finishJob(j, table, err)
@@ -330,7 +346,7 @@ func (s *Server) finishJob(j *job, table *tune.Table, err error) {
 		j.status.Error = err.Error()
 	} else {
 		j.result = buf.Bytes()
-		j.status.Cached, j.status.Dup, _ = table.CachedCount()
+		j.status.Cached, _ = table.CachedCount()
 	}
 	j.status.State = state
 	if !j.started.IsZero() {
@@ -340,10 +356,21 @@ func (s *Server) finishJob(j *job, table *tune.Table, err error) {
 	j.append(CellEvent{State: state})
 }
 
+// maxRequestBytes bounds a POST /jobs body; a real job request, even with
+// an explicit grid and many kernels, is a few kilobytes at most.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields() // a misspelled field must not run the default job
+	if err := dec.Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), code)
 		return
 	}
 	if _, err := req.grid(); err != nil {

@@ -29,7 +29,7 @@ func TestSearchWithCacheByteIdentityAndWarmRerun(t *testing.T) {
 		if !bytes.Equal(marshal(t, cold), want) {
 			t.Fatalf("workers=%d: cached cold table differs from uncached table", workers)
 		}
-		if cached, _, total := cold.CachedCount(); cached != 0 || total == 0 {
+		if cached, total := cold.CachedCount(); cached != 0 || total == 0 {
 			t.Fatalf("workers=%d: cold search reported %d/%d cached cells", workers, cached, total)
 		}
 		warm, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: workers, Cache: store})
@@ -39,7 +39,7 @@ func TestSearchWithCacheByteIdentityAndWarmRerun(t *testing.T) {
 		if !bytes.Equal(marshal(t, warm), want) {
 			t.Fatalf("workers=%d: warm cached table differs from cold table", workers)
 		}
-		cached, _, total := warm.CachedCount()
+		cached, total := warm.CachedCount()
 		if total == 0 || float64(cached) < 0.9*float64(total) {
 			t.Fatalf("workers=%d: warm re-run hit %d of %d cells, want >= 90%%", workers, cached, total)
 		}
@@ -69,15 +69,17 @@ func TestSearchCacheEvictionByteIdentity(t *testing.T) {
 	if !bytes.Equal(marshal(t, cold), marshal(t, rerun)) {
 		t.Error("table differs after evictions forced recomputation")
 	}
-	if cached, _, total := rerun.CachedCount(); cached >= total {
+	if cached, total := rerun.CachedCount(); cached >= total {
 		t.Errorf("re-run hit %d of %d cells despite an undersized store", cached, total)
 	}
 }
 
-// TestInJobDedup: duplicate (kernel, cell-hash) pairs inside one grid —
-// here the same kernel listed twice and a repeated NDup axis value — are
-// simulated once; the duplicates copy the leader's result, and the table
-// is byte-identical to what independent simulations would produce.
+// TestInJobDedup: duplicate cells inside one grid — here the same kernel
+// listed twice and a repeated NDup axis value — share one provenance hash,
+// so the search's store simulates each distinct cell once: every duplicate
+// is a hit on, or a wait for, the first. That holds with a caller's store
+// and with the private one a nil Cache selects, and the table is
+// byte-identical to what independent simulations produce.
 func TestInJobDedup(t *testing.T) {
 	k := Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}
 	grid := Grid{
@@ -87,18 +89,31 @@ func TestInJobDedup(t *testing.T) {
 		LaunchPPN: 2,
 		Protocols: []Params{{}},
 	}
-	tab, err := Search(Options{Grid: grid, Kernels: []Kernel{k, k}, Workers: 4})
+	// 3 cells per kernel x 2 kernels = 6 cases over 2 distinct hashes
+	// (ndup 1 and 2), so 4 cases are served without simulating.
+	store := cache.New(0)
+	tab, err := Search(Options{Grid: grid, Kernels: []Kernel{k, k}, Workers: 4, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 cells per kernel x 2 kernels = 6 cases; unique hashes: ndup 1 and 2
-	// of one kernel = 2 leaders, so 4 duplicates.
-	_, dup, total := tab.CachedCount()
-	if total != 6 || dup != 4 {
-		t.Fatalf("dedup resolved %d of %d cells, want 4 of 6", dup, total)
+	if cached, total := tab.CachedCount(); total != 6 || cached != 4 {
+		t.Fatalf("caller store: %d of %d cells cached, want 4 of 6", cached, total)
+	}
+	if st := store.Stats(); st.Misses != 2 {
+		t.Fatalf("caller store: %d simulations, want 2: %+v", st.Misses, st)
+	}
+	private, err := Search(Options{Grid: grid, Kernels: []Kernel{k, k}, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, total := private.CachedCount(); total != 6 || cached != 4 {
+		t.Fatalf("private store: %d of %d cells cached, want 4 of 6", cached, total)
+	}
+	if !bytes.Equal(marshal(t, tab), marshal(t, private)) {
+		t.Error("table differs between a caller's store and the private one")
 	}
 	// Both entries carry the same cells; the duplicated-axis cell equals
-	// its leader.
+	// its first occurrence.
 	e0, e1 := tab.Entries[0], tab.Entries[1]
 	if e0.Cells[1].BW != e0.Cells[2].BW || e0.Cells[1].Hash != e0.Cells[2].Hash {
 		t.Error("repeated axis value produced different cells")
@@ -107,7 +122,7 @@ func TestInJobDedup(t *testing.T) {
 		t.Error("duplicate kernels tuned to different winners")
 	}
 
-	// The same grid measured without dedup (distinct kernels, no repeats)
+	// The same grid measured without duplicates (one kernel, no repeats)
 	// produces the same numbers for the shared cells.
 	ref, err := Search(Options{Grid: Grid{Name: "ref", NDups: []int{1, 2}, PPNs: []int{1},
 		LaunchPPN: 2, Protocols: []Params{{}}}, Kernels: []Kernel{k}, Workers: 1})
@@ -142,7 +157,7 @@ func TestOnCellStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, total := tab.WarmCount()
+		_, total := tab.CachedCount()
 		if len(got) != total {
 			t.Fatalf("workers=%d: OnCell saw %d cells, table has %d", workers, len(got), total)
 		}
@@ -152,9 +167,8 @@ func TestOnCellStreaming(t *testing.T) {
 	}
 }
 
-// TestMeasureCached: the hit flag distinguishes simulation from lookup, a
-// nil store degrades to Measure, and invalid cells are rejected before the
-// store is touched.
+// TestMeasureCached: the hit flag distinguishes simulation from lookup, and
+// invalid cells are rejected before the store is touched.
 func TestMeasureCached(t *testing.T) {
 	k := Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}
 	p := Params{NDup: 2, PPN: 1}
@@ -166,10 +180,6 @@ func TestMeasureCached(t *testing.T) {
 	bw2, hit, err := MeasureCached(store, k, p, 4)
 	if err != nil || !hit || bw2 != bw1 {
 		t.Fatalf("warm: bw=%g hit=%v err=%v want bw=%g", bw2, hit, err, bw1)
-	}
-	plain, _, err := MeasureCached(nil, k, p, 4)
-	if err != nil || plain != bw1 {
-		t.Fatalf("nil store: bw=%g err=%v want %g", plain, err, bw1)
 	}
 	if _, _, err := MeasureCached(store, Kernel{Op: "gather", Bytes: 1, Nodes: 2}, p, 4); err == nil {
 		t.Error("invalid kernel accepted")

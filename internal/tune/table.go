@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"commoverlap/internal/cache"
 )
 
 // TableVersion is the persisted table format version; it participates in
-// every cell's provenance hash, so bumping it invalidates warm starts.
+// every cell's provenance hash, so bumping it invalidates every seeded cell.
 // Version 2 added the progress-engine axis (Params.Progress).
 const TableVersion = 2
 
@@ -19,21 +21,15 @@ type Cell struct {
 	Params Params  `json:"params"`
 	BW     float64 `json:"bw"` // bytes/s, paper volume convention
 	// Hash fingerprints everything that determines BW (format version,
-	// machine calibration, kernel, params, launch width); warm starts reuse
-	// the cell only while it matches.
+	// machine calibration, kernel, params, launch width); a store seeded
+	// from the table serves the cell only while it matches.
 	Hash string `json:"hash"`
-	// Warm marks a cell reused from a prior table rather than re-simulated.
-	// In-memory only: the persisted form is identical either way, which is
-	// what makes a warm-started regeneration byte-identical to a cold one.
-	Warm bool `json:"-"`
-	// Cached marks a cell served from the cross-job result cache (a
-	// completed entry or a coalesced in-flight simulation) instead of
-	// being measured by this search. In-memory only, like Warm.
+	// Cached marks a cell this search did not simulate: it was seeded from
+	// a table, hit in the store, or coalesced onto another caller's
+	// in-flight simulation. In-memory only: the persisted form is identical
+	// either way, which is what makes a seeded regeneration byte-identical
+	// to a cold one.
 	Cached bool `json:"-"`
-	// Dup marks a cell that duplicated another cell of the same search
-	// (identical provenance hash) and copied the leader's result instead
-	// of simulating. In-memory only, like Warm.
-	Dup bool `json:"-"`
 }
 
 // Entry is one kernel's sweep: every cell plus the winner.
@@ -48,7 +44,7 @@ type Entry struct {
 type Table struct {
 	Version    int     `json:"version"`
 	Grid       Grid    `json:"grid"`
-	Seed       int64   `json:"seed"`
+	SearchSeed int64   `json:"seed"` // Options.Seed of the search
 	ConfigHash string  `json:"config_hash"`
 	GoVersion  string  `json:"go_version"`
 	Entries    []Entry `json:"entries"`
@@ -189,35 +185,29 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WarmCount reports how many of the table's cells were reused from a prior
-// table during the search that produced it.
-func (t *Table) WarmCount() (warm, total int) {
-	for _, e := range t.Entries {
-		for _, c := range e.Cells {
-			total++
-			if c.Warm {
-				warm++
-			}
-		}
-	}
-	return warm, total
-}
-
-// CachedCount reports how many of the table's cells were served by the
-// cross-job result cache during the search that produced it, and how many
-// were duplicates resolved by the in-job dedup. A cell avoided simulation
-// when it is warm, cached or a duplicate; everything else was measured.
-func (t *Table) CachedCount() (cached, dup, total int) {
+// CachedCount reports how many of the table's cells the search that
+// produced it did not simulate (see Cell.Cached), out of how many.
+func (t *Table) CachedCount() (cached, total int) {
 	for _, e := range t.Entries {
 		for _, c := range e.Cells {
 			total++
 			if c.Cached {
 				cached++
 			}
-			if c.Dup {
-				dup++
-			}
 		}
 	}
-	return cached, dup, total
+	return cached, total
+}
+
+// Seed puts every cell of the table into the store under its provenance
+// hash, so a search or MeasureCached through the store reads the cells the
+// table vouches for instead of re-simulating them. A cell whose hash no
+// longer matches the model (a calibration or schema change) is simply never
+// asked for.
+func (t *Table) Seed(s *cache.Store) {
+	for _, e := range t.Entries {
+		for _, c := range e.Cells {
+			s.Put(c.Hash, c.BW)
+		}
+	}
 }

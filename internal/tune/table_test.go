@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"commoverlap/internal/cache"
 	"commoverlap/internal/mpi"
 )
 
@@ -42,8 +43,8 @@ func TestLookupMissingAxis(t *testing.T) {
 	}
 }
 
-// TestWarmStartOlderSchema: warm-starting from a pre-topology-axis table is
-// safe — its cell hashes were minted under the old label format, so nothing
+// TestWarmStartOlderSchema: seeding from a pre-topology-axis table is safe
+// — its cell hashes were minted under the old label format, so nothing
 // matches, every cell is re-measured, and the result is byte-identical to a
 // cold search.
 func TestWarmStartOlderSchema(t *testing.T) {
@@ -63,16 +64,17 @@ func TestWarmStartOlderSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Warm = old
+	opts.Cache = cache.New(0)
+	old.Seed(opts.Cache)
 	warm, err := Search(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := warm.WarmCount(); w != 0 {
-		t.Errorf("%d cells reused from an incompatible-schema table", w)
+	if c, n := warm.CachedCount(); c != 0 || opts.Cache.Stats().Misses != uint64(n) {
+		t.Errorf("%d cells reused from an incompatible-schema table", c)
 	}
 	if !bytes.Equal(marshal(t, cold), marshal(t, warm)) {
-		t.Error("old-schema warm start changed the table")
+		t.Error("old-schema seed changed the table")
 	}
 }
 

@@ -10,7 +10,9 @@
 // the search is deterministic: the table is byte-identical at any worker
 // count. Each cell also carries a provenance hash of everything that
 // determines its bandwidth (machine config, kernel, parameters, launch
-// width); a warm start re-evaluates only the cells whose hash changed.
+// width), and every search runs through a cache.Store keyed by it: a store
+// seeded from a persisted table re-evaluates only the cells whose hash
+// changed.
 package tune
 
 import (
@@ -129,8 +131,7 @@ func (p Params) validate() error {
 	return nil
 }
 
-// label is the canonical cell key used for hashing, warm-start matching and
-// CSV output.
+// label is the canonical cell key used for hashing and the progress lines.
 func (p Params) label() string {
 	return fmt.Sprintf("ndup=%d,ppn=%d,bcastlong=%d,reducelong=%d,chunk=%d,eager=%d,alg=%s,prog=%s",
 		p.NDup, p.PPN, p.BcastLongMsg, p.ReduceLongMsg, p.ChunkBytes, p.EagerLimit, p.Alg, p.Progress)
@@ -511,10 +512,10 @@ func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 
 // cellHash fingerprints everything that determines one cell's bandwidth:
 // the table format version, the machine calibration, the kernel, the
-// parameters and the launch width. Warm starts reuse a persisted cell only
-// when its hash still matches. The Go version and seed are provenance of
-// the table, not of the physics, so they stay out of the hash — the
-// simulator is exact arithmetic over a deterministic schedule.
+// parameters and the launch width. A store seeded from a persisted table
+// serves a cell only while its hash still matches. The Go version and seed
+// are provenance of the table, not of the physics, so they stay out of the
+// hash — the simulator is exact arithmetic over a deterministic schedule.
 func cellHash(k Kernel, p Params, launchPPN int) string {
 	cfg := simnet.DefaultConfig(k.Nodes)
 	if workloadOp(k.Op) {
@@ -547,17 +548,14 @@ type Options struct {
 	// does not perturb the measurements; it exists so noise-perturbed
 	// variants of the search stay reproducible.
 	Seed int64
-	// Warm, when non-nil, is a previously persisted table: cells whose
-	// provenance hash still matches are reused without re-simulation.
-	Warm *Table
-	// Cache, when non-nil, is a cross-job content-addressed result store
-	// consulted (after the warm table, before simulating) under each cell's
-	// provenance hash. Cells measured by this search — and warm-table
-	// reuses — are written back, so a later identical search, in this
-	// process or any concurrent job sharing the store, hits instead of
-	// re-simulating. The resulting table is byte-identical with or without
-	// a cache at any worker count: the simulator is deterministic, so a
-	// hash hit and a fresh measurement are the same number.
+	// Cache is the content-addressed result store every cell goes through,
+	// keyed by its provenance hash; nil gives the search a private store.
+	// A cell already in the store — seeded from a persisted table
+	// (Table.Seed), measured by an earlier search, or in flight in a
+	// concurrent one — is read instead of re-simulated, and every cell
+	// this search measures is written back. The table is byte-identical
+	// either way: the simulator is deterministic, so a hash hit and a
+	// fresh measurement are the same number.
 	Cache *cache.Store
 	// Progress, when non-nil, receives one line per kernel as the search
 	// completes it.
@@ -567,8 +565,7 @@ type Options struct {
 	// (done, total) counts over the whole search. Calls are serialized by
 	// the search but arrive from worker goroutines in completion order,
 	// which varies with the worker count — only the final done == total
-	// set is deterministic. Duplicate cells report right after their
-	// leader completes.
+	// set is deterministic.
 	OnCell func(kernel string, c Cell, done, total int)
 }
 
@@ -588,6 +585,10 @@ func Search(opts Options) (*Table, error) {
 			return nil, err
 		}
 	}
+	store := opts.Cache
+	if store == nil {
+		store = cache.New(0)
+	}
 	// Flatten (kernel, cell) into one case list.
 	type caseRef struct {
 		ki     int
@@ -602,115 +603,45 @@ func Search(opts Options) (*Table, error) {
 			cases = append(cases, caseRef{ki, p, cellHash(k, p, opts.Grid.LaunchPPN)})
 		}
 	}
-	// In-job dedup: the provenance hash covers everything that determines a
-	// cell's bandwidth, so two cases with one hash — a kernel listed twice,
-	// a grid axis with repeated values — are the same simulation. Only the
-	// first occurrence (the leader) is fanned to the pool; its duplicates
-	// copy the result. This holds even without a cross-job cache.
-	leaderOf := make(map[string]int) // hash -> leader case index
-	dupOf := make([]int, len(cases)) // case -> leader case index (-1 = leader)
-	followers := make(map[int][]int) // leader case index -> duplicate case indices
-	var leaders []int                // leader case indices, in case order
-	for i, cr := range cases {
-		if li, ok := leaderOf[cr.hash]; ok {
-			dupOf[i] = li
-			followers[li] = append(followers[li], i)
-			continue
-		}
-		leaderOf[cr.hash] = i
-		dupOf[i] = -1
-		leaders = append(leaders, i)
-	}
-	warm := warmIndex(opts.Warm)
 	// Issue expensive replicas first. Grid cases span orders of magnitude
 	// (a 1-rank kernel vs a 216-rank one): under FIFO order a worker that
 	// draws a monster case last keeps the whole pool waiting on it alone.
 	// Simulation cost scales with the event count — roughly ranks × bytes
-	// for the collective schedules — and warm-reused cells cost nothing,
-	// so they backfill at the end. The order affects scheduling only;
+	// for the collective schedules. The order affects scheduling only;
 	// results stay index-keyed, so the table is still byte-identical at
 	// any worker count.
-	costs := make([]float64, len(leaders))
-	for j, li := range leaders {
-		cr := cases[li]
-		if _, ok := warm[warmKey{kernels[cr.ki].Name(), cr.hash}]; ok {
-			continue // warm hit: no simulation, schedule last
-		}
+	costs := make([]float64, len(cases))
+	for i, cr := range cases {
 		k := kernels[cr.ki]
-		costs[j] = float64(k.Nodes*opts.Grid.LaunchPPN) * float64(k.Bytes)
+		costs[i] = float64(k.Nodes*opts.Grid.LaunchPPN) * float64(k.Bytes)
 	}
-	// emit streams one completed leader cell (and its duplicates) to
-	// OnCell, serialized across the pool's workers.
 	var mu sync.Mutex
 	done := 0
-	emit := func(li int, cell Cell) {
-		if opts.OnCell == nil {
-			return
+	cells, err := runner.MapOrder(len(cases), opts.Workers, runner.OrderByCostDesc(costs), func(i int) (Cell, error) {
+		cr := cases[i]
+		k := kernels[cr.ki]
+		cell := Cell{Params: cr.params, Hash: cr.hash}
+		var err error
+		cell.BW, cell.Cached, err = store.GetOrCompute(cr.hash, func() (float64, error) {
+			return Measure(k, cr.params, opts.Grid.LaunchPPN)
+		})
+		if err != nil || opts.OnCell == nil {
+			return cell, err
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		done++
-		opts.OnCell(kernels[cases[li].ki].Name(), cell, done, len(cases))
-		for _, fi := range followers[li] {
-			dup := cell
-			dup.Dup = true
-			done++
-			opts.OnCell(kernels[cases[fi].ki].Name(), dup, done, len(cases))
-		}
-	}
-	leaderCells, err := runner.MapOrder(len(leaders), opts.Workers, runner.OrderByCostDesc(costs), func(j int) (Cell, error) {
-		li := leaders[j]
-		cr := cases[li]
-		cell := Cell{Params: cr.params, Hash: cr.hash}
-		if bw, ok := warm[warmKey{kernels[cr.ki].Name(), cr.hash}]; ok {
-			cell.BW = bw
-			cell.Warm = true
-			if opts.Cache != nil {
-				// Seed the store: the warm table vouches for the value under
-				// the same provenance hash the cache keys on.
-				opts.Cache.Put(cr.hash, bw)
-			}
-			emit(li, cell)
-			return cell, nil
-		}
-		var bw float64
-		var err error
-		if opts.Cache != nil {
-			bw, cell.Cached, err = opts.Cache.GetOrCompute(cr.hash, func() (float64, error) {
-				return Measure(kernels[cr.ki], cr.params, opts.Grid.LaunchPPN)
-			})
-		} else {
-			bw, err = Measure(kernels[cr.ki], cr.params, opts.Grid.LaunchPPN)
-		}
-		cell.BW = bw
-		if err != nil {
-			return cell, err
-		}
-		emit(li, cell)
+		opts.OnCell(k.Name(), cell, done, len(cases))
 		return cell, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Expand leaders back to the full case list: a duplicate is its
-	// leader's cell marked Dup (the marks are in-memory only, so the
-	// persisted table is byte-identical to a dedup-free search).
-	cells := make([]Cell, len(cases))
-	for j, li := range leaders {
-		cells[li] = leaderCells[j]
-	}
-	for i := range cases {
-		if li := dupOf[i]; li >= 0 {
-			c := cells[li]
-			c.Dup = true
-			cells[i] = c
-		}
-	}
 	t := &Table{
-		Version:   TableVersion,
-		Grid:      opts.Grid,
-		Seed:      opts.Seed,
-		GoVersion: runtime.Version(),
+		Version:    TableVersion,
+		Grid:       opts.Grid,
+		SearchSeed: opts.Seed,
+		GoVersion:  runtime.Version(),
 	}
 	t.ConfigHash = t.configHash(kernels)
 	ci := 0
@@ -733,13 +664,8 @@ func Search(opts Options) (*Table, error) {
 // MeasureCached is Measure through a content-addressed store: the cell's
 // provenance hash is looked up first, concurrent identical cells coalesce
 // onto one simulation, and the measured value is stored for the next
-// caller. A nil store degrades to a plain Measure. The returned hit flag
-// reports whether a simulation was avoided.
+// caller. The returned hit flag reports whether a simulation was avoided.
 func MeasureCached(c *cache.Store, k Kernel, p Params, launchPPN int) (bw float64, hit bool, err error) {
-	if c == nil {
-		bw, err = Measure(k, p, launchPPN)
-		return bw, false, err
-	}
 	if err := k.validate(); err != nil {
 		return 0, false, err
 	}
@@ -749,25 +675,6 @@ func MeasureCached(c *cache.Store, k Kernel, p Params, launchPPN int) (bw float6
 	return c.GetOrCompute(cellHash(k, p, launchPPN), func() (float64, error) {
 		return Measure(k, p, launchPPN)
 	})
-}
-
-// warmKey identifies a reusable cell: same kernel, same provenance hash.
-type warmKey struct {
-	kernel string
-	hash   string
-}
-
-func warmIndex(t *Table) map[warmKey]float64 {
-	idx := make(map[warmKey]float64)
-	if t == nil {
-		return idx
-	}
-	for _, e := range t.Entries {
-		for _, c := range e.Cells {
-			idx[warmKey{e.Kernel.Name(), c.Hash}] = c.BW
-		}
-	}
-	return idx
 }
 
 // pickBest selects the entry's winner: the highest bandwidth, first cell in

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"commoverlap/internal/cache"
 	"commoverlap/internal/core"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
@@ -71,26 +72,33 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestWarmStart: a warm re-search reuses every cell whose provenance hash
-// still matches, re-measures the rest, and emits a byte-identical table
-// either way.
+// TestWarmStart: a search through a store seeded from a prior table
+// simulates only the cells whose provenance hash no longer matches, and
+// emits a byte-identical table either way.
 func TestWarmStart(t *testing.T) {
 	cold, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, n := cold.WarmCount(); w != 0 || n == 0 {
-		t.Fatalf("cold search: %d/%d warm cells", w, n)
+	if c, n := cold.CachedCount(); c != 0 || n == 0 {
+		t.Fatalf("cold search: %d/%d cached cells", c, n)
 	}
-	warm, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4, Warm: cold})
-	if err != nil {
-		t.Fatal(err)
+	reseed := func(t *testing.T, from *Table) (*Table, cache.Stats) {
+		t.Helper()
+		store := cache.New(0)
+		from.Seed(store)
+		tab, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4, Cache: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, cold), marshal(t, tab)) {
+			t.Error("seeded table differs from cold table")
+		}
+		return tab, store.Stats()
 	}
-	if w, n := warm.WarmCount(); w != n {
-		t.Errorf("warm search re-measured %d of %d cells", n-w, n)
-	}
-	if !bytes.Equal(marshal(t, cold), marshal(t, warm)) {
-		t.Error("warm-started table differs from cold table")
+	warm, st := reseed(t, cold)
+	if c, n := warm.CachedCount(); st.Misses != 0 || c != n {
+		t.Errorf("fully seeded search simulated %d cells (%d of %d cached)", st.Misses, c, n)
 	}
 
 	// Invalidate one cell's hash (as a calibration change would): exactly
@@ -99,15 +107,9 @@ func TestWarmStart(t *testing.T) {
 	stale.Entries = append([]Entry(nil), cold.Entries...)
 	stale.Entries[0].Cells = append([]Cell(nil), cold.Entries[0].Cells...)
 	stale.Entries[0].Cells[3].Hash = "stale"
-	warm2, err := Search(Options{Grid: testGrid(), Kernels: testKernels(), Workers: 4, Warm: &stale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, n := warm2.WarmCount(); n-w != 1 {
-		t.Errorf("stale-hash search re-measured %d cells, want 1", n-w)
-	}
-	if !bytes.Equal(marshal(t, cold), marshal(t, warm2)) {
-		t.Error("partially warm table differs from cold table")
+	warm2, st := reseed(t, &stale)
+	if c, n := warm2.CachedCount(); st.Misses != 1 || n-c != 1 {
+		t.Errorf("stale-hash search simulated %d cells (%d of %d cached), want 1", st.Misses, c, n)
 	}
 }
 
