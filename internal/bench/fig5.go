@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 )
@@ -114,7 +115,7 @@ func Fig5(w io.Writer, o Options) (Fig5Result, error) {
 func collectiveRun(o Options, op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
 	ppn, ndup := cc.shape()
 	var elapsed float64
-	w, err := job(o, p, p*ppn, mesh4Placement(p, ppn), progress.Spec{}, collectiveBody(op, ppn, ndup, total, &elapsed))
+	w, err := job(o, p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), progress.Spec{}, collectiveBody(op, ppn, ndup, total, &elapsed))
 	if err != nil {
 		return 0, UtilStats{}, err
 	}
@@ -161,14 +162,4 @@ func collectiveBody(op string, ppn, ndup int, total int64, elapsed *float64) fun
 			*elapsed = dt
 		}
 	}
-}
-
-// mesh4Placement puts ranks on nodes so that world rank r lives on node
-// r/ppn (natural placement).
-func mesh4Placement(nodes, ppn int) []int {
-	pl := make([]int, nodes*ppn)
-	for r := range pl {
-		pl[r] = r / ppn
-	}
-	return pl
 }

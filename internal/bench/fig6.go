@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 	"commoverlap/internal/trace"
@@ -240,7 +241,7 @@ func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 func timelinePPN(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := job(o, fig5Nodes, fig5Nodes*ppn, mesh4Placement(fig5Nodes, ppn), progress.Spec{}, func(pr *mpi.Proc) {
+	w, err := job(o, fig5Nodes, fig5Nodes*ppn, mesh.NaturalPlacement(fig5Nodes*ppn, ppn), progress.Spec{}, func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

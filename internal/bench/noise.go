@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/faults"
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
@@ -88,7 +89,7 @@ func noisyCollectiveRun(o Options, op string, cc CollCase, total int64, amp floa
 	ppn, ndup := cc.shape()
 	var elapsed float64
 	body := collectiveBody(op, ppn, ndup, total, &elapsed)
-	if err := jobNoise(o, p, p*ppn, mesh4Placement(p, ppn), faults.Noise(noiseSeed, amp), body); err != nil {
+	if err := jobNoise(o, p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), faults.Noise(noiseSeed, amp), body); err != nil {
 		return 0, err
 	}
 	vol := 2 * float64(p-1) / float64(p) * float64(total)

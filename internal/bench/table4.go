@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 )
@@ -88,7 +89,7 @@ func ppnCollectiveBW(o Options, op string, ppn int) (float64, error) {
 	const total = 16 << 20
 	p := fig5Nodes
 	var elapsed float64
-	_, err := job(o, p, p*ppn, mesh4Placement(p, ppn), progress.Spec{}, func(pr *mpi.Proc) {
+	_, err := job(o, p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), progress.Spec{}, func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

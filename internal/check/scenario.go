@@ -43,7 +43,6 @@ func Catalog() []Scenario {
 		allreduceAlgScenario("allreduce-ring-hier", mpi.AlgRing, "hier"),
 		allreduceAlgScenario("allreduce-bruck-hier", mpi.AlgBruck, "hier"),
 		allreduceAlgScenario("allreduce-shift-torus", mpi.AlgShift, "torus"),
-		gatherScatterScenario(),
 		barrierStorm(),
 		pipelineNDup(),
 		symmSquareCube(),
@@ -227,55 +226,6 @@ func allreduceAlgScenario(name, alg, topo string) Scenario {
 				if want := float64(ranks * (i%5 + 1)); buf[i] != want {
 					fail("%s: rank %d element %d = %g, want %g", name, p.Rank(), i, buf[i], want)
 					return
-				}
-			}
-		},
-	}
-}
-
-// gatherScatterScenario round-trips data root -> all -> root: scatter
-// distinct blocks, locally transform, gather them back.
-func gatherScatterScenario() Scenario {
-	const elems = 256
-	return Scenario{
-		Name: "gather-scatter", Ranks: 4, Nodes: 2,
-		Body: func(p *mpi.Proc, fail Failf) {
-			c := p.World()
-			n := c.Size()
-			var sendBufs, recvBufs []mpi.Buffer
-			var gathered [][]float64
-			if p.Rank() == 0 {
-				sendBufs = make([]mpi.Buffer, n)
-				recvBufs = make([]mpi.Buffer, n)
-				gathered = make([][]float64, n)
-				for r := 0; r < n; r++ {
-					blk := make([]float64, elems)
-					for i := range blk {
-						blk[i] = float64(r*elems + i)
-					}
-					sendBufs[r] = mpi.F64(blk)
-					gathered[r] = make([]float64, elems)
-					recvBufs[r] = mpi.F64(gathered[r])
-				}
-			}
-			mine := make([]float64, elems)
-			c.Scatter(0, sendBufs, mpi.F64(mine))
-			for i := range mine {
-				if mine[i] != float64(p.Rank()*elems+i) {
-					fail("gather-scatter: rank %d scattered element %d = %g", p.Rank(), i, mine[i])
-					return
-				}
-				mine[i] = -mine[i]
-			}
-			c.Gather(0, mpi.F64(mine), recvBufs)
-			if p.Rank() == 0 {
-				for r := range gathered {
-					for i, v := range gathered[r] {
-						if v != -float64(r*elems+i) {
-							fail("gather-scatter: gathered[%d][%d] = %g, want %g", r, i, v, -float64(r*elems+i))
-							return
-						}
-					}
 				}
 			}
 		},

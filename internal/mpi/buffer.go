@@ -62,17 +62,6 @@ func (b Buffer) Slice(lo, hi int) Buffer {
 	return Buffer{phantom: n}
 }
 
-// clone returns a copy of the payload for buffering eager sends. Phantoms
-// clone to themselves.
-func (b Buffer) clone() Buffer {
-	if b.Data == nil {
-		return b
-	}
-	c := make([]float64, len(b.Data))
-	copy(c, b.Data)
-	return Buffer{Data: c}
-}
-
 // copyFrom copies src's payload into b (no-op if either side is phantom).
 func (b Buffer) copyFrom(src Buffer) {
 	if b.Data == nil || src.Data == nil {
@@ -117,18 +106,6 @@ func combineInto(dst, src Buffer, op Op) {
 	default:
 		panic(fmt.Sprintf("mpi: unknown op %d", op))
 	}
-}
-
-// scratchLike allocates a receive scratch buffer shaped like b: real buffers
-// get real scratch, phantoms get phantom scratch. The collective hot paths
-// use the pooled World.getScratch instead; this unpooled form remains for
-// the tree gather/scatter schedules, whose scratch is retained across the
-// whole call in block lists.
-func scratchLike(b Buffer, elems int) Buffer {
-	if b.Data == nil {
-		return Phantom(int64(elems) * 8)
-	}
-	return F64(make([]float64, elems))
 }
 
 // getScratch returns a scratch buffer shaped like b with elems elements,

@@ -78,13 +78,14 @@ func TestBufferSliceOutOfRangePanics(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
+	var w World
 	b := F64([]float64{1, 2})
-	c := b.clone()
+	c := w.cloneBuf(b)
 	c.Data[0] = 9
 	if b.Data[0] != 1 {
 		t.Error("clone shares storage")
 	}
-	p := Phantom(8).clone()
+	p := w.cloneBuf(Phantom(8))
 	if !p.IsPhantom() || p.Bytes() != 8 {
 		t.Error("phantom clone wrong")
 	}
@@ -126,11 +127,12 @@ func TestCombineIntoUnknownOpPanics(t *testing.T) {
 }
 
 func TestScratchLike(t *testing.T) {
-	r := scratchLike(F64([]float64{1, 2}), 5)
+	var w World
+	r := w.getScratch(F64([]float64{1, 2}), 5)
 	if r.IsPhantom() || r.Len() != 5 {
 		t.Errorf("real scratch wrong: %+v", r)
 	}
-	p := scratchLike(Phantom(16), 5)
+	p := w.getScratch(Phantom(16), 5)
 	if !p.IsPhantom() || p.Bytes() != 40 {
 		t.Errorf("phantom scratch wrong: %+v", p)
 	}

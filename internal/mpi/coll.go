@@ -34,8 +34,11 @@ const (
 // postOverhead is the fixed CPU cost of issuing a (nonblocking) operation.
 const postOverhead = 3e-6
 
+// bcastStageFactor scales the posting/staging cost of a broadcast root
+// relative to a reduction (broadcast implementations stage lazily).
+const bcastStageFactor = 3.0
+
 func (c *Comm) nextCollTag() int {
-	c.checkUsable()
 	t := collTagBase + c.collSeq*collTagStride
 	c.collSeq++
 	if c.Size() >= collTagStride/2 {
@@ -506,7 +509,7 @@ func (c *Comm) barrierRun(sp *sim.Proc, tagBase int) {
 func (c *Comm) Bcast(root int, buf Buffer) {
 	tag := c.nextCollTag()
 	if c.rank == root {
-		c.chargeStaging(c.p.sp, buf.Bytes(), c.p.w.BcastStageFactor)
+		c.chargeStaging(c.p.sp, buf.Bytes(), bcastStageFactor)
 	} else {
 		c.chargeStaging(c.p.sp, 0, 1)
 	}

@@ -2,128 +2,11 @@ package mpi
 
 import "commoverlap/internal/sim"
 
-// This file provides the remaining collective operations a complete MPI
-// library offers — gather, scatter, allgather, all-to-all, reduce-scatter —
-// with the classical algorithms (binomial trees, ring, pairwise exchange,
-// recursive halving). SymmSquareCube itself only needs Bcast/Reduce/
-// Allreduce/Barrier, but the broadcast and reduction long-message paths are
-// built from scatter/allgather schedules, and downstream applications (the
-// solver, the SCF driver) use several of these directly.
-
-// gatherRun collects equal-shaped contributions to the root along a
-// binomial tree. sendBuf is each rank's block; on the root, recvBufs[i]
-// receives rank i's block (recvBufs is ignored elsewhere and may be nil).
-func (c *Comm) gatherRun(sp *sim.Proc, root int, sendBuf Buffer, recvBufs []Buffer, tag int) {
-	p := c.Size()
-	vr := (c.rank - root + p) % p
-
-	// Each subtree owner accumulates the blocks of its subtree in virtual
-	// rank order, then forwards them to its parent in one message.
-	elems := sendBuf.Len()
-	blocks := make([]Buffer, 1, p)
-	blocks[0] = sendBuf
-	mask := 1
-	for ; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			break
-		}
-		srcVr := vr | mask
-		if srcVr >= p {
-			continue
-		}
-		cnt := min(mask, p-srcVr) // subtree size of the child
-		tmp := scratchLike(sendBuf, cnt*elems)
-		c.recvOn(sp, c.abs(srcVr, root), tag, tmp)
-		for b := 0; b < cnt; b++ {
-			blocks = append(blocks, tmp.Slice(b*elems, (b+1)*elems))
-		}
-	}
-	if vr != 0 {
-		// Forward my accumulated subtree to the parent as one message.
-		agg := concatBuffers(blocks, elems)
-		c.sendOn(sp, c.abs(vr-mask, root), tag, agg)
-		return
-	}
-	// Root: blocks[b] is virtual rank b's contribution.
-	if recvBufs != nil {
-		for b, blk := range blocks {
-			r := c.abs(b, root)
-			if r < len(recvBufs) {
-				recvBufs[r].copyFrom(blk)
-			}
-		}
-	}
-}
-
-// concatBuffers packs per-block buffers into one contiguous message.
-func concatBuffers(blocks []Buffer, elems int) Buffer {
-	if len(blocks) == 1 {
-		return blocks[0]
-	}
-	if blocks[0].IsPhantom() {
-		var total int64
-		for _, b := range blocks {
-			total += b.Bytes()
-		}
-		return Phantom(total)
-	}
-	out := make([]float64, 0, len(blocks)*elems)
-	for _, b := range blocks {
-		out = append(out, b.Data...)
-	}
-	return F64(out)
-}
-
-// scatterRun distributes root's per-rank blocks down a binomial tree.
-// sendBufs (root only) holds one block per rank; recvBuf receives this
-// rank's block.
-func (c *Comm) scatterRun(sp *sim.Proc, root int, sendBufs []Buffer, recvBuf Buffer, tag int) {
-	p := c.Size()
-	vr := (c.rank - root + p) % p
-	elems := recvBuf.Len()
-
-	// The root owns all blocks in virtual-rank order; each subtree owner
-	// receives its subtree's blocks from its parent, keeps the first and
-	// forwards halves downward.
-	var mine []Buffer
-	if vr == 0 {
-		mine = make([]Buffer, p)
-		for b := 0; b < p; b++ {
-			mine[b] = sendBufs[c.abs(b, root)]
-		}
-	} else {
-		mask := 1
-		for ; mask < p; mask <<= 1 {
-			if vr&mask != 0 {
-				cnt := min(mask, p-vr)
-				tmp := scratchLike(recvBuf, cnt*elems)
-				c.recvOn(sp, c.abs(vr-mask, root), tag, tmp)
-				mine = make([]Buffer, cnt)
-				for b := 0; b < cnt; b++ {
-					mine[b] = tmp.Slice(b*elems, (b+1)*elems)
-				}
-				break
-			}
-		}
-	}
-	// Send phase: peel off the top half of my range repeatedly.
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for ; mask > 0; mask >>= 1 {
-		if vr+mask < p && mask < len(mine) {
-			cnt := min(mask, len(mine)-mask)
-			c.sendOn(sp, c.abs(vr+mask, root), tag, concatBuffers(mine[mask:mask+cnt], elems))
-			mine = mine[:mask]
-		}
-	}
-	recvBuf.copyFrom(mine[0])
-}
+// This file provides the two collectives beyond the paper's Bcast/Reduce/
+// Allreduce/Barrier that the ML-workload layer needs: allgather and
+// reduce-scatter, blocking and nonblocking, both with the ring schedule.
+// ZeRO-style sharding (internal/workload) pre-posts Ireducescatter for the
+// gradient shards and drains Iallgather for the updated parameters.
 
 // allgatherRun is the ring allgather: p-1 rounds, each rank forwarding the
 // block it received in the previous round. sendBuf is this rank's block;
@@ -138,29 +21,6 @@ func (c *Comm) allgatherRun(sp *sim.Proc, sendBuf Buffer, recvBufs []Buffer, tag
 		recvIdx := (c.rank - k - 1 + p) % p
 		sreq := c.isendOn(sp, right, tag+k, recvBufs[sendIdx])
 		c.recvOn(sp, left, tag+k, recvBufs[recvIdx])
-		sreq.waitFree(sp)
-	}
-}
-
-// alltoallRun is the pairwise-exchange all-to-all for equal block sizes:
-// p-1 rounds, round k exchanging with rank^k partners (for power-of-two p)
-// or (rank+k, rank-k) otherwise. sendBufs[i] goes to rank i; recvBufs[i]
-// receives from rank i.
-func (c *Comm) alltoallRun(sp *sim.Proc, sendBufs, recvBufs []Buffer, tag int) {
-	p := c.Size()
-	recvBufs[c.rank].copyFrom(sendBufs[c.rank])
-	pow2 := p&(p-1) == 0
-	for k := 1; k < p; k++ {
-		var dst, src int
-		if pow2 {
-			dst = c.rank ^ k
-			src = dst
-		} else {
-			dst = (c.rank + k) % p
-			src = (c.rank - k + p) % p
-		}
-		sreq := c.isendOn(sp, dst, tag+k, sendBufs[dst])
-		c.recvOn(sp, src, tag+k, recvBufs[src])
 		sreq.waitFree(sp)
 	}
 }
@@ -215,47 +75,12 @@ func (c *Comm) reduceScatterRun(sp *sim.Proc, sendBuf Buffer, recvBuf Buffer, op
 // Public blocking API
 // ---------------------------------------------------------------------------
 
-// Gather collects equal-shaped blocks on root: recvBufs[i] (root only)
-// receives rank i's sendBuf.
-func (c *Comm) Gather(root int, sendBuf Buffer, recvBufs []Buffer) {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
-	c.gatherRun(c.p.sp, root, sendBuf, recvBufs, tag)
-}
-
-// Scatter distributes root's blocks: rank i receives sendBufs[i] (root
-// only) into recvBuf.
-func (c *Comm) Scatter(root int, sendBufs []Buffer, recvBuf Buffer) {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		var total int64
-		for _, b := range sendBufs {
-			total += b.Bytes()
-		}
-		c.chargeStaging(c.p.sp, total, c.p.w.BcastStageFactor)
-	} else {
-		c.chargeStaging(c.p.sp, 0, 1)
-	}
-	c.scatterRun(c.p.sp, root, sendBufs, recvBuf, tag)
-}
-
 // Allgather gives every rank every block: recvBufs[i] receives rank i's
 // sendBuf on all ranks.
 func (c *Comm) Allgather(sendBuf Buffer, recvBufs []Buffer) {
 	tag := c.nextCollTag()
 	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
 	c.allgatherRun(c.p.sp, sendBuf, recvBufs, tag)
-}
-
-// Alltoall performs a complete exchange of equal-shaped blocks.
-func (c *Comm) Alltoall(sendBufs, recvBufs []Buffer) {
-	tag := c.nextCollTag()
-	var total int64
-	for _, b := range sendBufs {
-		total += b.Bytes()
-	}
-	c.chargeStaging(c.p.sp, total, 1)
-	c.alltoallRun(c.p.sp, sendBufs, recvBufs, tag)
 }
 
 // ReduceScatter combines sendBuf (length p * blockLen) across all ranks
@@ -270,51 +95,12 @@ func (c *Comm) ReduceScatter(sendBuf, recvBuf Buffer, op Op) {
 // Public nonblocking API
 // ---------------------------------------------------------------------------
 
-// Igather posts a nonblocking Gather.
-func (c *Comm) Igather(root int, sendBuf Buffer, recvBufs []Buffer) *Request {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
-	return c.spawnColl("igather", func(sp *sim.Proc) {
-		c.gatherRun(sp, root, sendBuf, recvBufs, tag)
-	})
-}
-
-// Iscatter posts a nonblocking Scatter.
-func (c *Comm) Iscatter(root int, sendBufs []Buffer, recvBuf Buffer) *Request {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		var total int64
-		for _, b := range sendBufs {
-			total += b.Bytes()
-		}
-		c.chargeStaging(c.p.sp, total, c.p.w.BcastStageFactor)
-	} else {
-		c.chargeStaging(c.p.sp, 0, 1)
-	}
-	return c.spawnColl("iscatter", func(sp *sim.Proc) {
-		c.scatterRun(sp, root, sendBufs, recvBuf, tag)
-	})
-}
-
 // Iallgather posts a nonblocking Allgather.
 func (c *Comm) Iallgather(sendBuf Buffer, recvBufs []Buffer) *Request {
 	tag := c.nextCollTag()
 	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
 	return c.spawnColl("iallgather", func(sp *sim.Proc) {
 		c.allgatherRun(sp, sendBuf, recvBufs, tag)
-	})
-}
-
-// Ialltoall posts a nonblocking Alltoall.
-func (c *Comm) Ialltoall(sendBufs, recvBufs []Buffer) *Request {
-	tag := c.nextCollTag()
-	var total int64
-	for _, b := range sendBufs {
-		total += b.Bytes()
-	}
-	c.chargeStaging(c.p.sp, total, 1)
-	return c.spawnColl("ialltoall", func(sp *sim.Proc) {
-		c.alltoallRun(sp, sendBufs, recvBufs, tag)
 	})
 }
 

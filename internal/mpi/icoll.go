@@ -30,7 +30,7 @@ func (c *Comm) spawnColl(name string, schedule func(sp *sim.Proc)) *Request {
 func (c *Comm) Ibcast(root int, buf Buffer) *Request {
 	tag := c.nextCollTag()
 	if c.rank == root {
-		c.chargeStaging(c.p.sp, buf.Bytes(), c.p.w.BcastStageFactor)
+		c.chargeStaging(c.p.sp, buf.Bytes(), bcastStageFactor)
 	} else {
 		c.chargeStaging(c.p.sp, 0, 1)
 	}

@@ -30,25 +30,6 @@ type Request struct {
 // called from the goroutine that posted the operation.
 func (r *Request) Wait() { r.sp.Wait(r.done) }
 
-// Waittimeout blocks until the operation completes or d virtual seconds
-// elapse, whichever comes first, and reports whether the operation
-// completed. On timeout the request stays open and can be waited again —
-// the deadline-aware retry idiom the skew-resilience experiments use to
-// keep making progress past a straggling peer. Timeouts are counted in the
-// mpi.wait.timeouts metric.
-func (r *Request) Waittimeout(d float64) bool {
-	if r.sp.WaitTimeout(r.done, d) {
-		return true
-	}
-	r.w.Metrics.Inc("mpi.wait.timeouts", "")
-	return false
-}
-
-// Waitdeadline is Waittimeout against an absolute virtual time.
-func (r *Request) Waitdeadline(t float64) bool {
-	return r.Waittimeout(t - r.sp.Now())
-}
-
 // Test reports whether the operation has completed, without blocking.
 // Progress in the simulation is autonomous (as with an MPI progress thread),
 // so Test is a pure query.
@@ -119,7 +100,6 @@ func (c *Comm) isendOn(sp *sim.Proc, dest, tag int, buf Buffer) *Request {
 	if dest < 0 || dest >= len(c.group) {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dest, len(c.group)))
 	}
-	c.checkUsable()
 	w := c.p.w
 	st := c.p.st
 	dstWorld := c.group[dest]
@@ -197,7 +177,6 @@ func (c *Comm) irecvOn(sp *sim.Proc, src, tag int, buf Buffer) *Request {
 	if src != AnySource && (src < 0 || src >= len(c.group)) {
 		panic(fmt.Sprintf("mpi: recv from rank %d of %d", src, len(c.group)))
 	}
-	c.checkUsable()
 	st := c.p.st
 	w := c.p.w
 	req := w.newRequest(sp, "irecv", st.rank, c.ctx)

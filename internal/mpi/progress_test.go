@@ -158,64 +158,3 @@ func TestProgressEagerWake(t *testing.T) {
 		}
 	}
 }
-
-// TestWaittimeoutUnderProgressEngine is the PR 3 stale-waiter regression
-// probe for the progress path: a parked owner blocked in Waittimeout whose
-// request is completed by transfer work running on a progress agent's CPU
-// must wake at the completion time, well before its deadline — and a
-// deadline that does expire must fire exactly on time and leave the request
-// re-waitable.
-func TestWaittimeoutUnderProgressEngine(t *testing.T) {
-	payload := make([]float64, 1<<17) // 1 MB, rendezvous
-	const sendDelay = 2e-3
-	var (
-		firstTry  bool
-		firstAt   float64
-		secondTry bool
-		secondAt  float64
-	)
-	w := progressJob(t, nil,
-		func(w *World) { w.Progress = 1 },
-		func(p *Proc) {
-			c := p.World()
-			switch p.Rank() {
-			case 0:
-				req := c.Irecv(2, 1, F64(make([]float64, len(payload))))
-				// First deadline expires before the sender even starts.
-				firstTry = req.Waittimeout(1e-3)
-				firstAt = p.Now()
-				// Second deadline is far past the completion; the wake must
-				// come at completion time, not at the deadline.
-				secondTry = req.Waittimeout(0.5)
-				secondAt = p.Now()
-			case 2:
-				p.Sleep(sendDelay)
-				c.Send(0, 1, F64(payload))
-			}
-		})
-	if firstTry {
-		t.Error("first Waittimeout completed before any send was posted")
-	}
-	if firstAt != 1e-3 {
-		t.Errorf("expired deadline fired at %.6fs, want exactly 0.001s", firstAt)
-	}
-	if !secondTry {
-		t.Error("second Waittimeout timed out despite a completed transfer")
-	}
-	if secondAt >= 0.1 {
-		t.Errorf("owner woke at %.6fs — deadline-late wake (stale waiter), expected ~transfer completion", secondAt)
-	}
-	if secondAt <= sendDelay {
-		t.Errorf("owner woke at %.6fs, before the send could complete", secondAt)
-	}
-	// The completion really was progressed on the agent's CPU.
-	var agentCPU sim.ResourceStats
-	w.EachEndpoint(func(rank int, ep *simnet.Endpoint) {
-		if rank == 1 {
-			agentCPU = ep.CPU.Snapshot()
-		}
-	})
-	if agentCPU.ByConsumer["ep0.nic"] <= 0 {
-		t.Errorf("no tagged rx work on the owner's node agent: %+v", agentCPU)
-	}
-}

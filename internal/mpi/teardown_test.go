@@ -108,67 +108,6 @@ func TestUndeliveredMessageDetected(t *testing.T) {
 	}
 }
 
-func TestCommFreeCleanSucceeds(t *testing.T) {
-	runJob(t, 4, 2, func(p *Proc) {
-		dup := p.World().Dup()
-		dup.Barrier()
-		dup.Free()
-		p.World().Barrier() // world still usable
-	})
-}
-
-func TestCommFreeWithPendingPanics(t *testing.T) {
-	eng, w := buildWorld(t, 2, 2)
-	panicked := make(chan string, 2)
-	w.Launch(func(p *Proc) {
-		dup := p.World().Dup()
-		if p.Rank() == 0 {
-			p.World().Irecv(1, 3, F64(make([]float64, 1))) // pending on ctx 0, not on dup
-			dup.Irecv(1, 9, F64(make([]float64, 1)))       // pending on the dup
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panicked <- r.(string)
-					}
-				}()
-				dup.Free()
-			}()
-		}
-	})
-	eng.Run() // the leaked receives make this world dirty; only the panic matters here
-	select {
-	case msg := <-panicked:
-		if !strings.Contains(msg, "pending operation") || !strings.Contains(msg, "irecv") {
-			t.Fatalf("Free panicked with %q, want pending-operation report naming irecv", msg)
-		}
-	default:
-		t.Fatal("Free with a pending receive did not panic")
-	}
-}
-
-func TestFreedCommRejectsOperations(t *testing.T) {
-	eng, w := buildWorld(t, 2, 2)
-	panicked := make(chan string, 2)
-	w.Launch(func(p *Proc) {
-		dup := p.World().Dup()
-		dup.Barrier()
-		dup.Free()
-		defer func() {
-			if r := recover(); r != nil {
-				panicked <- r.(string)
-			}
-		}()
-		dup.Barrier() // must panic: use after free
-	})
-	eng.Run()
-	if len(panicked) != 2 {
-		t.Fatalf("%d of 2 ranks panicked on use-after-free", len(panicked))
-	}
-	if msg := <-panicked; !strings.Contains(msg, "freed communicator") {
-		t.Fatalf("use-after-free panicked with %q", msg)
-	}
-}
-
 // TestPollWaitRunawayPanics covers the "parked process never woken" gap: a
 // rank parked on an Ibarrier its peer never enters used to spin forever in
 // virtual time; now it trips the MaxPollTime guard with a diagnosis.

@@ -36,10 +36,6 @@ type World struct {
 	ctxCounter int
 	splitSlots map[splitKey]*splitSlot
 
-	// BcastStageFactor scales the posting/staging cost of broadcasts
-	// relative to reductions (broadcast implementations stage lazily).
-	BcastStageFactor float64
-
 	// BcastLongMsg and ReduceLongMsg are this job's collective-algorithm
 	// switch-over points (see DefaultBcastLongMsg/DefaultReduceLongMsg):
 	// payloads above them select the long-message algorithms (van de Geijn
@@ -162,14 +158,13 @@ func NewWorld(net *simnet.Net, size int, placement []int) (*World, error) {
 		return nil, fmt.Errorf("mpi: placement has %d entries for %d ranks", len(placement), size)
 	}
 	w := &World{
-		Eng:              net.Eng,
-		Net:              net,
-		splitSlots:       make(map[splitKey]*splitSlot),
-		BcastStageFactor: 3.0,
-		BcastLongMsg:     DefaultBcastLongMsg,
-		ReduceLongMsg:    DefaultReduceLongMsg,
-		MaxPollTime:      3600, // one virtual hour: far beyond any legitimate sim
-		open:             make(map[*Request]reqInfo),
+		Eng:           net.Eng,
+		Net:           net,
+		splitSlots:    make(map[splitKey]*splitSlot),
+		BcastLongMsg:  DefaultBcastLongMsg,
+		ReduceLongMsg: DefaultReduceLongMsg,
+		MaxPollTime:   3600, // one virtual hour: far beyond any legitimate sim
+		open:          make(map[*Request]reqInfo),
 	}
 	w.ranks = make([]*rankState, size)
 	for r := 0; r < size; r++ {

@@ -130,7 +130,8 @@ const (
 type JobStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// Done and Total count completed vs planned cells while running.
+	// Done and Total count completed vs planned cells; Total is known
+	// from submit.
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Workers is the granted pool width (0 until the job starts).
@@ -303,7 +304,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.mu.Unlock()
 
-	grid, err := j.req.grid() // validated at submit; re-resolved here
+	grid, err := j.req.grid() // planned at submit; re-resolved here
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
@@ -373,7 +374,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), code)
 		return
 	}
-	if _, err := req.grid(); err != nil {
+	grid, err := req.grid()
+	cells := 0
+	if err == nil {
+		cells, err = tune.Options{Grid: grid, Kernels: req.Kernels}.Plan()
+	}
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -389,7 +395,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req:  req,
 		wake: make(chan struct{}),
 	}
-	j.status = JobStatus{ID: j.id, State: StateQueued}
+	j.status = JobStatus{ID: j.id, State: StateQueued, Total: cells}
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j

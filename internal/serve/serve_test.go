@@ -315,6 +315,43 @@ func TestServerRejectsMalformedSubmit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnrunnableSubmit: a request that tune.Plan refuses — an
+// unknown op, a PPN above the launch width, or a kernel or grid over the
+// size limits — is a 400 at submit with no job registered, while the full
+// built-in grid is still accepted with its planned cell count.
+func TestServerRejectsUnrunnableSubmit(t *testing.T) {
+	srv := New(Config{Cache: cache.New(0)}) // no runners: an accepted job stays queued
+	const grid = `"grid_spec":{"name":"x","ndups":[1],"ppns":[1],"launch_ppn":2,"protocols":[{}]}`
+	for _, tc := range []struct{ name, body string }{
+		{"bogus op", `{"kernels":[{"op":"bogus","bytes":1024,"nodes":2}],` + grid + `}`},
+		{"ppn above launch ppn", `{"kernels":[{"op":"reduce","bytes":1024,"nodes":2}],` +
+			`"grid_spec":{"name":"x","ndups":[1],"ppns":[9],"launch_ppn":2,"protocols":[{}]}}`},
+		{"100000 nodes", `{"kernels":[{"op":"reduce","bytes":1024,"nodes":100000}],` + grid + `}`},
+		{"ndup 1000", `{"kernels":[{"op":"reduce","bytes":1024,"nodes":2}],` +
+			`"grid_spec":{"name":"x","ndups":[1000],"ppns":[1],"launch_ppn":2,"protocols":[{}]}}`},
+		{"chunk_bytes 1", `{"kernels":[{"op":"reduce","bytes":1024,"nodes":2}],` +
+			`"grid_spec":{"name":"x","ndups":[1],"ppns":[1],"launch_ppn":2,"protocols":[{"chunk_bytes":1}]}}`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.http.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", tc.name, rec.Code)
+		}
+	}
+	if len(srv.jobs) != 0 || len(srv.queue) != 0 {
+		t.Fatalf("rejected submissions registered %d jobs, queued %d", len(srv.jobs), len(srv.queue))
+	}
+	rec := httptest.NewRecorder()
+	srv.http.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(`{"grid":"full"}`)))
+	var st JobStatus
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil || rec.Code != http.StatusAccepted || len(srv.jobs) != 1 {
+		t.Fatalf("full grid: %d (%v) with %d jobs, want 202 and one job", rec.Code, err, len(srv.jobs))
+	}
+	if st.Total != 7760 {
+		t.Errorf("queued full-grid job plans %d cells, want 7760", st.Total)
+	}
+}
+
 // TestServerGracefulDrain: Shutdown finishes accepted jobs and then
 // rejects new ones; the accepted job's result stays fetchable until the
 // listener closes.

@@ -65,8 +65,7 @@ func eventLess(a, b event) bool {
 
 // eventHeap is a binary min-heap over (time, sequence), hand-rolled so push
 // and pop stay allocation-free (container/heap boxes every element in an
-// interface). Each resident event's position is mirrored in its process's
-// heapIdx, giving wakeNoLater O(log n) access instead of a linear scan.
+// interface).
 type eventHeap []event
 
 func (h eventHeap) up(i int) {
@@ -77,18 +76,15 @@ func (h eventHeap) up(i int) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].p.heapIdx = i
 		i = parent
 	}
 	h[i] = ev
-	ev.p.heapIdx = i
 }
 
-// down sifts the element at i toward the leaves and reports whether it moved.
-func (h eventHeap) down(i int) bool {
+// down sifts the element at i toward the leaves.
+func (h eventHeap) down(i int) {
 	n := len(h)
 	ev := h[i]
-	start := i
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -102,12 +98,9 @@ func (h eventHeap) down(i int) bool {
 			break
 		}
 		h[i] = h[c]
-		h[i].p.heapIdx = i
 		i = c
 	}
 	h[i] = ev
-	ev.p.heapIdx = i
-	return i > start
 }
 
 func (h *eventHeap) push(ev event) {
@@ -121,22 +114,13 @@ func (h *eventHeap) pop() event {
 	n := len(old) - 1
 	if n > 0 {
 		old[0] = old[n]
-		old[0].p.heapIdx = 0
 	}
 	old[n] = event{} // release the *Proc for GC
 	*h = old[:n]
 	if n > 1 {
 		(*h).down(0)
 	}
-	root.p.heapIdx = -1
 	return root
-}
-
-// fix re-establishes heap order after the element at i changed key.
-func (h eventHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -187,7 +171,6 @@ type Proc struct {
 	Name      string
 	resume    chan struct{}
 	pending   bool // an event for this proc is scheduled and not yet delivered
-	heapIdx   int  // position in the event heap while pending, else -1
 	blockedOn string
 	fn        func(p *Proc) // body to run on next resume (pooled goroutines)
 }
@@ -218,7 +201,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.Name = name
 		p.fn = fn
 	} else {
-		p = &Proc{eng: e, ID: e.idseq, Name: name, resume: make(chan struct{}), heapIdx: -1, fn: fn}
+		p = &Proc{eng: e, ID: e.idseq, Name: name, resume: make(chan struct{}), fn: fn}
 		go p.run()
 	}
 	e.idseq++
@@ -259,32 +242,6 @@ func (e *Engine) wakeAt(t float64, p *Proc) {
 	p.pending = true
 	e.events.push(event{t: t, seq: e.seq, p: p})
 	e.seq++
-}
-
-// wakeNoLater schedules p to resume no later than time t. Unlike wakeAt it
-// pulls an already-pending wakeup earlier when that wakeup is scheduled
-// after t — the case of a gate firing before the deadline of a timed wait
-// (WaitTimeout), whose waiter parks with a wakeup already booked. The
-// rescheduled event takes a fresh sequence number, so it orders FIFO among
-// events newly scheduled at its new time.
-func (e *Engine) wakeNoLater(t float64, p *Proc) {
-	if !p.pending {
-		e.wakeAt(t, p)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	i := p.heapIdx
-	if i < 0 || i >= len(e.events) || e.events[i].p != p {
-		return
-	}
-	if t < e.events[i].t {
-		e.events[i].t = t
-		e.events[i].seq = e.seq
-		e.seq++
-		e.events.fix(i)
-	}
 }
 
 // Run executes the simulation until no events remain. It returns an error if

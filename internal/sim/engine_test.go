@@ -147,7 +147,7 @@ func TestGateDoubleFireIsNoop(t *testing.T) {
 	e := NewEngine()
 	g := e.NewGate()
 	n := 0
-	g.OnFire(func() { n++ })
+	g.OnFireArg(func(any) { n++ }, nil)
 	e.Spawn("firer", func(p *Proc) {
 		g.Fire()
 		p.Sleep(1)
@@ -168,7 +168,7 @@ func TestGateCallbackChaining(t *testing.T) {
 	e := NewEngine()
 	g1 := e.NewGate()
 	g2 := e.NewGate()
-	g1.OnFire(func() { g2.Fire() })
+	g1.OnFireArg(func(a any) { a.(*Gate).Fire() }, g2)
 	var wokeAt float64 = -1
 	e.Spawn("waiter", func(p *Proc) {
 		p.Wait(g2)
@@ -183,75 +183,6 @@ func TestGateCallbackChaining(t *testing.T) {
 	}
 	if wokeAt != 2 {
 		t.Errorf("woke at %g want 2", wokeAt)
-	}
-}
-
-func TestWaitAny(t *testing.T) {
-	e := NewEngine()
-	g1, g2, g3 := e.NewGate(), e.NewGate(), e.NewGate()
-	var idx int = -2
-	var at float64
-	e.Spawn("waiter", func(p *Proc) {
-		idx = p.WaitAny(g1, g2, g3)
-		at = p.Now()
-	})
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(4)
-		g2.Fire()
-		p.Sleep(1)
-		g1.Fire()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 || at != 4 {
-		t.Errorf("WaitAny = %d at %g, want 1 at 4", idx, at)
-	}
-	// The waiter must have been deregistered from g1 and g3.
-	if len(g1.waiters) != 0 || len(g3.waiters) != 0 {
-		t.Errorf("stale waiters: g1=%d g3=%d", len(g1.waiters), len(g3.waiters))
-	}
-}
-
-func TestWaitAnyAlreadyFired(t *testing.T) {
-	e := NewEngine()
-	g1, g2 := e.NewGate(), e.NewGate()
-	var idx int = -2
-	e.Spawn("firer", func(p *Proc) { g2.Fire() })
-	e.Spawn("waiter", func(p *Proc) {
-		p.Sleep(1)
-		idx = p.WaitAny(g1, g2)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Errorf("WaitAny = %d want 1", idx)
-	}
-}
-
-func TestWaitAnySimultaneousFires(t *testing.T) {
-	// Two gates fire at the same instant before the waiter resumes; the
-	// waiter must wake exactly once and report the lowest index.
-	e := NewEngine()
-	g1, g2 := e.NewGate(), e.NewGate()
-	var idx int = -2
-	wakes := 0
-	e.Spawn("waiter", func(p *Proc) {
-		idx = p.WaitAny(g1, g2)
-		wakes++
-		p.Sleep(1) // would panic on a stray resume
-	})
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(2)
-		g2.Fire()
-		g1.Fire() // same virtual instant
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 0 || wakes != 1 {
-		t.Errorf("idx=%d wakes=%d, want 0 and 1", idx, wakes)
 	}
 }
 

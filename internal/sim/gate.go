@@ -1,7 +1,7 @@
 package sim
 
 // Gate is a one-shot completion signal. Processes block on it with Wait (or
-// WaitAny); Fire releases all current and future waiters. Gates also carry
+// WaitAll); Fire releases all current and future waiters. Gates also carry
 // lightweight callbacks that run inline at fire time, which is how derived
 // events (e.g. "message delivered, enqueue it at the receiver") are chained
 // without spawning a process per hop.
@@ -13,14 +13,12 @@ type Gate struct {
 	cbs     []gateCB
 }
 
-// gateCB is one registered fire callback: either a plain closure (fn) or a
-// static function plus argument (afn, arg). The latter form lets hot paths
-// register callbacks without allocating a closure per registration — the
-// function value is a package-level variable and the argument is an object
-// the caller already owns.
+// gateCB is one registered fire callback: a static function plus argument.
+// Hot paths register callbacks without allocating a closure per
+// registration — the function value is a package-level variable and the
+// argument is an object the caller already owns.
 type gateCB struct {
-	fn  func()
-	afn func(any)
+	fn  func(any)
 	arg any
 }
 
@@ -40,7 +38,7 @@ func (e *Engine) NewGate() *Gate {
 // FreeGate returns a gate to the engine's free list for reuse by a later
 // NewGate. The caller must guarantee no reference to the gate survives: it
 // has fired (or will never fire), its waiters have been woken, and nobody
-// will call Wait/OnFire/Fired on it again. The MPI request pool is the
+// will call Wait/OnFireArg/Fired on it again. The MPI request pool is the
 // intended caller; misuse shows up as a waiter parked forever on a recycled
 // gate, which Engine.Run reports as a deadlock.
 func (e *Engine) FreeGate(g *Gate) {
@@ -74,16 +72,12 @@ func (g *Gate) Fire() {
 	g.fired = true
 	g.t = g.eng.now
 	// Detach the callback list before running it (a callback registering on
-	// this gate re-enters OnFire, which runs immediately once fired), then
+	// this gate re-enters OnFireArg, which runs immediately once fired), then
 	// hand the cleared backing array back so a recycled gate keeps capacity.
 	cbs := g.cbs
 	g.cbs = nil
 	for _, cb := range cbs {
-		if cb.fn != nil {
-			cb.fn()
-		} else {
-			cb.afn(cb.arg)
-		}
+		cb.fn(cb.arg)
 	}
 	for i := range cbs {
 		cbs[i] = gateCB{}
@@ -92,10 +86,8 @@ func (g *Gate) Fire() {
 	ws := g.waiters
 	g.waiters = nil
 	for _, w := range ws {
-		// wakeNoLater, not wakeAt: a waiter in a timed wait (WaitTimeout)
-		// parks with its deadline wakeup already scheduled, and firing the
-		// gate must pull that wakeup forward to now.
-		g.eng.wakeNoLater(g.eng.now, w)
+		// A waiter parks with no wakeup booked, so wakeAt schedules it now.
+		g.eng.wakeAt(g.eng.now, w)
 	}
 	for i := range ws {
 		ws[i] = nil
@@ -103,28 +95,18 @@ func (g *Gate) Fire() {
 	g.waiters = ws[:0]
 }
 
-// OnFire registers cb to run when the gate fires. If the gate has already
-// fired, cb runs immediately. Callbacks must not block: they execute inside
-// whatever process happens to fire the gate.
-func (g *Gate) OnFire(cb func()) {
-	if g.fired {
-		cb()
-		return
-	}
-	g.cbs = append(g.cbs, gateCB{fn: cb})
-}
-
-// OnFireArg registers cb(arg) to run when the gate fires. Unlike OnFire,
-// passing a package-level function value plus an argument the caller already
-// owns allocates nothing: the argument travels in the callback slot rather
-// than a captured closure environment. If the gate has already fired, cb runs
-// immediately.
+// OnFireArg registers cb(arg) to run when the gate fires. Passing a
+// package-level function value plus an argument the caller already owns
+// allocates nothing: the argument travels in the callback slot rather than a
+// captured closure environment. If the gate has already fired, cb runs
+// immediately. Callbacks must not block: they execute inside whatever
+// process happens to fire the gate.
 func (g *Gate) OnFireArg(cb func(any), arg any) {
 	if g.fired {
 		cb(arg)
 		return
 	}
-	g.cbs = append(g.cbs, gateCB{afn: cb, arg: arg})
+	g.cbs = append(g.cbs, gateCB{fn: cb, arg: arg})
 }
 
 // Wait blocks p until the gate fires. Returns immediately if already fired.
@@ -134,94 +116,6 @@ func (p *Proc) Wait(g *Gate) {
 	}
 	g.waiters = append(g.waiters, p)
 	p.park("gate")
-}
-
-// WaitAny blocks p until at least one of the gates fires and returns the
-// index of the first fired gate (lowest index wins when several have fired).
-// An empty gate list returns -1 immediately. The gate list may contain
-// duplicates (aliased gates): each distinct gate registers the waiter once,
-// and every registration is removed on wake, so no stale waiter survives to
-// spuriously resume the process from a later park.
-func (p *Proc) WaitAny(gates ...*Gate) int {
-	for i, g := range gates {
-		if g.fired {
-			return i
-		}
-	}
-	if len(gates) == 0 {
-		return -1
-	}
-	for i, g := range gates {
-		if dupGate(gates[:i], g) {
-			continue
-		}
-		g.waiters = append(g.waiters, p)
-	}
-	p.park("gate-any")
-	idx := -1
-	for i, g := range gates {
-		if g.fired && idx < 0 {
-			idx = i
-		}
-		if !g.fired && !dupGate(gates[:i], g) {
-			g.removeWaiter(p)
-		}
-	}
-	if idx < 0 {
-		panic("sim: WaitAny woke with no fired gate")
-	}
-	return idx
-}
-
-// dupGate reports whether g already appears in the prefix (gate lists are
-// short, so the quadratic scan beats allocating a set).
-func dupGate(prefix []*Gate, g *Gate) bool {
-	for _, h := range prefix {
-		if h == g {
-			return true
-		}
-	}
-	return false
-}
-
-// removeWaiter removes every registration of p from the waiter list, so a
-// process that registered more than once (or is being cleaned up defensively)
-// cannot be left behind as a stale waiter.
-func (g *Gate) removeWaiter(p *Proc) {
-	out := g.waiters[:0]
-	for _, w := range g.waiters {
-		if w != p {
-			out = append(out, w)
-		}
-	}
-	for i := len(out); i < len(g.waiters); i++ {
-		g.waiters[i] = nil
-	}
-	g.waiters = out
-}
-
-// WaitTimeout blocks p until the gate fires or d seconds of virtual time
-// pass, whichever comes first, and reports whether the gate fired. A
-// non-positive d polls: it returns the gate's current state without
-// blocking. The deadline wakeup is booked before parking; a gate firing
-// earlier pulls the wakeup forward (Fire uses wakeNoLater), and a timeout
-// deregisters the waiter so the gate's eventual Fire cannot spuriously
-// resume the process from a later park.
-func (p *Proc) WaitTimeout(g *Gate, d float64) bool {
-	if g.fired {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	g.waiters = append(g.waiters, p)
-	p.eng.wakeAt(p.eng.now+d, p)
-	p.swap("gate-timeout")
-	if !g.fired {
-		g.removeWaiter(p)
-		return false
-	}
-	return true
 }
 
 // WaitAll blocks p until every gate has fired.

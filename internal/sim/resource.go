@@ -144,9 +144,6 @@ func (r *Resource) ReserveAs(consumer string, ready, dur float64) (start, done f
 	return start, done
 }
 
-// NextFree reports the earliest time a new reservation could start.
-func (r *Resource) NextFree() float64 { return r.free }
-
 // BusyTime reports the total time the resource has been reserved.
 func (r *Resource) BusyTime() float64 { return r.stats.BusyTime }
 
@@ -162,10 +159,4 @@ func (r *Resource) Snapshot() ResourceStats {
 		}
 	}
 	return s
-}
-
-// Reset clears the reservation state (used between benchmark repetitions).
-func (r *Resource) Reset() {
-	r.free = 0
-	r.stats = ResourceStats{}
 }

@@ -143,20 +143,27 @@ func TestResourceConsumerAccounting(t *testing.T) {
 	}
 }
 
-func TestResourceResetClearsStats(t *testing.T) {
-	r := NewResource("nic")
-	r.Reserve(0, 4)
-	r.Reserve(1, 2)
-	r.Reset()
-	st := r.Snapshot()
-	if st.Reservations != 0 || st.BusyTime != 0 || st.QueueWait != 0 ||
-		st.PeakBacklog != 0 || st.FirstStart != 0 || st.LastDone != 0 {
-		t.Errorf("reset left stats behind: %+v", st)
+// TestReservePerturb checks that an installed perturbation stretches the
+// booked duration, feeds the accounting, and keeps FIFO semantics.
+func TestReservePerturb(t *testing.T) {
+	r := NewResource("cpu")
+	r.Perturb = func(start, dur float64) float64 { return dur * 2 }
+	start, done := r.Reserve(1, 3)
+	if start != 1 || done != 7 {
+		t.Errorf("perturbed Reserve = (%g, %g), want (1, 7)", start, done)
 	}
-	if r.NextFree() != 0 {
-		t.Errorf("reset left free = %g", r.NextFree())
+	if bt := r.BusyTime(); bt != 6 {
+		t.Errorf("BusyTime = %g, want the perturbed 6", bt)
 	}
-	if st.Name != "nic" {
-		t.Errorf("name lost on reset: %q", st.Name)
+	// The next reservation queues behind the stretched one.
+	start, done = r.Reserve(2, 1)
+	if start != 7 || done != 9 {
+		t.Errorf("second Reserve = (%g, %g), want (7, 9)", start, done)
+	}
+	// Negative perturbation results clamp to zero.
+	r.Perturb = func(start, dur float64) float64 { return -5 }
+	start, done = r.Reserve(20, 1)
+	if start != 20 || done != 20 {
+		t.Errorf("clamped Reserve = (%g, %g), want (20, 20)", start, done)
 	}
 }

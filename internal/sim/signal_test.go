@@ -114,21 +114,12 @@ func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
 	ran := false
 	e.Spawn("a", func(p *Proc) {
 		g.Fire()
-		g.OnFire(func() { ran = true })
+		g.OnFireArg(func(any) { ran = true }, nil)
 		if !ran {
-			t.Error("OnFire on fired gate did not run inline")
+			t.Error("OnFireArg on fired gate did not run inline")
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x")
-	r.Reserve(0, 5)
-	r.Reset()
-	if r.NextFree() != 0 || r.BusyTime() != 0 {
-		t.Errorf("reset did not clear: free=%g busy=%g", r.NextFree(), r.BusyTime())
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 
 	"commoverlap/internal/cache"
@@ -214,9 +215,19 @@ func (g Grid) validate() error {
 	if g.LaunchPPN <= 0 {
 		return fmt.Errorf("tune: launch PPN %d", g.LaunchPPN)
 	}
+	for _, ndup := range g.NDups {
+		if ndup <= 0 || ndup > maxNDup {
+			return fmt.Errorf("tune: grid N_DUP %d outside 1..%d", ndup, maxNDup)
+		}
+	}
 	for _, ppn := range g.PPNs {
 		if ppn <= 0 || ppn > g.LaunchPPN {
 			return fmt.Errorf("tune: grid PPN %d outside 1..%d", ppn, g.LaunchPPN)
+		}
+	}
+	for _, proto := range g.Protocols {
+		if proto.ChunkBytes != 0 && proto.ChunkBytes < minChunkBytes {
+			return fmt.Errorf("tune: grid chunk_bytes %d below %d", proto.ChunkBytes, minChunkBytes)
 		}
 	}
 	for _, prog := range g.Progresses {
@@ -258,6 +269,32 @@ func (g Grid) cellsFor(k Kernel) []Params {
 		}
 	}
 	return out
+}
+
+// cellCount is len(g.cellsFor(k)) for a kernel of operation op, computed
+// without building the cells, so checking an oversized grid costs time
+// linear in its axis lengths rather than in their product. Past maxCells
+// it stops counting and returns what it has.
+func (g Grid) cellCount(op string) int {
+	ppns := slices.Clone(g.PPNs)
+	slices.Sort(ppns)
+	n := 0
+	for _, alg := range g.algsFor(op) {
+		protos := 0
+		for _, proto := range g.Protocols {
+			if !skipProto(op, alg, proto) {
+				protos++
+			}
+		}
+		for _, prog := range g.progressesFor(alg) {
+			// The PPNs that leave room for the agents: ppn+lanes <= LaunchPPN.
+			fit, _ := slices.BinarySearch(ppns, g.LaunchPPN-progress.MustParse(prog).LanesNeeded()+1)
+			if n += len(g.NDups) * protos * fit; n > maxCells {
+				return n
+			}
+		}
+	}
+	return n
 }
 
 // progressesFor filters the grid's progress-engine axis for one algorithm:
@@ -569,22 +606,67 @@ type Options struct {
 	OnCell func(kernel string, c Cell, done, total int)
 }
 
+// The limits one search may ask for, so that a single request to the
+// tuning service cannot pin a worker or exhaust memory. The built-in grids
+// over DefaultKernels stay inside them: at most 64 x 8 = 512 ranks,
+// 16 MiB, N_DUP 8, 64 KiB chunks, and 7,760 cells (FullGrid).
+const (
+	maxRanks      = 1024     // nodes x launch PPN of one cell
+	maxBytes      = 64 << 20 // one kernel's payload
+	maxNDup       = 64       // one N_DUP axis entry
+	minChunkBytes = 64 << 10 // a chunk_bytes override
+	maxCells      = 8192     // cells in one search
+)
+
+func (o Options) kernels() []Kernel {
+	if o.Kernels == nil {
+		return DefaultKernels()
+	}
+	return o.Kernels
+}
+
+// Plan checks a search before it runs — the grid, every kernel, and the
+// size limits above — and returns how many cells it will measure. Search
+// calls it first; the tuning service calls it on submit, so a request it
+// would refuse fails there instead of inside a queued job.
+func (o Options) Plan() (cells int, err error) {
+	g := o.Grid
+	if err := g.validate(); err != nil {
+		return 0, err
+	}
+	perOp := make(map[string]int) // a kernel's cell count depends only on its op
+	for _, k := range o.kernels() {
+		if k.Bytes > maxBytes {
+			return 0, fmt.Errorf("tune: kernel bytes %d over the %d limit", k.Bytes, maxBytes)
+		}
+		if k.Nodes > maxRanks/g.LaunchPPN {
+			return 0, fmt.Errorf("tune: kernel nodes %d x launch PPN %d over the %d-rank limit",
+				k.Nodes, g.LaunchPPN, maxRanks)
+		}
+		if err := k.validate(); err != nil {
+			return 0, err
+		}
+		n, ok := perOp[k.Op]
+		if !ok {
+			n = g.cellCount(k.Op)
+			perOp[k.Op] = n
+		}
+		if cells += n; cells > maxCells {
+			return 0, fmt.Errorf("tune: search of more than %d cells", maxCells)
+		}
+	}
+	return cells, nil
+}
+
 // Search sweeps the grid over every kernel and returns the tuning table.
 // All cells across all kernels fan through one index-keyed worker pool, so
 // the result is byte-identical at any worker count.
 func Search(opts Options) (*Table, error) {
-	if err := opts.Grid.validate(); err != nil {
+	total, err := opts.Plan()
+	if err != nil {
 		return nil, err
 	}
-	kernels := opts.Kernels
-	if kernels == nil {
-		kernels = DefaultKernels()
-	}
-	for _, k := range kernels {
-		if err := k.validate(); err != nil {
-			return nil, err
-		}
-	}
+	kernels := opts.kernels()
 	store := opts.Cache
 	if store == nil {
 		store = cache.New(0)
@@ -595,7 +677,7 @@ func Search(opts Options) (*Table, error) {
 		params Params
 		hash   string
 	}
-	var cases []caseRef
+	cases := make([]caseRef, 0, total)
 	perKernel := make([][]Params, len(kernels))
 	for ki, k := range kernels {
 		perKernel[ki] = opts.Grid.cellsFor(k)

@@ -249,5 +249,68 @@ func TestGridCellFiltering(t *testing.T) {
 	}
 }
 
+// TestPlanCountsAndLimits: Plan's closed-form count matches the cells a
+// search builds, the built-in grids sit inside the limits, and a search
+// over any limit is refused before a cell runs.
+func TestPlanCountsAndLimits(t *testing.T) {
+	odd := Grid{Name: "odd", NDups: []int{2, 1, 2}, PPNs: []int{3, 1, 3, 2}, LaunchPPN: 3,
+		Protocols:  []Params{{}, {BcastLongMsg: 1}, {ReduceLongMsg: 1}, {EagerLimit: 1}},
+		Algs:       []string{mpi.AlgAuto, mpi.AlgRing, mpi.AlgRing, mpi.AlgBinomial, "bogus"},
+		Progresses: []string{"", "rank2", "rank1", "dma", "rank5"}}
+	for _, g := range []Grid{QuickGrid(), FullGrid(), odd} {
+		for _, op := range []string{"bcast", "reduce", "allreduce", "dp", "zero", "pipeline"} {
+			if got, want := g.cellCount(op), len(g.cellsFor(Kernel{Op: op})); got != want {
+				t.Errorf("%s grid, %s: cellCount %d, cellsFor %d", g.Name, op, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		g    Grid
+		want int
+	}{{QuickGrid(), 360}, {FullGrid(), 7760}} {
+		if got, err := (Options{Grid: tc.g}).Plan(); err != nil || got != tc.want {
+			t.Errorf("%s grid over DefaultKernels: Plan = %d, %v; want %d cells", tc.g.Name, got, err, tc.want)
+		}
+	}
+	small := func() Grid {
+		return Grid{Name: "s", NDups: []int{1}, PPNs: []int{1}, LaunchPPN: 4, Protocols: []Params{{}}}
+	}
+	k := Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}
+	for _, tc := range []struct {
+		name string
+		edit func(*Grid, *Kernel)
+		ok   bool
+	}{
+		{"at every limit", func(g *Grid, k *Kernel) {
+			k.Bytes, k.Nodes = maxBytes, maxRanks/4
+			g.NDups, g.Protocols = []int{maxNDup}, []Params{{ChunkBytes: minChunkBytes}}
+		}, true},
+		{"bytes", func(g *Grid, k *Kernel) { k.Bytes = maxBytes + 1 }, false},
+		{"ranks", func(g *Grid, k *Kernel) { k.Nodes = maxRanks/4 + 1 }, false},
+		{"ndup", func(g *Grid, k *Kernel) { g.NDups = []int{maxNDup + 1} }, false},
+		{"zero ndup", func(g *Grid, k *Kernel) { g.NDups = []int{0} }, false},
+		{"chunk", func(g *Grid, k *Kernel) { g.Protocols = []Params{{ChunkBytes: minChunkBytes - 1}} }, false},
+		{"cells", func(g *Grid, k *Kernel) {
+			g.NDups = make([]int, maxCells+1) // 8193 copies of N_DUP 1
+			for i := range g.NDups {
+				g.NDups[i] = 1
+			}
+		}, false},
+	} {
+		g, kk := small(), k
+		tc.edit(&g, &kk)
+		_, err := (Options{Grid: g, Kernels: []Kernel{kk}}).Plan()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Plan error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	// Search runs Plan first: an over-limit search measures nothing.
+	_, err := Search(Options{Grid: small(), Kernels: []Kernel{{Op: "reduce", Bytes: 1 << 20, Nodes: 100000}},
+		OnCell: func(string, Cell, int, int) { t.Error("over-limit search measured a cell") }})
+	if err == nil {
+		t.Error("Search accepted a 100000-node kernel")
+	}
+}
+
 // MustLanes is a test shorthand for the agent-lane demand of a progress label.
 func MustLanes(label string) int { return progress.MustParse(label).LanesNeeded() }
