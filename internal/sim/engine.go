@@ -2,27 +2,31 @@
 // discrete-event simulator.
 //
 // Simulation processes are goroutines, but exactly one process executes at
-// any instant: the engine resumes the process with the earliest pending
-// event, the process runs until it blocks (Sleep, gate wait, park), and
-// control returns to the engine. This cooperative scheme makes all shared
-// state mutation race-free and the whole simulation deterministic: two runs
-// with the same inputs produce identical virtual-time traces.
+// any instant. There is no scheduler goroutine in the loop: a process that
+// blocks (Sleep, gate wait, park) or finishes dispatches the next event
+// itself. It pops the earliest event, advances the clock and hands control
+// straight to that event's process, or keeps running if the event is its own
+// wakeup. Run only starts the chain and waits for it to end. This
+// cooperative scheme makes all shared state mutation race-free (every
+// handoff is a channel operation) and the whole simulation deterministic:
+// two runs with the same inputs produce identical virtual-time traces.
 //
-// Virtual time is a float64 in seconds. The clock only moves when the engine
-// pops an event; a running process acts at the engine's current time.
+// Virtual time is a float64 in seconds. The clock only moves when an event
+// is dispatched; a running process acts at the engine's current time.
 //
 // The scheduler is written for host speed (see MODEL.md §8): the event heap
 // is typed (no container/heap interface boxing, so pushing an event does not
-// allocate), a process whose next wakeup is the earliest pending event
-// dispatches it inline without the yield/resume channel round trip, and the
-// goroutines backing finished processes are parked on a free list and reused
-// by later Spawn calls instead of being torn down and recreated. None of
-// these change the schedule: the dispatch order remains the strict
-// (time, sequence) order of the event heap.
+// allocate), a handoff between two processes is a single goroutine switch,
+// a process whose own wakeup is dispatched next keeps running with no switch
+// at all, and the goroutines backing finished processes are parked on a free
+// list and reused by later Spawn calls instead of being torn down and
+// recreated. None of these change the schedule: the dispatch order remains
+// the strict (time, sequence) order of the event heap.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -32,12 +36,16 @@ type Engine struct {
 	now    float64
 	events eventHeap
 	seq    int64
-	yield  chan struct{}
 	live   map[*Proc]struct{}
 	idseq  int
 	closed bool
 	tie    TieBreak
 	hook   func(t float64, p *Proc)
+
+	// done wakes Run: the process that finds no event left to dispatch
+	// sends on it, and so does each process goroutine as it exits during
+	// Run's teardown.
+	done chan struct{}
 
 	// pool holds the parked goroutines of finished processes, ready to be
 	// re-armed by Spawn. Run releases them when the simulation ends so an
@@ -126,8 +134,8 @@ func (h *eventHeap) pop() event {
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
+		done: make(chan struct{}),
+		live: make(map[*Proc]struct{}),
 	}
 }
 
@@ -135,15 +143,18 @@ func NewEngine() *Engine {
 func (e *Engine) Now() float64 { return e.now }
 
 // SetTieBreak installs a policy for ordering same-time events. A nil policy
-// (the default) is equivalent to FIFO and skips the tie-collection work in
-// the hot loop. Install a policy before Run; changing it mid-run is legal
-// but makes the schedule hard to describe. Installing any non-nil policy
-// also disables the self-wake dispatch fast path, so every event flows
-// through the engine loop where the policy can observe ties.
+// (the default) is equivalent to FIFO and skips the tie-collection work on
+// every dispatch. Install a policy before Run; changing it mid-run is legal
+// but makes the schedule hard to describe. The policy sees every tie, the
+// blocking process's own wakeup included: when it picks that wakeup, the
+// process keeps running inline exactly as it does with no policy.
 func (e *Engine) SetTieBreak(tb TieBreak) { e.tie = tb }
 
 // SetEventHook installs an observer called once per dispatched event, after
 // the clock has advanced to the event's time and before the process resumes.
+// It runs on the goroutine doing the dispatch (Run's for the first event,
+// then the process that blocked or finished), but calls are still
+// serialized, one per event in dispatch order, so the hook needs no lock.
 // The hook must not call back into the engine. Checkers use it to assert
 // virtual-clock monotonicity and to count scheduling decisions.
 func (e *Engine) SetEventHook(h func(t float64, p *Proc)) { e.hook = h }
@@ -211,9 +222,13 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // run is the persistent body of a process goroutine: execute the assigned
-// function, park on the engine's free list, wait for the next assignment.
-// A nil assignment is the release signal from Run's teardown.
+// function, park on the engine's free list, dispatch the next event, wait for
+// the next assignment. A nil assignment is the release signal from Run's
+// teardown. The deferred send tells Run the goroutine is gone, whether it
+// returns here or a blocked process exits through runtime.Goexit in swap.
 func (p *Proc) run() {
+	e := p.eng
+	defer func() { e.done <- struct{}{} }()
 	for {
 		<-p.resume
 		fn := p.fn
@@ -222,10 +237,9 @@ func (p *Proc) run() {
 		}
 		p.fn = nil
 		fn(p)
-		e := p.eng
 		delete(e.live, p)
 		e.pool = append(e.pool, p)
-		e.yield <- struct{}{}
+		e.handoff(e.next())
 	}
 }
 
@@ -246,35 +260,77 @@ func (e *Engine) wakeAt(t float64, p *Proc) {
 
 // Run executes the simulation until no events remain. It returns an error if
 // processes are still alive but permanently blocked (deadlock), listing them.
+// Run may be called once per engine.
 func (e *Engine) Run() error {
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		if e.tie != nil && len(e.events) > 0 && e.events[0].t == ev.t {
-			ev = e.breakTie(ev)
-		}
-		if ev.t < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.t))
-		}
-		e.now = ev.t
-		if e.hook != nil {
-			e.hook(ev.t, ev.p)
-		}
-		ev.p.pending = false
-		ev.p.resume <- struct{}{}
-		<-e.yield
+	if e.closed {
+		panic("sim: Run called twice")
+	}
+	if p := e.next(); p != nil {
+		p.resume <- struct{}{}
+		<-e.done
 	}
 	e.closed = true
-	// Release the pooled goroutines: a nil assignment makes run() return.
-	for _, p := range e.pool {
-		p.fn = nil
-		p.resume <- struct{}{}
-	}
-	e.pool = nil
+	var err error
 	if len(e.live) > 0 {
 		names := e.LiveProcs()
-		return fmt.Errorf("sim: deadlock, %d live processes: %v", len(names), names)
+		err = fmt.Errorf("sim: deadlock, %d live processes: %v", len(names), names)
 	}
-	return nil
+	e.release()
+	return err
+}
+
+// release ends every goroutine the engine still owns, pooled and blocked
+// alike, one at a time in Proc.ID order, and waits for each to exit. A pooled
+// goroutine finds no assignment and returns; a blocked one resumes on the
+// closed engine and exits through runtime.Goexit, running its body's
+// deferred calls. Blocked processes stay in the live set, so Live and
+// LiveProcs still describe a deadlock afterwards.
+func (e *Engine) release() {
+	procs := e.pool
+	e.pool = nil
+	for p := range e.live {
+		procs = append(procs, p)
+	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i].ID < procs[j].ID })
+	for _, p := range procs {
+		p.fn = nil
+		p.resume <- struct{}{}
+		<-e.done
+	}
+}
+
+// next dispatches the earliest pending event: it pops the event (letting the
+// tie-break policy pick among same-time events), advances the clock, calls
+// the hook and returns the process to resume, or nil when no events remain.
+// Whichever goroutine holds control calls it (Run for the first event, then
+// the process that blocks or finishes), so one call runs at a time.
+func (e *Engine) next() *Proc {
+	if len(e.events) == 0 {
+		return nil
+	}
+	ev := e.events.pop()
+	if e.tie != nil && len(e.events) > 0 && e.events[0].t == ev.t {
+		ev = e.breakTie(ev)
+	}
+	if ev.t < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.t))
+	}
+	e.now = ev.t
+	if e.hook != nil {
+		e.hook(ev.t, ev.p)
+	}
+	ev.p.pending = false
+	return ev.p
+}
+
+// handoff passes control to q, or back to Run when q is nil because no
+// events remain.
+func (e *Engine) handoff(q *Proc) {
+	if q == nil {
+		e.done <- struct{}{}
+		return
+	}
+	q.resume <- struct{}{}
 }
 
 // breakTie collects every event tied with ev at the same virtual time, asks
@@ -320,28 +376,26 @@ func (p *Proc) park(why string) {
 	p.swap(why)
 }
 
-// swap transfers control to the engine and waits to be resumed.
-//
-// Fast path: when the earliest pending event is this process's own wakeup
-// and no tie-break policy is installed, the engine loop would immediately
-// resume us — so dispatch the event inline and keep running, skipping both
-// channel handoffs and the goroutine switch. This is safe because exactly
-// one process executes at any instant (the engine goroutine is parked in
-// <-yield while we run), and it preserves the schedule exactly: the event
-// dispatched is the same one the engine loop would have chosen.
+// swap blocks p and dispatches the next event in its place. When that event
+// is p's own wakeup (a Sleep(0) with no tied peer, a lone sleeper whose
+// wakeup is earliest, or the tie-break policy's pick), p keeps running
+// inline with no goroutine switch. Otherwise p hands control straight to the
+// event's process (or to Run when no events remain) and waits on its own
+// resume channel: one goroutine switch per handoff. The event dispatched is
+// the one the heap order dictates whichever goroutine pops it, so the
+// schedule does not depend on who dispatches. A process resumed after Run
+// has closed the engine is being torn down and exits via runtime.Goexit.
 func (p *Proc) swap(why string) {
 	e := p.eng
-	if e.tie == nil && len(e.events) > 0 && e.events[0].p == p {
-		ev := e.events.pop()
-		e.now = ev.t // ev.t >= e.now: wakeAt clamps to the clock
-		if e.hook != nil {
-			e.hook(ev.t, p)
-		}
-		p.pending = false
+	q := e.next()
+	if q == p {
 		return
 	}
 	p.blockedOn = why
-	e.yield <- struct{}{}
+	e.handoff(q)
 	<-p.resume
+	if e.closed {
+		runtime.Goexit()
+	}
 	p.blockedOn = ""
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -321,4 +322,54 @@ func TestManyProcsStress(t *testing.T) {
 	if count != n {
 		t.Errorf("count=%d want %d", count, n)
 	}
+}
+
+// TestRunReleasesBlockedGoroutines checks that a Run ending in deadlock
+// leaves no goroutine behind: the blocked processes and the pooled goroutine
+// of a finished one all exit, blocked bodies run their deferred calls in
+// Proc.ID order, and Live/LiveProcs still describe the deadlock.
+func TestRunReleasesBlockedGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	g := e.NewGate()
+	var exited []int
+	for i := 0; i < 3; i++ {
+		e.Spawn("stuck", func(p *Proc) {
+			defer func() { exited = append(exited, p.ID) }()
+			p.Wait(g) // never fired
+		})
+	}
+	e.Spawn("done", func(p *Proc) { p.Sleep(1) })
+	if err := e.Run(); err == nil {
+		t.Fatal("expected deadlock error")
+	}
+	if e.Live() != 3 || len(e.LiveProcs()) != 3 {
+		t.Fatalf("Live() = %d, LiveProcs() = %v, want the 3 blocked processes", e.Live(), e.LiveProcs())
+	}
+	// A released goroutine can still be exiting after its last send, so let
+	// the scheduler settle for a bounded number of rounds.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("goroutines grew across a deadlocked Run: %d -> %d", before, after)
+	}
+	if fmt.Sprint(exited) != "[0 1 2]" {
+		t.Fatalf("blocked bodies unwound in order %v, want [0 1 2]", exited)
+	}
+}
+
+func TestRunTwicePanics(t *testing.T) {
+	e := NewEngine()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Run did not panic")
+		}
+	}()
+	e.Run()
 }

@@ -126,3 +126,82 @@ func TestResourceAudit(t *testing.T) {
 		t.Fatalf("second reservation audited as %v, want start 2 done 5", got[1])
 	}
 }
+
+// dispatchLog runs a body that blocks and wakes every way a process can:
+// Sleep(0), a lone sleeper whose wakeup is the earliest event, gate
+// Wait/Fire, WaitSignal/Notify and a Spawn from a running process. It
+// returns the event hook's "time/ID" sequence.
+func dispatchLog(t *testing.T, tb TieBreak) []string {
+	t.Helper()
+	e := NewEngine()
+	e.SetTieBreak(tb)
+	var log []string
+	e.SetEventHook(func(tm float64, p *Proc) { log = append(log, fmt.Sprintf("%g/%d", tm, p.ID)) })
+	g := e.NewGate()
+	s := e.NewSignal()
+	e.Spawn("a", func(p *Proc) {
+		p.Sleep(0)
+		p.Sleep(1)
+		p.Sleep(0)    // alone at t=1
+		p.Sleep(0.25) // lone sleeper: its wakeup is the earliest event
+		g.Fire()
+	})
+	e.Spawn("b", func(p *Proc) {
+		p.Wait(g)
+		e.Spawn("child", func(c *Proc) {
+			c.Sleep(0)
+			c.Sleep(0.5)
+		})
+		p.WaitSignal(s)
+		p.Sleep(0)
+	})
+	e.Spawn("c", func(p *Proc) {
+		p.Sleep(0)
+		p.Sleep(2)
+		s.Notify()
+		p.Sleep(0) // tied with b's wakeup
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// TestDispatchPathsMatchAcrossPolicies pins the hook sequence of every
+// dispatch path and requires FIFO to reproduce the no-policy schedule
+// exactly, self-wakes dispatched inline included.
+func TestDispatchPathsMatchAcrossPolicies(t *testing.T) {
+	const want = "[0/0 0/1 0/2 0/0 0/2 1/0 1/0 1.25/0 1.25/1 1.25/3 1.25/3 1.75/3 2/2 2/1 2/2 2/1]"
+	def := fmt.Sprint(dispatchLog(t, nil))
+	fifo := fmt.Sprint(dispatchLog(t, FIFO()))
+	if def != want {
+		t.Errorf("no policy: hook sequence\n%s\nwant\n%s", def, want)
+	}
+	if fifo != def {
+		t.Errorf("FIFO hook sequence\n%s\ndiffers from no policy\n%s", fifo, def)
+	}
+}
+
+// TestLIFOSleepZeroRunsInline checks that a process doing Sleep(0) among
+// tied peers is the LIFO pick (its wakeup is the newest) and so resumes next,
+// before any peer runs, on the inline self-wake path.
+func TestLIFOSleepZeroRunsInline(t *testing.T) {
+	e := NewEngine()
+	e.SetTieBreak(LIFO())
+	var ran, hook []int
+	e.SetEventHook(func(_ float64, p *Proc) { hook = append(hook, p.ID) })
+	for i := 0; i < 3; i++ {
+		e.Spawn("tied", func(p *Proc) {
+			ran = append(ran, p.ID)
+			p.Sleep(0)
+			ran = append(ran, p.ID)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "[2 2 1 1 0 0]"
+	if fmt.Sprint(ran) != want || fmt.Sprint(hook) != want {
+		t.Fatalf("LIFO ran %v with hook sequence %v, want %s for both", ran, hook, want)
+	}
+}
