@@ -204,15 +204,16 @@ type Server struct {
 	http    *http.Server
 	ln      net.Listener
 
-	// mu guards jobs, seq, peak and drain. drain flips and the queue closes
-	// under it, and submissions check drain and send under it, so a send
-	// never meets a closed queue.
-	mu    sync.Mutex
-	jobs  map[string]*job
-	seq   int
-	peak  int // high-water aggregate granted workers
-	drain bool
-	wg    sync.WaitGroup
+	// mu guards jobs, finished, seq, peak and drain. drain flips and the
+	// queue closes under it, and submissions check drain and send under it,
+	// so a send never meets a closed queue.
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string // IDs of the jobs in jobs that have finished, oldest first
+	seq      int
+	peak     int // high-water aggregate granted workers
+	drain    bool
+	wg       sync.WaitGroup
 
 	// testHold, when set before Start, is called by each job runner right
 	// after a job enters StateRunning; tests block in it to pin a job in
@@ -334,7 +335,14 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, table, err)
 }
 
-// finishJob records the terminal state and the canonical result bytes.
+// maxFinishedJobs is how many finished jobs the server remembers. Finishing
+// one more forgets the oldest finished job, result bytes and event log
+// included, and its ID then answers 404 like an unknown one. Queued and
+// running jobs are never forgotten.
+const maxFinishedJobs = 1024
+
+// finishJob records the terminal state and the canonical result bytes, and
+// forgets the oldest finished job once more than maxFinishedJobs are kept.
 func (s *Server) finishJob(j *job, table *tune.Table, err error) {
 	var buf bytes.Buffer
 	state := StateDone
@@ -355,6 +363,14 @@ func (s *Server) finishJob(j *job, table *tune.Table, err error) {
 	}
 	j.mu.Unlock()
 	j.append(CellEvent{State: state})
+
+	s.mu.Lock()
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
 }
 
 // maxRequestBytes bounds a POST /jobs body; a real job request, even with

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"commoverlap/internal/cache"
+	"commoverlap/internal/tune"
 )
 
 // testRequest is a small job sized for unit tests.
@@ -554,4 +555,52 @@ func jobResult(base, id string) ([]byte, error) {
 		return nil, fmt.Errorf("result: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 	return body, nil
+}
+
+// TestServerForgetsOldestFinishedJobs finishes one job more than the server
+// remembers: the oldest finished job answers 404 like an unknown ID, the
+// newest keeps its result bytes, and a job still queued is never forgotten.
+func TestServerForgetsOldestFinishedJobs(t *testing.T) {
+	srv, base := startServer(t, Config{Cache: cache.New(0)})
+	newJob := func(id string) *job {
+		j := &job{id: id, wake: make(chan struct{})}
+		j.status = JobStatus{ID: id, State: StateQueued}
+		srv.mu.Lock()
+		srv.jobs[id] = j
+		srv.mu.Unlock()
+		return j
+	}
+	newJob("queued")
+	var newest bytes.Buffer
+	for i := 1; i <= maxFinishedJobs+1; i++ {
+		table := &tune.Table{SearchSeed: int64(i)}
+		srv.finishJob(newJob(fmt.Sprintf("job-%d", i)), table, nil)
+		if i == maxFinishedJobs+1 {
+			if err := table.WriteJSON(&newest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var stats ServerStats
+	getJSON(t, base+"/stats", &stats)
+	if stats.Jobs != maxFinishedJobs+1 {
+		t.Errorf("stats report %d jobs, want %d finished plus 1 queued", stats.Jobs, maxFinishedJobs)
+	}
+	for id, want := range map[string]int{"job-1": http.StatusNotFound, "job-2": http.StatusOK, "queued": http.StatusOK} {
+		resp, err := http.Get(base + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /jobs/%s: %s, want %d", id, resp.Status, want)
+		}
+	}
+	body, err := jobResult(base, fmt.Sprintf("job-%d", maxFinishedJobs+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, newest.Bytes()) {
+		t.Errorf("newest job's result changed:\n%s\nwant\n%s", body, newest.Bytes())
+	}
 }

@@ -15,3 +15,15 @@ func TestAllocBudgetEventDispatch(t *testing.T) {
 		t.Errorf("event dispatch: %d allocs/op, budget 0", got)
 	}
 }
+
+// TestAllocBudgetStepDispatch pins step-process dispatch at zero allocations
+// per event, as TestAllocBudgetEventDispatch does for goroutine processes.
+func TestAllocBudgetStepDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets need benchmark iterations")
+	}
+	res := testing.Benchmark(BenchmarkStepThroughput)
+	if got := res.AllocsPerOp(); got != 0 {
+		t.Errorf("step dispatch: %d allocs/op, budget 0", got)
+	}
+}

@@ -56,3 +56,27 @@ func BenchmarkResourceReserve(b *testing.B) {
 		ready = done - 5e-7
 	}
 }
+
+// BenchmarkStepThroughput is BenchmarkEventThroughput for step processes:
+// 64 of them book a wakeup one virtual second ahead on every event, and each
+// event is a step function call on the dispatching goroutine.
+func BenchmarkStepThroughput(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	const procs = 64
+	end := float64(b.N) / procs
+	for i := 0; i < procs; i++ {
+		e.SpawnStep("p", func(p *Proc) {
+			if p.Now() >= end {
+				p.Exit()
+				return
+			}
+			p.WakeAt(p.Now() + 1)
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}

@@ -1,25 +1,33 @@
 // Package sim provides a sequential, deterministic, process-oriented
 // discrete-event simulator.
 //
-// Simulation processes are goroutines, but exactly one process executes at
-// any instant. There is no scheduler goroutine in the loop: a process that
-// blocks (Sleep, gate wait, park) or finishes dispatches the next event
-// itself. It pops the earliest event, advances the clock and hands control
-// straight to that event's process, or keeps running if the event is its own
-// wakeup. Run only starts the chain and waits for it to end. This
-// cooperative scheme makes all shared state mutation race-free (every
-// handoff is a channel operation) and the whole simulation deterministic:
-// two runs with the same inputs produce identical virtual-time traces.
+// A simulation process comes in one of two forms. A goroutine process
+// (Spawn) runs a body function on its own goroutine and blocks in Sleep,
+// gate waits and parks. A step process (SpawnStep) has no goroutine: it is a
+// state machine whose step function the engine calls each time one of its
+// events is dispatched, and which books its next event with WakeAt before
+// returning. Exactly one process executes at any instant. There is no
+// scheduler goroutine in the loop: a goroutine process that blocks or
+// finishes dispatches the next events itself. It pops the earliest event,
+// advances the clock and runs the step function inline if the event belongs
+// to a step process, repeating until it reaches an event of a goroutine
+// process. It then hands control straight to that process, or keeps running
+// if the event is its own wakeup. Run only starts the chain and waits for it
+// to end. This cooperative scheme makes all shared state mutation race-free
+// (every handoff between goroutines is a channel operation) and the whole
+// simulation deterministic: two runs with the same inputs produce identical
+// virtual-time traces.
 //
 // Virtual time is a float64 in seconds. The clock only moves when an event
 // is dispatched; a running process acts at the engine's current time.
 //
 // The scheduler is written for host speed (see MODEL.md §8): the event heap
 // is typed (no container/heap interface boxing, so pushing an event does not
-// allocate), a handoff between two processes is a single goroutine switch,
-// a process whose own wakeup is dispatched next keeps running with no switch
-// at all, and the goroutines backing finished processes are parked on a free
-// list and reused by later Spawn calls instead of being torn down and
+// allocate), a step process's event costs a function call, a handoff between
+// two goroutine processes is a single goroutine switch, a process whose own
+// wakeup is dispatched next keeps running with no switch at all, and
+// finished processes are parked on free lists (goroutine and all) and reused
+// by later Spawn and SpawnStep calls instead of being torn down and
 // recreated. None of these change the schedule: the dispatch order remains
 // the strict (time, sequence) order of the event heap.
 package sim
@@ -31,7 +39,8 @@ import (
 )
 
 // Engine is the simulation scheduler. Create one with NewEngine, add
-// processes with Spawn, then call Run to execute until no events remain.
+// processes with Spawn or SpawnStep, then call Run to execute until no
+// events remain.
 type Engine struct {
 	now    float64
 	events eventHeap
@@ -51,6 +60,9 @@ type Engine struct {
 	// re-armed by Spawn. Run releases them when the simulation ends so an
 	// abandoned engine does not pin goroutines (and through them, itself).
 	pool []*Proc
+
+	// stepPool holds the Procs of exited step processes for SpawnStep.
+	stepPool []*Proc
 
 	// gatePool holds gates recycled via FreeGate, ready to be re-armed by
 	// NewGate with their waiter/callback slice capacity intact. Owned by the
@@ -174,16 +186,18 @@ func (e *Engine) LiveProcs() []string {
 	return names
 }
 
-// Proc is a simulation process. All methods must be called from the
-// goroutine running the process's body function.
+// Proc is a simulation process. The blocking methods (SleepUntil, Sleep,
+// Wait) must be called from the goroutine running a goroutine process's body
+// function; Exit only from a step process's own step function.
 type Proc struct {
 	eng       *Engine
 	ID        int
 	Name      string
-	resume    chan struct{}
-	pending   bool // an event for this proc is scheduled and not yet delivered
+	resume    chan struct{} // nil for a step process
+	pending   bool          // an event for this proc is scheduled and not yet delivered
 	blockedOn string
 	fn        func(p *Proc) // body to run on next resume (pooled goroutines)
+	step      func(p *Proc) // a step process's step function; nil once it exits
 }
 
 // Eng returns the engine this process belongs to.
@@ -203,43 +217,95 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after Run returned")
 	}
-	var p *Proc
-	if n := len(e.pool); n > 0 {
-		p = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		p.ID = e.idseq
-		p.Name = name
-		p.fn = fn
-	} else {
-		p = &Proc{eng: e, ID: e.idseq, Name: name, resume: make(chan struct{}), fn: fn}
+	p := popProc(&e.pool)
+	if p == nil {
+		p = &Proc{eng: e, resume: make(chan struct{})}
 		go p.run()
 	}
+	p.fn = fn
+	return e.admit(p, name)
+}
+
+// SpawnStep creates a step process: a process with no goroutine, which the
+// engine drives by calling step each time one of its events is dispatched.
+// It takes its ID, its first event (at the current time) and that event's
+// hook call exactly as Spawn does. Inside step the process books its next
+// event with WakeAt, ends with Exit, or returns with neither and stays
+// parked until another process calls its WakeAt. step runs on whichever
+// goroutine dispatches the event, so it must not block: SleepUntil, Sleep and
+// Wait are for goroutine processes only. The Proc of an exited step process
+// is recycled by a later SpawnStep.
+func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: SpawnStep after Run returned")
+	}
+	p := popProc(&e.stepPool)
+	if p == nil {
+		p = &Proc{eng: e, blockedOn: "park"}
+	}
+	p.step = step
+	return e.admit(p, name)
+}
+
+// popProc takes the most recently freed Proc off a free list, or returns nil.
+func popProc(pool *[]*Proc) *Proc {
+	n := len(*pool)
+	if n == 0 {
+		return nil
+	}
+	p := (*pool)[n-1]
+	(*pool)[n-1] = nil
+	*pool = (*pool)[:n-1]
+	return p
+}
+
+// admit gives a new or recycled p the next ID and its name, adds it to the
+// live set and books its first event at the current time.
+func (e *Engine) admit(p *Proc, name string) *Proc {
+	p.ID = e.idseq
+	p.Name = name
 	e.idseq++
 	e.live[p] = struct{}{}
 	e.wakeAt(e.now, p)
 	return p
 }
 
+// WakeAt books p's next event at time t, or at the current time if t is
+// earlier. It is a no-op while p already has an event booked. A step process
+// calls it on itself to continue after a wait; any process may call it to
+// wake a parked step process.
+func (p *Proc) WakeAt(t float64) { p.eng.wakeAt(t, p) }
+
+// Exit ends a step process. It leaves the live set at once, and the engine
+// recycles the Proc when the step function returns. The process must have
+// no event booked, and nothing may use p after its step function returns.
+func (p *Proc) Exit() {
+	delete(p.eng.live, p)
+	p.step = nil
+}
+
 // run is the persistent body of a process goroutine: execute the assigned
-// function, park on the engine's free list, dispatch the next event, wait for
-// the next assignment. A nil assignment is the release signal from Run's
+// function, park on the engine's free list, dispatch the next events, wait
+// for the next assignment. A nil assignment is the release signal from Run's
 // teardown. The deferred send tells Run the goroutine is gone, whether it
 // returns here or a blocked process exits through runtime.Goexit in swap.
 func (p *Proc) run() {
 	e := p.eng
 	defer func() { e.done <- struct{}{} }()
-	for {
-		<-p.resume
+	<-p.resume
+	for p.fn != nil {
 		fn := p.fn
-		if fn == nil {
-			return
-		}
 		p.fn = nil
 		fn(p)
 		delete(e.live, p)
 		e.pool = append(e.pool, p)
-		e.handoff(e.next())
+		// A step process run by dispatch may Spawn, re-arm this very
+		// goroutine and get its first event dispatched: then the new body
+		// runs here with no handoff.
+		if q := e.dispatch(); q != p {
+			e.handoff(q)
+			<-p.resume
+		}
 	}
 }
 
@@ -265,7 +331,7 @@ func (e *Engine) Run() error {
 	if e.closed {
 		panic("sim: Run called twice")
 	}
-	if p := e.next(); p != nil {
+	if p := e.dispatch(); p != nil {
 		p.resume <- struct{}{}
 		<-e.done
 	}
@@ -283,13 +349,16 @@ func (e *Engine) Run() error {
 // alike, one at a time in Proc.ID order, and waits for each to exit. A pooled
 // goroutine finds no assignment and returns; a blocked one resumes on the
 // closed engine and exits through runtime.Goexit, running its body's
-// deferred calls. Blocked processes stay in the live set, so Live and
+// deferred calls. Parked step processes own no goroutine and are skipped.
+// Blocked processes of both kinds stay in the live set, so Live and
 // LiveProcs still describe a deadlock afterwards.
 func (e *Engine) release() {
 	procs := e.pool
-	e.pool = nil
+	e.pool, e.stepPool = nil, nil
 	for p := range e.live {
-		procs = append(procs, p)
+		if p.resume != nil {
+			procs = append(procs, p)
+		}
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].ID < procs[j].ID })
 	for _, p := range procs {
@@ -299,11 +368,28 @@ func (e *Engine) release() {
 	}
 }
 
+// dispatch dispatches events until it reaches one that belongs to a
+// goroutine process and returns that process, or nil when no events remain.
+// A step process's event runs inline: its step function is called right
+// here, on the dispatching goroutine, with no goroutine switch. Whichever
+// goroutine holds control calls it (Run for the first event, then the
+// goroutine process that blocks or finishes), so one call runs at a time.
+func (e *Engine) dispatch() *Proc {
+	for {
+		p := e.next()
+		if p == nil || p.resume != nil {
+			return p
+		}
+		p.step(p)
+		if p.step == nil {
+			e.stepPool = append(e.stepPool, p)
+		}
+	}
+}
+
 // next dispatches the earliest pending event: it pops the event (letting the
 // tie-break policy pick among same-time events), advances the clock, calls
-// the hook and returns the process to resume, or nil when no events remain.
-// Whichever goroutine holds control calls it (Run for the first event, then
-// the process that blocks or finishes), so one call runs at a time.
+// the hook and returns the event's process, or nil when no events remain.
 func (e *Engine) next() *Proc {
 	if len(e.events) == 0 {
 		return nil
@@ -376,18 +462,22 @@ func (p *Proc) park(why string) {
 	p.swap(why)
 }
 
-// swap blocks p and dispatches the next event in its place. When that event
-// is p's own wakeup (a Sleep(0) with no tied peer, a lone sleeper whose
-// wakeup is earliest, or the tie-break policy's pick), p keeps running
-// inline with no goroutine switch. Otherwise p hands control straight to the
-// event's process (or to Run when no events remain) and waits on its own
-// resume channel: one goroutine switch per handoff. The event dispatched is
-// the one the heap order dictates whichever goroutine pops it, so the
-// schedule does not depend on who dispatches. A process resumed after Run
-// has closed the engine is being torn down and exits via runtime.Goexit.
+// swap blocks p and dispatches events in its place, running step processes
+// inline, until an event of a goroutine process comes up. When that event is
+// p's own wakeup (a Sleep(0) with no tied peer, a lone sleeper whose wakeup
+// is earliest, or the tie-break policy's pick), p keeps running inline with
+// no goroutine switch. Otherwise p hands control straight to the event's
+// process (or to Run when no events remain) and waits on its own resume
+// channel: one goroutine switch per handoff. The event dispatched is the one
+// the heap order dictates whichever goroutine pops it, so the schedule does
+// not depend on who dispatches. A process resumed after Run has closed the
+// engine is being torn down and exits via runtime.Goexit.
 func (p *Proc) swap(why string) {
+	if p.resume == nil {
+		panic("sim: step process " + p.Name + " blocked; step processes wait with WakeAt")
+	}
 	e := p.eng
-	q := e.next()
+	q := e.dispatch()
 	if q == p {
 		return
 	}

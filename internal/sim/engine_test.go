@@ -373,3 +373,57 @@ func TestRunTwicePanics(t *testing.T) {
 	}()
 	e.Run()
 }
+
+func TestSpawnAfterRunPanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("a", func(p *Proc) {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Spawn after Run did not panic")
+		}
+	}()
+	e.Spawn("late", func(p *Proc) {})
+}
+
+func TestWaitAllOrderIndependent(t *testing.T) {
+	e := NewEngine()
+	g1, g2, g3 := e.NewGate(), e.NewGate(), e.NewGate()
+	var at float64
+	e.Spawn("waiter", func(p *Proc) {
+		p.WaitAll(g3, g1, g2) // waits in given order; must still finish at max
+		at = p.Now()
+	})
+	e.Spawn("firer", func(p *Proc) {
+		p.Sleep(1)
+		g2.Fire()
+		p.Sleep(1)
+		g3.Fire()
+		p.Sleep(1)
+		g1.Fire()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != 3 {
+		t.Errorf("WaitAll finished at %g want 3", at)
+	}
+}
+
+func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate()
+	ran := false
+	e.Spawn("a", func(p *Proc) {
+		g.Fire()
+		g.OnFireArg(func(any) { ran = true }, nil)
+		if !ran {
+			t.Error("OnFireArg on fired gate did not run inline")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -127,18 +127,22 @@ func TestResourceAudit(t *testing.T) {
 	}
 }
 
-// dispatchLog runs a body that blocks and wakes every way a process can:
-// Sleep(0), a lone sleeper whose wakeup is the earliest event, gate
-// Wait/Fire, WaitSignal/Notify and a Spawn from a running process. It
-// returns the event hook's "time/ID" sequence.
-func dispatchLog(t *testing.T, tb TieBreak) []string {
+// dispatchLog runs a body that blocks and wakes every way a process can and
+// returns the event hook's "time/ID" sequence. Goroutine processes a, b and
+// c cover Sleep(0), a lone sleeper whose wakeup is the earliest event, gate
+// Wait/Fire and a Spawn from a running process. Step process s books
+// wakeups with WakeAt, parks until c wakes it, spawns a step child from
+// inside a step and exits; the child and grandchild spawn in turn, and the
+// grandchild reuses s's recycled Proc. With stepsAsGoroutines, s and its
+// descendants run as goroutine processes making the equivalent blocking
+// calls, which must not change the sequence under any policy.
+func dispatchLog(t *testing.T, tb TieBreak, stepsAsGoroutines bool) []string {
 	t.Helper()
 	e := NewEngine()
 	e.SetTieBreak(tb)
 	var log []string
 	e.SetEventHook(func(tm float64, p *Proc) { log = append(log, fmt.Sprintf("%g/%d", tm, p.ID)) })
-	g := e.NewGate()
-	s := e.NewSignal()
+	g, g2 := e.NewGate(), e.NewGate()
 	e.Spawn("a", func(p *Proc) {
 		p.Sleep(0)
 		p.Sleep(1)
@@ -152,33 +156,92 @@ func dispatchLog(t *testing.T, tb TieBreak) []string {
 			c.Sleep(0)
 			c.Sleep(0.5)
 		})
-		p.WaitSignal(s)
+		p.Wait(g2)
 		p.Sleep(0)
 	})
+	var wakeS func()
 	e.Spawn("c", func(p *Proc) {
 		p.Sleep(0)
 		p.Sleep(2)
-		s.Notify()
-		p.Sleep(0) // tied with b's wakeup
+		g2.Fire()
+		wakeS()
+		p.Sleep(0) // tied with b's and s's wakeups
 	})
+	if stepsAsGoroutines {
+		gs := e.NewGate()
+		wakeS = gs.Fire
+		e.Spawn("s", func(p *Proc) {
+			p.Sleep(0)
+			p.Sleep(1)
+			p.Wait(gs)
+			e.Spawn("s-child", func(c *Proc) {
+				c.Sleep(0.5)
+				e.Spawn("s-grandchild", func(*Proc) {})
+			})
+		})
+	} else {
+		var grandchild *Proc
+		s := e.SpawnStep("s", script(
+			func(p *Proc) { p.WakeAt(p.Now()) },
+			func(p *Proc) { p.WakeAt(p.Now() + 1) },
+			func(*Proc) {}, // parks: no wakeup booked until c's WakeAt
+			func(*Proc) {
+				e.SpawnStep("s-child", script(
+					func(c *Proc) { c.WakeAt(c.Now() + 0.5) },
+					func(*Proc) { grandchild = e.SpawnStep("s-grandchild", script(func(*Proc) {})) },
+				))
+			},
+		))
+		wakeS = func() { s.WakeAt(e.Now()) }
+		defer func() {
+			if grandchild != s {
+				t.Error("s-grandchild did not reuse the Proc of the exited s")
+			}
+		}()
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return log
 }
 
+// script returns a step function that runs steps[i] on the process's i-th
+// event and exits after the last one.
+func script(steps ...func(p *Proc)) func(p *Proc) {
+	i := 0
+	return func(p *Proc) {
+		steps[i](p)
+		if i++; i == len(steps) {
+			p.Exit()
+		}
+	}
+}
+
 // TestDispatchPathsMatchAcrossPolicies pins the hook sequence of every
 // dispatch path and requires FIFO to reproduce the no-policy schedule
-// exactly, self-wakes dispatched inline included.
+// exactly, self-wakes dispatched inline included. Under every policy, step
+// processes must produce the same sequence as goroutine processes making
+// the equivalent blocking calls.
 func TestDispatchPathsMatchAcrossPolicies(t *testing.T) {
-	const want = "[0/0 0/1 0/2 0/0 0/2 1/0 1/0 1.25/0 1.25/1 1.25/3 1.25/3 1.75/3 2/2 2/1 2/2 2/1]"
-	def := fmt.Sprint(dispatchLog(t, nil))
-	fifo := fmt.Sprint(dispatchLog(t, FIFO()))
+	const want = "[0/0 0/1 0/2 0/3 0/0 0/2 0/3 1/0 1/3 1/0 1.25/0 1.25/1 1.25/4 1.25/4 1.75/4 2/2 2/1 2/3 2/2 2/1 2/5 2.5/5 2.5/6]"
+	def := fmt.Sprint(dispatchLog(t, nil, false))
+	fifo := fmt.Sprint(dispatchLog(t, FIFO(), false))
 	if def != want {
 		t.Errorf("no policy: hook sequence\n%s\nwant\n%s", def, want)
 	}
 	if fifo != def {
 		t.Errorf("FIFO hook sequence\n%s\ndiffers from no policy\n%s", fifo, def)
+	}
+	if gor := fmt.Sprint(dispatchLog(t, nil, true)); gor != def {
+		t.Errorf("no policy: step processes dispatched\n%s\ngoroutine processes\n%s", def, gor)
+	}
+	seeded := func(seed int64) func() TieBreak { return func() TieBreak { return Seeded(seed) } }
+	for _, policy := range []func() TieBreak{FIFO, LIFO, seeded(1), seeded(2), seeded(3)} {
+		steps := fmt.Sprint(dispatchLog(t, policy(), false))
+		gor := fmt.Sprint(dispatchLog(t, policy(), true))
+		if steps != gor {
+			t.Errorf("%s: step processes dispatched\n%s\ngoroutine processes\n%s", policy().Name(), steps, gor)
+		}
 	}
 }
 

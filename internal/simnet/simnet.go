@@ -171,10 +171,11 @@ type Net struct {
 	routes map[int]cachedRoute
 	nep    int // endpoints created, for naming
 
-	// xferPool recycles the per-transfer state (chunk feed slices, the
-	// tx→rx signal) across transfers. The engine runs exactly one process
-	// at a time, so a plain slice needs no locking; each transfer's two
-	// halves release their shared state back here when the last one ends.
+	// xferPool recycles the per-transfer state (both halves' state
+	// machines and the chunk feed's slices) across transfers. The engine
+	// runs exactly one process at a time, so a plain slice needs no
+	// locking; each transfer's two halves release their shared state back
+	// here when the last one ends.
 	xferPool []*xfer
 }
 
@@ -396,11 +397,12 @@ func (n *Net) TotalWireBytes() int64 {
 // receiving process. Zero-byte transfers still pay per-message overheads and
 // latency, which models control messages and barriers.
 //
-// The transfer runs as a pair of simulation processes — a sender half and a
-// receiver half — so that every resource reservation is made at (or within
-// one chunk of) its actual virtual start time. Reserving further ahead
-// would punch unfillable holes into the FIFO next-free-time resources and
-// serialize concurrent transfers that should interleave.
+// The transfer has a sender half and a receiver half, each a state machine
+// the engine steps inline at its own virtual times (a sim step process), so
+// that every resource reservation is made at (or within one chunk of) its
+// actual virtual start time. Reserving further ahead would punch unfillable
+// holes into the FIFO next-free-time resources and serialize concurrent
+// transfers that should interleave.
 func (n *Net) Transfer(src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
 	injected = n.Eng.NewGate()
 	delivered = n.Eng.NewGate()
@@ -431,7 +433,7 @@ var fireGateCB = func(a any) { a.(*sim.Gate).Fire() }
 // Either callback may be nil. Passing package-level functions plus
 // caller-owned arguments makes the per-message fast path allocation-free,
 // which is why the MPI layer uses this form; callbacks run inline inside the
-// transfer's simulation processes and must not block.
+// transfer's step processes and must not block.
 func (n *Net) TransferFn(src, dst *Endpoint, size int64, onInjected func(any), injArg any, onDelivered func(any), delArg any) {
 	n.transfer(src, dst, size, n.Cfg.CPUCopyRate, onInjected, injArg, onDelivered, delArg)
 }
@@ -452,6 +454,9 @@ func (n *Net) transfer(src, dst *Endpoint, size int64, cpuRate float64, onInj fu
 	x.size, x.cpuRate = size, cpuRate
 	x.onInj, x.injArg = onInj, injArg
 	x.onDel, x.delArg = onDel, delArg
+	if src.Node != dst.Node {
+		x.rt = n.routeOf(src.Node, dst.Node)
+	}
 	// Pre-size the chunk feed: the chunk count is known at segmentation
 	// time, so the per-chunk appends never reallocate mid-transfer.
 	chunks := 1
@@ -459,25 +464,42 @@ func (n *Net) transfer(src, dst *Endpoint, size int64, cpuRate float64, onInj fu
 		chunks = int((size + n.Cfg.ChunkBytes - 1) / n.Cfg.ChunkBytes)
 	}
 	x.feed.presize(chunks)
-	n.Eng.Spawn("xfer-tx", x.txFn)
-	n.Eng.Spawn("xfer-rx", x.rxFn)
+	n.Eng.SpawnStep("xfer-tx", x.txFn)
+	n.Eng.SpawnStep("xfer-rx", x.rxFn)
 }
 
-// xfer is the state shared by the two halves of one transfer. It is
-// recycled through Net.xferPool: refs counts the halves still running, and
-// the last one to finish releases the object. txFn/rxFn are the tx/rx method
-// values bound once at construction, so spawning the halves of a recycled
-// transfer allocates nothing.
+// xfer is one transfer in flight. Its sender and receiver halves are step
+// processes (sim.Engine.SpawnStep): state machines the engine steps inline,
+// each resuming at its saved state (txAt, rxAt) and running until its next
+// wait. The object is recycled through Net.xferPool: refs counts the halves
+// still running, and the last one to finish releases it. txFn/rxFn are the
+// tx/rx method values bound once at construction, so spawning the halves of
+// a recycled transfer allocates nothing.
 type xfer struct {
 	n              *Net
 	src, dst       *Endpoint
 	size           int64
 	cpuRate        float64
+	rt             cachedRoute // inter-node transfers only
 	feed           chunkFeed
 	onInj, onDel   func(any)
 	injArg, delArg any
 	refs           int8
 	txFn, rxFn     func(*sim.Proc)
+
+	// Sender half.
+	txAt      txState
+	remaining int64   // bytes not yet cut into chunks
+	chunk     int64   // size of the chunk in flight
+	cpuReady  float64 // when the sender CPU is free for the next chunk
+	attempt   int     // transmission attempt of the chunk in flight, from 0
+	timeout   float64 // retransmission timeout after a lost attempt
+
+	// Receiver half.
+	rxAt        rxState
+	k           int     // index of the chunk being received
+	at          float64 // when chunk k is ready for its next receive stage
+	lastDeliver float64 // when the latest chunk's receiver-CPU stage ends
 }
 
 func (n *Net) getXfer() *xfer {
@@ -487,53 +509,62 @@ func (n *Net) getXfer() *xfer {
 		x.refs = 2
 		return x
 	}
-	x := &xfer{n: n, refs: 2, feed: chunkFeed{sig: n.Eng.NewSignal()}}
+	x := &xfer{n: n, refs: 2}
 	x.txFn, x.rxFn = x.tx, x.rx
 	return x
 }
 
-// release returns the transfer state to the pool once both halves are done.
+// release drops one half's reference. The last one returns the transfer to
+// the pool with every field zeroed except the bindings and the feed's
+// capacity, so a recycled transfer starts both halves in their first state.
 func (x *xfer) release() {
 	x.refs--
 	if x.refs > 0 {
 		return
 	}
 	x.feed.reset()
-	x.onInj, x.onDel = nil, nil
-	x.injArg, x.delArg = nil, nil
+	*x = xfer{n: x.n, feed: x.feed, txFn: x.txFn, rxFn: x.rxFn}
 	x.n.xferPool = append(x.n.xferPool, x)
 }
 
-func (x *xfer) tx(p *sim.Proc) {
-	x.n.runTransferTx(p, x.src, x.dst, x.size, x.cpuRate, &x.feed)
-	if x.onInj != nil {
-		x.onInj(x.injArg)
+// finish ends one half of the transfer: it reports the half's milestone
+// through its callback, drops its reference and exits the step process.
+func (x *xfer) finish(p *sim.Proc, cb func(any), arg any) {
+	if cb != nil {
+		cb(arg)
 	}
 	x.release()
+	p.Exit()
 }
 
-func (x *xfer) rx(p *sim.Proc) {
-	x.n.runTransferRx(p, x.src, x.dst, x.cpuRate, &x.feed)
-	if x.onDel != nil {
-		x.onDel(x.delArg)
+// waitUntil books p's next event at t and reports true when t is ahead of
+// the clock. Otherwise it books nothing and the state machine carries on
+// inline, as a loop that only sleeps when it has to would.
+func waitUntil(p *sim.Proc, t float64) bool {
+	if t > p.Now() {
+		p.WakeAt(t)
+		return true
 	}
-	x.release()
+	return false
 }
 
 // chunkFeed hands chunk availability times from the sender half to the
 // receiver half of a transfer.
 type chunkFeed struct {
-	ready []float64 // time chunk i has cleared the sender side
-	bytes []int64
-	done  bool // sender produced the last chunk
-	sig   *sim.Signal
+	ready  []float64 // time chunk i has cleared the sender side
+	bytes  []int64
+	done   bool      // sender produced the last chunk
+	waiter *sim.Proc // the receiver half while it is parked for the next push
 }
 
 func (f *chunkFeed) push(t float64, b int64, last bool) {
 	f.ready = append(f.ready, t)
 	f.bytes = append(f.bytes, b)
 	f.done = f.done || last
-	f.sig.Notify()
+	if w := f.waiter; w != nil {
+		f.waiter = nil
+		w.WakeAt(w.Now())
+	}
 }
 
 // presize grows the feed's capacity to hold chunks entries, so the pipeline
@@ -550,146 +581,187 @@ func (f *chunkFeed) reset() {
 	f.ready = f.ready[:0]
 	f.bytes = f.bytes[:0]
 	f.done = false
+	f.waiter = nil
 }
 
-// runTransferTx drives the sender side: per-message setup, then per chunk a
-// sender-CPU stage (marshal/copy) followed by an egress-wire (or
-// shared-memory bus) occupancy. The process paces on its CPU stage, so the
-// egress reservation happens at the chunk's true start time and chunks of
-// concurrent transfers interleave on shared resources.
-func (n *Net) runTransferTx(p *sim.Proc, src, dst *Endpoint, size int64, cpuRate float64, feed *chunkFeed) {
-	cfg := &n.Cfg
-	intra := src.Node == dst.Node
-	srcNode := n.nodes[src.Node]
-	_, ready := src.nicStage(p.Now(), cfg.MsgOverhead, 0, 1)
+// txState is where the sender half resumes.
+type txState uint8
 
-	var lastCPU float64
-	remaining := size
-	first := true
-	for remaining > 0 || first {
-		first = false
-		chunk := remaining
-		if chunk > cfg.ChunkBytes {
-			chunk = cfg.ChunkBytes
-		}
-		remaining -= chunk
-		cb := float64(chunk)
+const (
+	txSetup    txState = iota // pay the per-message setup
+	txCut                     // cut the next chunk and book its CPU stage
+	txTransmit                // the CPU stage is over: put the chunk on the wire
+	txBackoff                 // a lost attempt has cleared the wire
+	txReinject                // the retransmission timeout has expired
+)
 
-		_, cpuDone := src.nicStage(ready, cfg.SendOverhead, cb, cpuRate)
-		p.SleepUntil(cpuDone)
-		var cleared float64
-		if intra {
-			_, cleared = srcNode.shm.Reserve(p.Now(), cb/cfg.ShmBandwidth)
-			n.Metrics.Add("net.shm.bytes", srcNode.label, cb)
-		} else {
-			// Transmit the chunk; under fault injection a transmission
-			// attempt can be lost in transit, in which case the sender
-			// waits out the retransmission timeout (the injector grows it
-			// exponentially per attempt), pays the re-injection descriptor
-			// cost on its NIC lane, and sends the chunk again. Every
-			// attempt occupies the wire — lost bytes are real traffic.
-			for attempt := 0; ; attempt++ {
+// tx is the sender half: per-message setup, then per chunk a sender-CPU
+// stage (marshal/copy) followed by an egress-wire (or shared-memory bus)
+// occupancy. It paces on the CPU stage, waking at the end of every chunk's,
+// so the egress reservation happens at the chunk's true start time and
+// chunks of concurrent transfers interleave on shared resources.
+//
+// Under fault injection a transmission attempt can be lost in transit. The
+// sender then waits for the attempt to clear the wire and out the
+// retransmission timeout (the injector grows it exponentially per attempt),
+// pays the re-injection descriptor cost on its NIC lane, and sends the chunk
+// again. Every attempt occupies the wire: lost bytes are real traffic.
+func (x *xfer) tx(p *sim.Proc) {
+	n, cfg := x.n, &x.n.Cfg
+	srcNode := n.nodes[x.src.Node]
+	for {
+		switch x.txAt {
+		case txSetup:
+			_, x.cpuReady = x.src.nicStage(p.Now(), cfg.MsgOverhead, 0, 1)
+			x.remaining = x.size
+			x.txAt = txCut
+		case txCut:
+			x.chunk = min(x.remaining, cfg.ChunkBytes)
+			x.remaining -= x.chunk
+			x.attempt = 0
+			_, x.cpuReady = x.src.nicStage(x.cpuReady, cfg.SendOverhead, float64(x.chunk), x.cpuRate)
+			x.txAt = txTransmit
+			p.WakeAt(x.cpuReady)
+			return
+		case txTransmit:
+			cb := float64(x.chunk)
+			var cleared float64 // when the chunk clears the sender side
+			if x.src.Node == x.dst.Node {
+				_, cleared = srcNode.shm.Reserve(p.Now(), cb/cfg.ShmBandwidth)
+				n.Metrics.Add("net.shm.bytes", srcNode.label, cb)
+			} else {
 				_, cleared = srcNode.egress.Reserve(p.Now(), cb/cfg.WireBandwidth)
-				srcNode.egressBytes += chunk
+				srcNode.egressBytes += x.chunk
 				n.Metrics.Add("net.wire.bytes", srcNode.label, cb)
-				if n.Faults == nil {
-					break
+				if n.Faults != nil {
+					lost, timeout := n.Faults.ChunkFate(x.src.Node, x.dst.Node, x.attempt)
+					if lost {
+						n.Metrics.Inc("net.chunks.lost", "")
+						x.timeout = timeout
+						x.txAt = txBackoff
+						if waitUntil(p, cleared) {
+							return
+						}
+						continue
+					}
 				}
-				lost, timeout := n.Faults.ChunkFate(src.Node, dst.Node, attempt)
-				if !lost {
-					break
-				}
-				n.Metrics.Inc("net.chunks.lost", "")
-				if cleared > p.Now() {
-					p.SleepUntil(cleared)
-				}
-				p.Sleep(timeout)
-				n.Metrics.Inc("net.chunks.retrans", "")
-				_, reDone := src.nicStage(p.Now(), cfg.SendOverhead, 0, 1)
-				p.SleepUntil(reDone)
 			}
-		}
-		n.Metrics.Inc("net.chunks", "")
-		n.Metrics.AddGauge("net.chunks.inflight", "", 1)
-		feed.push(cleared, chunk, remaining <= 0)
-		lastCPU = cpuDone
-		ready = cpuDone
-	}
-	if lastCPU > p.Now() {
-		p.SleepUntil(lastCPU)
-	}
-}
-
-// runTransferRx drives the receiver side: per chunk, the route's interior
-// links (uplink/core/downlink or torus rails, in route order) then an
-// ingress-wire occupancy starting when the chunk clears the sender's egress
-// (plus the route's leading-edge latency), and a receiver-CPU stage
-// (matching/copy) reserved exactly at the chunk's arrival. It returns (and
-// the caller reports delivery) when the last chunk's CPU stage ends.
-func (n *Net) runTransferRx(p *sim.Proc, src, dst *Endpoint, cpuRate float64, feed *chunkFeed) {
-	cfg := &n.Cfg
-	intra := src.Node == dst.Node
-	var rt cachedRoute
-	if !intra {
-		rt = n.routeOf(src.Node, dst.Node)
-	}
-	var lastDeliver float64
-	for k := 0; ; k++ {
-		for len(feed.ready) <= k {
-			if feed.done {
-				// All chunks consumed.
-				if lastDeliver > p.Now() {
-					p.SleepUntil(lastDeliver)
-				}
+			n.Metrics.Inc("net.chunks", "")
+			n.Metrics.AddGauge("net.chunks.inflight", "", 1)
+			x.feed.push(cleared, x.chunk, x.remaining <= 0)
+			if x.remaining <= 0 {
+				x.finish(p, x.onInj, x.injArg)
 				return
 			}
-			p.WaitSignal(feed.sig)
+			x.txAt = txCut
+		case txBackoff:
+			x.txAt = txReinject
+			p.WakeAt(p.Now() + x.timeout) // WakeAt clamps a negative timeout to now
+			return
+		case txReinject:
+			n.Metrics.Inc("net.chunks.retrans", "")
+			_, reDone := x.src.nicStage(p.Now(), cfg.SendOverhead, 0, 1)
+			x.attempt++
+			x.txAt = txTransmit
+			p.WakeAt(reDone)
+			return
 		}
-		t, cb := feed.ready[k], float64(feed.bytes[k])
-		var arrive float64
-		if intra {
-			arrive = t + cfg.ShmLatency
-			if arrive > p.Now() {
-				p.SleepUntil(arrive)
-			}
-			arrive = p.Now()
-		} else {
-			lat := rt.lat
-			if n.Faults != nil {
-				// Per-chunk latency jitter from the fault model (0 when
-				// the injector has jitter disabled).
-				lat += n.Faults.ChunkDelay(src.Node, dst.Node)
-			}
-			if t+lat > p.Now() {
-				p.SleepUntil(t + lat)
-			}
-			// The chunk crosses the route's interior links and then the
-			// receiver's ingress wire store-and-forward. The process paces
-			// on the first stage and books the downstream stages with
-			// chained ready times — the same one-chunk lookahead the
-			// sender's NIC chain uses — so chunks of one transfer pipeline
-			// across the stages while concurrent transfers still interleave
-			// chunk by chunk on shared links.
-			next := p.Now()
-			for i, l := range rt.links {
-				_, next = l.Res.Reserve(next, cb/l.Bandwidth)
-				if i == 0 && next > p.Now() {
-					p.SleepUntil(next)
+	}
+}
+
+// rxState is where the receiver half resumes.
+type rxState uint8
+
+const (
+	rxNext  rxState = iota // take chunk k off the feed, or finish
+	rxRoute                // chunk k's leading edge has reached the route
+	rxLinks                // the route's first interior link has carried chunk k
+	rxCPU                  // chunk k has arrived: book the receiver-CPU stage
+	rxDone                 // the last chunk's receiver-CPU stage is over
+)
+
+// rx is the receiver half: per chunk, the route's interior links
+// (uplink/core/downlink or torus rails, in route order) then an ingress-wire
+// occupancy starting when the chunk clears the sender's egress (plus the
+// route's leading-edge latency), and a receiver-CPU stage (matching/copy)
+// reserved exactly at the chunk's arrival. It reports delivery when the
+// last chunk's CPU stage ends.
+func (x *xfer) rx(p *sim.Proc) {
+	n, cfg := x.n, &x.n.Cfg
+	f := &x.feed
+	for {
+		switch x.rxAt {
+		case rxNext:
+			if len(f.ready) <= x.k {
+				if !f.done {
+					f.waiter = p // parked until the sender's next push
+					return
 				}
-				l.bytes += feed.bytes[k]
-				n.Metrics.Add("net.link.bytes", l.Res.Name, cb)
+				x.rxAt = rxDone
+				if waitUntil(p, x.lastDeliver) {
+					return
+				}
+				continue
 			}
-			_, inDone := n.nodes[dst.Node].ingress.Reserve(next, cb/cfg.WireBandwidth)
-			if len(rt.links) == 0 && inDone > p.Now() {
+			t := f.ready[x.k]
+			if x.src.Node == x.dst.Node {
+				x.at = max(t+cfg.ShmLatency, p.Now())
+				x.rxAt = rxCPU
+			} else {
+				lat := x.rt.lat
+				if n.Faults != nil {
+					// Per-chunk latency jitter from the fault model (0 when
+					// the injector has jitter disabled).
+					lat += n.Faults.ChunkDelay(x.src.Node, x.dst.Node)
+				}
+				x.at = t + lat
+				x.rxAt = rxRoute
+			}
+			if waitUntil(p, x.at) {
+				return
+			}
+		case rxRoute:
+			// The chunk crosses the route's interior links and then the
+			// receiver's ingress wire store-and-forward. The half paces on
+			// the first stage and books the downstream stages with chained
+			// ready times — the same one-chunk lookahead the sender's NIC
+			// chain uses — so chunks of one transfer pipeline across the
+			// stages while concurrent transfers still interleave chunk by
+			// chunk on shared links.
+			cb := float64(f.bytes[x.k])
+			if len(x.rt.links) == 0 {
 				// Flat route: the ingress wire is the first stage; pacing on
 				// it preserves the original fabric's schedule exactly.
-				p.SleepUntil(inDone)
+				_, x.at = n.nodes[x.dst.Node].ingress.Reserve(p.Now(), cb/cfg.WireBandwidth)
+				x.rxAt = rxCPU
+			} else {
+				l := x.rt.links[0]
+				_, x.at = l.Res.Reserve(p.Now(), cb/l.Bandwidth)
+				x.rxAt = rxLinks
 			}
-			arrive = inDone
+			if waitUntil(p, x.at) {
+				return
+			}
+		case rxLinks:
+			cb := float64(f.bytes[x.k])
+			for i, l := range x.rt.links {
+				if i > 0 {
+					_, x.at = l.Res.Reserve(x.at, cb/l.Bandwidth)
+				}
+				l.bytes += f.bytes[x.k]
+				n.Metrics.Add("net.link.bytes", l.Res.Name, cb)
+			}
+			_, x.at = n.nodes[x.dst.Node].ingress.Reserve(x.at, cb/cfg.WireBandwidth)
+			x.rxAt = rxCPU
+		case rxCPU:
+			_, x.lastDeliver = x.dst.nicStage(x.at, cfg.RecvOverhead, float64(f.bytes[x.k]), x.cpuRate)
+			n.Metrics.AddGauge("net.chunks.inflight", "", -1)
+			x.k++
+			x.rxAt = rxNext
+		case rxDone:
+			x.finish(p, x.onDel, x.delArg)
+			return
 		}
-		_, recvDone := dst.nicStage(arrive, cfg.RecvOverhead, cb, cpuRate)
-		n.Metrics.AddGauge("net.chunks.inflight", "", -1)
-		lastDeliver = recvDone
 	}
 }
 
