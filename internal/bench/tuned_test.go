@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +66,36 @@ func TestTunedBeatsFixed(t *testing.T) {
 			t.Errorf("64-node tuned %.6fms not faster than blocking %.6fms",
 				1e3*res.Tuned.Times[i], 1e3*res.Blocking.Times[i])
 		}
+	}
+}
+
+// TestQuickTableMatchesCommitted pins the committed TUNING.json: the cold
+// quick-grid search over the default kernels, stamped with the committed
+// Go version (provenance of the table, not of its numbers), must serialize
+// to the committed bytes exactly. A model change that moves any cell fails
+// here; regenerate the file with `overlapbench tune -quick -cold` and name
+// the reason when the change is intended.
+func TestQuickTableMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "TUNING.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := tune.ReadTable(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := quickTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *table
+	got.GoVersion = ref.GoVersion
+	var buf bytes.Buffer
+	if err := got.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Error("cold quick table differs from TUNING.json; diff the file against `overlapbench tune -quick -cold -table T.json`")
 	}
 }
 

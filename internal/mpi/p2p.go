@@ -279,11 +279,10 @@ func (st *rankState) complete(m *inflight, r *postedRecv) {
 	w.Net.TransferFn(st.ep, srcSt.ep, 0, nil, nil, ctsArrived, m)
 }
 
+// payloadFits is MPI's truncation check, the same for real and phantom
+// receives: a phantom run of a buffer-sizing bug fails as the real run would.
 func (m *inflight) payloadFits(dst Buffer) bool {
-	if dst.IsPhantom() {
-		return true // phantom receives accept any size
-	}
-	return m.bytes <= int64(len(dst.Data))*8
+	return m.bytes <= dst.Bytes()
 }
 
 // waitFree completes an internally posted request and recycles it. Never

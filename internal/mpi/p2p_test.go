@@ -312,26 +312,38 @@ func TestManyRanksRandomExchange(t *testing.T) {
 }
 
 // TestRecvTruncationPanics covers the message-longer-than-buffer error
-// path. The message must already be queued as unexpected when the receive
-// is posted, so the panic fires on the receiver's own goroutine where it
-// can be recovered.
+// path, for real and phantom payloads alike: a size-only run must catch a
+// buffer-sizing bug the real run would. The message must already be queued
+// as unexpected when the receive is posted, so the panic fires on the
+// receiver's own goroutine where it can be recovered.
 func TestRecvTruncationPanics(t *testing.T) {
-	runJob(t, 2, 1, func(pr *Proc) {
-		if pr.Rank() == 0 {
-			pr.World().Send(1, 4, F64(make([]float64, 10)))
-			return
-		}
-		pr.Sleep(1e-3) // let the eager message arrive unexpected
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Error("truncated receive did not panic")
-				return
-			}
-			if !strings.Contains(r.(string), "truncated") {
-				t.Errorf("panic %q, want truncation report", r)
-			}
-		}()
-		pr.World().Recv(0, 4, F64(make([]float64, 5)))
-	})
+	cases := []struct {
+		name      string
+		send, dst Buffer
+	}{
+		{"real", F64(make([]float64, 10)), F64(make([]float64, 5))},
+		{"phantom", Phantom(80), Phantom(40)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runJob(t, 2, 1, func(pr *Proc) {
+				if pr.Rank() == 0 {
+					pr.World().Send(1, 4, tc.send)
+					return
+				}
+				pr.Sleep(1e-3) // let the eager message arrive unexpected
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Error("truncated receive did not panic")
+						return
+					}
+					if !strings.Contains(r.(string), "truncated") {
+						t.Errorf("panic %q, want truncation report", r)
+					}
+				}()
+				pr.World().Recv(0, 4, tc.dst)
+			})
+		})
+	}
 }

@@ -266,7 +266,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Shutdown drains gracefully: new submissions are rejected with 503,
 // queued and running jobs finish (bounded by ctx), then the HTTP listener
 // closes. Clients polling an accepted job keep getting answers until the
-// end.
+// end. net/http counts a connection that has not sent a request yet as
+// idle only once it is 5 s old, so a client holding such a connection
+// open delays the return by up to 5 s; clients should close their idle
+// connections first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.drain = true

@@ -34,6 +34,9 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// Racing clients can leave a dialed connection that never carried a
+		// request; Shutdown would wait 5 s before treating it as idle.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

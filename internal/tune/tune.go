@@ -509,7 +509,9 @@ const workloadUnits = 8
 // measureWorkload runs one workload-kernel cell: the overlapped variant of
 // the pattern on the accelerator preset, with the cell's NDup/PPN/Alg and
 // protocol overrides. Goodput (pattern payload volume over the slowest
-// active rank's step time) is the measure the table optimizes.
+// active rank's step time) is the measure the table optimizes. It is a
+// virtual-time figure, so the cell runs on size-only payloads
+// (workload.Spec.Phantom), which give the same Goodput as real ones.
 func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 	cfg := workload.AcceleratorConfig(k.Nodes)
 	topo, err := simnet.TopoByName(k.Topo, k.Nodes)
@@ -540,6 +542,7 @@ func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 		Progress:  p.Progress,
 		Topo:      k.Topo,
 		Config:    &cfg,
+		Phantom:   true,
 	})
 	if err != nil {
 		return 0, err

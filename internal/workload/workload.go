@@ -20,6 +20,14 @@
 // order), each rank verifies its final buffers against the closed form,
 // and the FNV-64a checksum over the result bits is byte-deterministic —
 // the blocking and overlapped variants of a pattern must agree.
+//
+// A Spec with Phantom set runs the same pattern bodies on size-only
+// payloads (mpi.Phantom): the same transfers, reductions and compute
+// charges, so Elapsed and Bytes are bit-identical to a real run, with no
+// data to fill, transform, check or hash. The tuner, which reads only
+// Goodput, measures its cells that way; overlapbench mlwork, the checker's
+// mlwork scenarios and the tests keep real payloads, because there the data
+// is the oracle.
 package workload
 
 import (
@@ -108,6 +116,11 @@ type Spec struct {
 	// Config overrides the machine preset (nil = AcceleratorConfig(Nodes)).
 	// Topo is still applied on top.
 	Config *simnet.Config
+	// Phantom moves only byte counts: every payload is an mpi.Phantom of
+	// the real buffer's size, and the fills, element transforms, oracle
+	// checks and checksums are skipped. Elapsed and Bytes are unchanged;
+	// Checksum is 0.
+	Phantom bool
 }
 
 func (s Spec) withDefaults() Spec {
@@ -165,7 +178,7 @@ func (s Spec) validate() error {
 
 // RankResult is what one rank reports from RunRank.
 type RankResult struct {
-	Checksum uint64  // FNV-64a over the rank's final result bits
+	Checksum uint64  // FNV-64a over the rank's final result bits; 0 with Spec.Phantom
 	Elapsed  float64 // seconds inside the active section (0 if parked)
 	Active   bool
 }
@@ -174,7 +187,7 @@ type RankResult struct {
 type Result struct {
 	Elapsed  float64 // max active-section time across ranks
 	Bytes    int64   // payload volume moved, per-pattern convention
-	Checksum uint64  // rank-ordered fold of every rank's checksum
+	Checksum uint64  // rank-ordered fold of every rank's checksum; 0 with Spec.Phantom
 }
 
 // Goodput is the pattern's payload volume over the slowest rank's
@@ -251,7 +264,9 @@ func Run(s Spec) (Result, error) {
 		binary.LittleEndian.PutUint64(b[:], rr.Checksum)
 		h.Write(b[:])
 	}
-	res.Checksum = h.Sum64()
+	if !s.Phantom {
+		res.Checksum = h.Sum64()
+	}
 	return res, nil
 }
 
@@ -305,6 +320,22 @@ func RunRank(p *mpi.Proc, s Spec) (RankResult, error) {
 	return rr, err
 }
 
+// unitBufs returns one payload buffer of n float64 elements per unit: zeroed
+// real storage, or in phantom mode an mpi.Phantom of the same byte count,
+// which every collective splits into the same pieces. A phantom's Data is
+// nil, so the fill and transform loops over it run zero times.
+func (s Spec) unitBufs(n int) []mpi.Buffer {
+	bufs := make([]mpi.Buffer, s.Units)
+	for u := range bufs {
+		if s.Phantom {
+			bufs[u] = mpi.Phantom(8 * int64(n))
+		} else {
+			bufs[u] = mpi.F64(make([]float64, n))
+		}
+	}
+	return bufs
+}
+
 // val is the exact small-integer payload: products and sums of these stay
 // exact in float64 for any rank count this simulator runs, so oracles are
 // schedule-independent.
@@ -347,13 +378,11 @@ func (h *fnvHash) addFloats(vs []float64) {
 // whole backward pass and then reduces bucket by bucket.
 func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
-	grads := make([][]float64, s.Units)
-	for u := range grads {
-		g := make([]float64, s.Elems)
-		for i := range g {
-			g[i] = val(c.Rank(), u, i)
+	grads := s.unitBufs(s.Elems)
+	for u, g := range grads {
+		for i := range g.Data {
+			g.Data[i] = val(c.Rank(), u, i)
 		}
-		grads[u] = g
 	}
 	if s.Overlap {
 		dups := c.DupN(s.NDup)
@@ -361,7 +390,7 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 		for k := 0; k < s.Units; k++ {
 			u := s.Units - 1 - k // bucket ready order: last layer first
 			p.Compute(s.FlopsPerUnit, s.PPN)
-			reqs[u] = dups[k%s.NDup].Iallreduce(mpi.F64(grads[u]), mpi.OpSum)
+			reqs[u] = dups[k%s.NDup].Iallreduce(grads[u], mpi.OpSum)
 		}
 		mpi.Waitall(reqs...)
 	} else {
@@ -369,18 +398,21 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 			p.Compute(s.FlopsPerUnit, s.PPN)
 		}
 		for k := 0; k < s.Units; k++ {
-			c.Allreduce(mpi.F64(grads[s.Units-1-k]), mpi.OpSum)
+			c.Allreduce(grads[s.Units-1-k], mpi.OpSum)
 		}
+	}
+	if s.Phantom {
+		return 0, nil // no payload to check or hash
 	}
 	h := newFNV()
 	for u := range grads {
-		for i, v := range grads[u] {
+		for i, v := range grads[u].Data {
 			if want := sumVal(P, u, i); v != want {
 				return 0, fmt.Errorf("dp: rank %d bucket %d elem %d = %g, want %g",
 					c.Rank(), u, i, v, want)
 			}
 		}
-		h.addFloats(grads[u])
+		h.addFloats(grads[u].Data)
 	}
 	return h.sum, nil
 }
@@ -397,60 +429,59 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
 	shardElems := (s.Elems + P - 1) / P
 	n := P * shardElems // pad to an exact shard multiple
-	grads := make([][]float64, s.Units)
-	shards := make([][]float64, s.Units)
-	params := make([][]float64, s.Units)
-	for u := range grads {
-		g := make([]float64, n)
-		for i := range g {
-			g[i] = val(c.Rank(), u, i)
+	grads := s.unitBufs(n)
+	shards := s.unitBufs(shardElems)
+	params := s.unitBufs(n)
+	for u, g := range grads {
+		for i := range g.Data {
+			g.Data[i] = val(c.Rank(), u, i)
 		}
-		grads[u] = g
-		shards[u] = make([]float64, shardElems)
-		params[u] = make([]float64, n)
 	}
 	paramBufs := func(u int) []mpi.Buffer {
 		bufs := make([]mpi.Buffer, P)
 		for r := 0; r < P; r++ {
-			bufs[r] = mpi.F64(params[u][r*shardElems : (r+1)*shardElems])
+			bufs[r] = params[u].Slice(r*shardElems, (r+1)*shardElems)
 		}
 		return bufs
 	}
 	optimizer := func(u int) {
 		p.Compute(s.FlopsPerUnit, s.PPN)
-		for i := range shards[u] {
-			shards[u][i] *= 0.5 // exact in float64
+		for i := range shards[u].Data {
+			shards[u].Data[i] *= 0.5 // exact in float64
 		}
 	}
 	if s.Overlap {
 		dups := c.DupN(s.NDup)
 		rs := make([]*mpi.Request, s.Units)
 		for u := range rs {
-			rs[u] = dups[u%s.NDup].Ireducescatter(mpi.F64(grads[u]), mpi.F64(shards[u]), mpi.OpSum)
+			rs[u] = dups[u%s.NDup].Ireducescatter(grads[u], shards[u], mpi.OpSum)
 		}
 		ag := make([]*mpi.Request, s.Units)
 		for u := range ag {
 			rs[u].Wait()
 			optimizer(u)
-			ag[u] = dups[u%s.NDup].Iallgather(mpi.F64(shards[u]), paramBufs(u))
+			ag[u] = dups[u%s.NDup].Iallgather(shards[u], paramBufs(u))
 		}
 		mpi.Waitall(ag...)
 	} else {
 		for u := 0; u < s.Units; u++ {
-			c.ReduceScatter(mpi.F64(grads[u]), mpi.F64(shards[u]), mpi.OpSum)
+			c.ReduceScatter(grads[u], shards[u], mpi.OpSum)
 			optimizer(u)
-			c.Allgather(mpi.F64(shards[u]), paramBufs(u))
+			c.Allgather(shards[u], paramBufs(u))
 		}
+	}
+	if s.Phantom {
+		return 0, nil // no payload to check or hash
 	}
 	h := newFNV()
 	for u := range params {
-		for i, v := range params[u] {
+		for i, v := range params[u].Data {
 			if want := 0.5 * sumVal(P, u, i); v != want {
 				return 0, fmt.Errorf("zero: rank %d shard-group %d elem %d = %g, want %g",
 					c.Rank(), u, i, v, want)
 			}
 		}
-		h.addFloats(params[u])
+		h.addFloats(params[u].Data)
 	}
 	return h.sum, nil
 }
@@ -467,23 +498,19 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
 	r := c.Rank()
-	acts := make([][]float64, s.Units)
-	for m := range acts {
-		acts[m] = make([]float64, s.Elems)
-		if r == 0 {
-			for i := range acts[m] {
-				acts[m][i] = float64((m+i)%7 + 1)
+	acts := s.unitBufs(s.Elems)
+	if r == 0 {
+		for m, a := range acts {
+			for i := range a.Data {
+				a.Data[i] = float64((m+i)%7 + 1)
 			}
 		}
 	}
-	grads := make([][]float64, s.Units)
-	for m := range grads {
-		grads[m] = make([]float64, s.Elems)
-	}
+	grads := s.unitBufs(s.Elems)
 
 	// sweep runs one wavefront direction: recv from src (if any), compute
 	// and transform, send to dst (if any), for every microbatch in order.
-	sweep := func(bufs [][]float64, src, dst int, tagBase int) {
+	sweep := func(bufs []mpi.Buffer, src, dst int, tagBase int) {
 		if s.Overlap {
 			dups := c.DupN(s.NDup)
 			chunk := (s.Elems + s.NDup - 1) / s.NDup
@@ -495,7 +522,7 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 					if lo >= hi {
 						break
 					}
-					b := mpi.F64(bufs[m][lo:hi])
+					b := bufs[m].Slice(lo, hi)
 					if recv {
 						reqs = append(reqs, dups[d].Irecv(peer, tagBase+m, b))
 					} else {
@@ -518,8 +545,8 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 					mpi.Waitall(recvs[m]...)
 				}
 				p.Compute(s.FlopsPerUnit, s.PPN)
-				for i := range bufs[m] {
-					bufs[m][i]++
+				for i := range bufs[m].Data {
+					bufs[m].Data[i]++
 				}
 				if dst >= 0 {
 					sends = append(sends, post(m, false, dst)...)
@@ -530,14 +557,14 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 		}
 		for m := 0; m < s.Units; m++ {
 			if src >= 0 {
-				c.Recv(src, tagBase+m, mpi.F64(bufs[m]))
+				c.Recv(src, tagBase+m, bufs[m])
 			}
 			p.Compute(s.FlopsPerUnit, s.PPN)
-			for i := range bufs[m] {
-				bufs[m][i]++
+			for i := range bufs[m].Data {
+				bufs[m].Data[i]++
 			}
 			if dst >= 0 {
-				c.Send(dst, tagBase+m, mpi.F64(bufs[m]))
+				c.Send(dst, tagBase+m, bufs[m])
 			}
 		}
 	}
@@ -550,7 +577,7 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	// The last stage seeds the backward pass with its forward output.
 	if r == P-1 {
 		for m := range grads {
-			copy(grads[m], acts[m])
+			copy(grads[m].Data, acts[m].Data)
 		}
 	}
 	// Backward: the chain reverses; tags continue past the forward block.
@@ -560,26 +587,29 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	}
 	sweep(grads, bsrc, bdst, s.Units)
 
+	if s.Phantom {
+		return 0, nil // no payload to check or hash
+	}
 	// Oracle: after the forward sweep, stage r has applied r+1 increments;
 	// the backward sweep seeds with the last stage's output (base + P) and
 	// applies P-r further increments by the time stage r is done.
 	h := newFNV()
 	for m := range acts {
 		base := func(i int) float64 { return float64((m+i)%7 + 1) }
-		for i, v := range acts[m] {
+		for i, v := range acts[m].Data {
 			if want := base(i) + float64(r+1); v != want {
 				return 0, fmt.Errorf("pipeline: stage %d microbatch %d fwd elem %d = %g, want %g",
 					r, m, i, v, want)
 			}
 		}
-		for i, v := range grads[m] {
+		for i, v := range grads[m].Data {
 			if want := base(i) + float64(P) + float64(P-r); v != want {
 				return 0, fmt.Errorf("pipeline: stage %d microbatch %d bwd elem %d = %g, want %g",
 					r, m, i, v, want)
 			}
 		}
-		h.addFloats(acts[m])
-		h.addFloats(grads[m])
+		h.addFloats(acts[m].Data)
+		h.addFloats(grads[m].Data)
 	}
 	return h.sum, nil
 }

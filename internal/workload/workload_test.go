@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"commoverlap/internal/mpi"
@@ -105,6 +106,66 @@ func TestForcedAlg(t *testing.T) {
 	}
 	if got.Checksum != ref.Checksum {
 		t.Errorf("forced ring checksum %016x != auto %016x", got.Checksum, ref.Checksum)
+	}
+}
+
+// TestPhantomCongruent is the exactness check behind the tuner's size-only
+// cells: over every pattern, blocking and overlapped, on the flat, hier
+// and torus fabrics, at PPN 1 and 2, with an element count that splits
+// unevenly across ranks, shards and chunks, a unit past the eager limit and
+// the chunk size, every forced allreduce algorithm (dp) and both progress
+// engines, the phantom run's Elapsed and Bytes equal the real run's bit for
+// bit. The real runs must still pass their oracles, and the phantom runs
+// report Checksum 0.
+func TestPhantomCongruent(t *testing.T) {
+	var specs []Spec
+	for _, pat := range Patterns() {
+		for _, overlap := range []bool{false, true} {
+			base := smallSpec(pat, overlap)
+			base.Elems = 3001
+			for _, topo := range []string{"flat", "hier", "torus"} {
+				for _, ppn := range []int{1, 2} {
+					s := base
+					s.Topo, s.PPN = topo, ppn
+					specs = append(specs, s)
+				}
+			}
+			rank, dma := base, base
+			rank.Progress, rank.PPN = "rank1", 1 // the agent takes lane 1
+			dma.Progress = "dma"
+			big := base
+			big.Elems = 1<<17 + 1 // past the eager limit and one 1 MiB chunk
+			specs = append(specs, rank, dma, big)
+			if pat == DataParallel {
+				for _, alg := range mpi.AllreduceAlgs() {
+					s := base
+					s.Alg = alg
+					specs = append(specs, s)
+				}
+			}
+		}
+	}
+	res, err := runner.Map(2*len(specs), 4, func(i int) (Result, error) {
+		s := specs[i/2]
+		s.Phantom = i%2 == 1
+		r, err := Run(s)
+		if err != nil {
+			return r, fmt.Errorf("%+v: %w", s, err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		real, phantom := res[2*i], res[2*i+1]
+		if phantom.Elapsed != real.Elapsed || phantom.Bytes != real.Bytes {
+			t.Errorf("%+v: phantom elapsed %v bytes %d, real elapsed %v bytes %d",
+				s, phantom.Elapsed, phantom.Bytes, real.Elapsed, real.Bytes)
+		}
+		if phantom.Checksum != 0 {
+			t.Errorf("%+v: phantom checksum %016x, want 0", s, phantom.Checksum)
+		}
 	}
 }
 
