@@ -38,9 +38,12 @@
 //
 // -trace writes the fig6 operation timeline as Chrome trace-event JSON
 // (load in Perfetto or chrome://tracing). -metrics installs a virtual-time
-// metrics registry into every experiment job and dumps the accumulated
-// counters when the run finishes. -validate-trace checks that a previously
-// exported trace file is well-formed (used by CI) and exits.
+// metrics registry into every cell internal/bench runs itself and dumps the
+// accumulated counters when the run finishes; the cells tuned, progress,
+// mlwork and paperscale-tuned's tuned collective measure inside
+// internal/tune and internal/workload take no registry and add nothing.
+// -validate-trace checks that a previously exported trace file is
+// well-formed (used by CI) and exits.
 package main
 
 import (
@@ -132,7 +135,7 @@ func realMain() int {
 	flag.IntVar(&o.N, "n", 0, "matrix dimension for the kernel experiments (0 = paper's 1hsg_70)")
 	csvDir := flag.String("csv", "", "directory to write <experiment>.csv files into")
 	flag.StringVar(&o.TracePath, "trace", "", "write the fig6 timeline as Chrome trace JSON to this file")
-	showMetrics := flag.Bool("metrics", false, "accumulate and print virtual-time metrics across the runs")
+	showMetrics := flag.Bool("metrics", false, "accumulate and print virtual-time metrics across the runs (not the tuner and workload cells of tuned, progress and mlwork)")
 	validate := flag.String("validate-trace", "", "validate a Chrome trace JSON file and exit")
 	flag.IntVar(&o.Workers, "workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
 	flag.StringVar(&o.TablePath, "table", "TUNING.json", "tuning table the tuned experiments apply")

@@ -2,11 +2,12 @@ package bench
 
 import (
 	"io"
+	"strconv"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -25,30 +26,17 @@ type AblationRow struct {
 
 // ablationKernel runs the optimized kernel on a p-edge cubic mesh under a
 // custom machine config, with natural or round-robin rank placement and a
-// hook to adjust the freshly built world (per-job collective switch points
-// and similar) before launch. It returns the kernel's TFlops.
-func ablationKernel(cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool, tweak func(*mpi.World)) (float64, error) {
+// setup hook that adjusts the freshly built world (per-job collective
+// switch points and similar) before launch. It returns the kernel's TFlops.
+func ablationKernel(o Options, cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool, setup func(*mpi.World)) (float64, error) {
 	dims := mesh.Cubic(p)
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	cfg.Nodes = nodes
+	cfg.Nodes = mesh.NodesNeeded(dims.Size(), ppn)
 	placement := mesh.NaturalPlacement(dims.Size(), ppn)
 	if roundRobin {
-		placement = mesh.RoundRobinPlacement(dims.Size(), nodes)
-	}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(net, dims.Size(), placement)
-	if err != nil {
-		return 0, err
-	}
-	if tweak != nil {
-		tweak(w)
+		placement = mesh.RoundRobinPlacement(dims.Size(), cfg.Nodes)
 	}
 	var worst float64
-	w.Launch(func(pr *mpi.Proc) {
+	_, err := o.run(job.Spec{Config: cfg, Ranks: dims.Size(), Placement: placement, Setup: setup}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
 		if err != nil {
 			panic(err)
@@ -59,7 +47,7 @@ func ablationKernel(cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool, twe
 			worst = res.Time
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return core.KernelFlops(n) / worst / 1e12, nil
@@ -82,7 +70,7 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 	cells, err := parcases(o, len(chunks), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ChunkBytes = chunks[i]
-		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
+		return ablationKernel(o, cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -98,7 +86,7 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 	limits := []int64{64 << 10, 1 << 30}
 	cells, err = parcases(o, len(limits), func(i int) (float64, error) {
 		lim := limits[i]
-		return ablationKernel(simnet.DefaultConfig(1), n, 4, 4, 1, false, func(w *mpi.World) {
+		return ablationKernel(o, simnet.DefaultConfig(1), n, 4, 4, 1, false, func(w *mpi.World) {
 			w.ReduceLongMsg = lim
 		})
 	})
@@ -117,7 +105,7 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 	//    column (the reduce fibers) mostly on one node; round-robin spreads
 	//    it across nodes.
 	cells, err = parcases(o, 2, func(i int) (float64, error) {
-		return ablationKernel(simnet.DefaultConfig(1), n, 6, 4, 4, i == 1, nil)
+		return ablationKernel(o, simnet.DefaultConfig(1), n, 6, 4, 4, i == 1, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -131,7 +119,7 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 	cells, err = parcases(o, len(scales), func(i int) (float64, error) {
 		cfg := simnet.DefaultConfig(1)
 		cfg.ReduceRate *= scales[i]
-		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
+		return ablationKernel(o, cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -148,7 +136,7 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 		if factors[i] > 0 {
 			cfg.CoreBandwidth = 64 * cfg.WireBandwidth / factors[i]
 		}
-		return ablationKernel(cfg, n, 4, 4, 1, false, nil)
+		return ablationKernel(o, cfg, n, 4, 4, 1, false, nil)
 	})
 	if err != nil {
 		return rows, err
@@ -168,24 +156,10 @@ func Ablate(w io.Writer, o Options) ([]AblationRow, error) {
 func byteLabel(b int64) string {
 	switch {
 	case b >= 1<<20:
-		return itoa(int(b>>20)) + "MiB"
+		return strconv.Itoa(int(b>>20)) + "MiB"
 	case b >= 1<<10:
-		return itoa(int(b>>10)) + "KiB"
+		return strconv.Itoa(int(b>>10)) + "KiB"
 	default:
-		return itoa(int(b)) + "B"
+		return strconv.Itoa(int(b)) + "B"
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -17,12 +17,12 @@ import (
 	"strings"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 	"commoverlap/internal/runner"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -37,9 +37,12 @@ type Options struct {
 	// worker count.
 	Workers int
 	// Metrics, when non-nil, is installed as the virtual-time metrics sink
-	// of every simulated job. It pins the replica pool to one worker, so
-	// the single registry accumulates across a whole experiment in
-	// deterministic order without races.
+	// of every cell the experiments build themselves (job.Spec.Metrics).
+	// The cells measured inside internal/tune and internal/workload
+	// (tuned, progress, mlwork, paperscale-tuned's tuned collective) take
+	// no registry and do not feed it. It pins the replica pool to one
+	// worker, so the single registry accumulates across a whole experiment
+	// in deterministic order without races.
 	Metrics *metrics.Registry
 	// N overrides the matrix dimension of the kernel experiments (0 = the
 	// paper's 1hsg_70, N = 7645).
@@ -98,30 +101,12 @@ var Systems = []System{
 	{Name: "1hsg_70", N: 7645, Ne: 1529},
 }
 
-// job runs body on a fresh simulated world of default-config nodes and
-// returns the finished world (for byte accounting and utilization
-// snapshots) or an error on simulation deadlock. The progress-engine spec
-// is applied to the machine (DMA offload) and the world (progress-agent
-// count); the zero spec is the plain machine. o.Metrics, when set, is the
-// world's metrics sink.
-func job(o Options, nodes, ranks int, placement []int, sp progress.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
-	eng := sim.NewEngine()
-	cfg := simnet.DefaultConfig(nodes)
-	sp.ApplyConfig(&cfg)
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	w, err := mpi.NewWorld(net, ranks, placement)
-	if err != nil {
-		return nil, err
-	}
-	sp.ApplyWorld(w)
-	if o.Metrics != nil {
-		w.SetMetrics(o.Metrics)
-	}
-	w.Launch(body)
-	return w, eng.Run()
+// run runs one experiment cell through job.Run with o.Metrics, when set,
+// as the world's metrics sink, and returns the finished world (for byte
+// accounting and utilization snapshots).
+func (o Options) run(s job.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
+	s.Metrics = o.Metrics
+	return job.Run(s, body)
 }
 
 // UtilStats summarizes one job's resource occupancy over its elapsed
@@ -212,7 +197,11 @@ func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
 	var out KernelRun
 	out.Nodes = nodes
-	w, err := job(o, nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), progress.Spec{}, func(pr *mpi.Proc) {
+	w, err := o.run(job.Spec{
+		Config:    simnet.DefaultConfig(nodes),
+		Ranks:     dims.Size(),
+		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
+	}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv25(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
 		if err != nil {
 			panic(err)
@@ -242,15 +231,29 @@ func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, er
 		ppn = 1
 	}
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	var out KernelRun
-	out.Nodes = nodes
+	out := KernelRun{Nodes: nodes}
+	measure := func(env *core.Env, err error) {
+		if err != nil {
+			panic(err)
+		}
+		env.M.World.Barrier()
+		accumulate(&out, env.SymmSquareCube(v, nil))
+	}
+	s := job.Spec{
+		Config:    simnet.DefaultConfig(nodes),
+		Progress:  cfg.Progress,
+		Ranks:     dims.Size(),
+		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
+	}
+	body := func(pr *mpi.Proc) { measure(core.NewEnv(pr, dims, cfg)) }
 	if agents := sp.LanesNeeded(); agents > 0 {
 		// Rank-mode progress agents ride in extra launched lanes per node:
 		// the mesh ranks split off a working communicator while the agent
 		// lanes park (their CPUs advance the siblings' chunk pipelines).
 		launchPPN := ppn + agents
-		ranks := nodes * launchPPN
-		w, err := job(o, nodes, ranks, mesh.NaturalPlacement(ranks, launchPPN), sp, func(pr *mpi.Proc) {
+		s.Ranks = nodes * launchPPN
+		s.Placement = mesh.NaturalPlacement(s.Ranks, launchPPN)
+		body = func(pr *mpi.Proc) {
 			node, lane := pr.Rank()/launchPPN, pr.Rank()%launchPPN
 			color := -1
 			if lane < ppn && node*ppn+lane < dims.Size() {
@@ -258,30 +261,11 @@ func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, er
 			}
 			sub := pr.World().Split(color, node*ppn+lane)
 			mpi.RunActive(pr, pr.World(), sub != nil, mpi.DefaultPollInterval, func() {
-				env, err := core.NewEnvOn(pr, sub, dims, cfg)
-				if err != nil {
-					panic(err)
-				}
-				env.M.World.Barrier()
-				res := env.SymmSquareCube(v, nil)
-				accumulate(&out, res)
+				measure(core.NewEnvOn(pr, sub, dims, cfg))
 			})
-		})
-		if err != nil {
-			return out, err
 		}
-		finish(&out, cfg.N, w)
-		return out, nil
 	}
-	w, err := job(o, nodes, dims.Size(), mesh.NaturalPlacement(dims.Size(), ppn), sp, func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, cfg)
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube(v, nil)
-		accumulate(&out, res)
-	})
+	w, err := o.run(s, body)
 	if err != nil {
 		return out, err
 	}

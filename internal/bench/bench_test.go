@@ -403,6 +403,18 @@ func TestAblateShape(t *testing.T) {
 	}
 }
 
+// TestAblateFeedsMetrics pins that -metrics reaches the ablation cells,
+// which run on custom machine configs.
+func TestAblateFeedsMetrics(t *testing.T) {
+	reg := &metrics.Registry{}
+	if _, err := Ablate(io.Discard, Options{N: 400, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Value("net.transfers", ""); n <= 0 {
+		t.Errorf("ablation fed %g transfers to the metrics registry, want > 0", n)
+	}
+}
+
 func TestCSVWriters(t *testing.T) {
 	var sb strings.Builder
 	f3 := Fig3Result{Sizes: []int64{1, 2}, PPNs: []int{1, 2},

@@ -4,8 +4,9 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/solver"
 )
 
@@ -43,7 +44,7 @@ func Solver(w io.Writer, o Options) ([]SolverRow, error) {
 		variant := i % 2
 		n := ranks * perRank
 		var t float64
-		_, err := job(o, ranks, ranks, nil, progress.Spec{}, func(pr *mpi.Proc) {
+		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(ranks), Ranks: ranks}, func(pr *mpi.Proc) {
 			cg, err := solver.New(pr, pr.World(), n, solver.NewStencil(halfBW), false, 1)
 			if err != nil {
 				panic(err)
@@ -94,7 +95,7 @@ func Algos(w io.Writer, o Options) ([]AlgoRow, error) {
 
 	summa := func(ndup int) (float64, error) {
 		var worst float64
-		_, err := job(o, 64, 64, nil, progress.Spec{}, func(pr *mpi.Proc) {
+		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(64), Ranks: 64}, func(pr *mpi.Proc) {
 			env, err := core.NewEnv2D(pr, 8, core.Config{N: n, NDup: ndup, PPN: 1})
 			if err != nil {
 				panic(err)

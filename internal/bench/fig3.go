@@ -3,8 +3,9 @@ package bench
 import (
 	"io"
 
+	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
+	"commoverlap/internal/simnet"
 )
 
 // Fig3Result holds the unidirectional point-to-point bandwidth sweep:
@@ -66,7 +67,11 @@ func p2pBandwidth(o Options, ppn int, msg int64) (float64, error) {
 		placement[i] = 1
 	}
 	var elapsed float64
-	_, err := job(o, 2, 2*ppn, placement, progress.Spec{}, func(pr *mpi.Proc) {
+	_, err := o.run(job.Spec{
+		Config:    simnet.DefaultConfig(2),
+		Ranks:     2 * ppn,
+		Placement: placement,
+	}, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
+	"commoverlap/internal/simnet"
 )
 
 // CollCase identifies one of the three micro-benchmark configurations of
@@ -115,7 +116,11 @@ func Fig5(w io.Writer, o Options) (Fig5Result, error) {
 func collectiveRun(o Options, op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
 	ppn, ndup := cc.shape()
 	var elapsed float64
-	w, err := job(o, p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), progress.Spec{}, collectiveBody(op, ppn, ndup, total, &elapsed))
+	w, err := o.run(job.Spec{
+		Config:    simnet.DefaultConfig(p),
+		Ranks:     p * ppn,
+		Placement: mesh.NaturalPlacement(p*ppn, ppn),
+	}, collectiveBody(op, ppn, ndup, total, &elapsed))
 	if err != nil {
 		return 0, UtilStats{}, err
 	}

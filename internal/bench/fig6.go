@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/trace"
 )
 
@@ -166,7 +167,7 @@ func (r Fig6Result) WriteChromeTrace(w io.Writer) error {
 
 func timelineSingle(o Options, op, label string, bytes int64, nonblocking bool) ([]TimelineEntry, UtilStats, error) {
 	var entry TimelineEntry
-	w, err := job(o, fig5Nodes, fig5Nodes, nil, progress.Spec{}, func(pr *mpi.Proc) {
+	w, err := o.run(job.Spec{Config: simnet.DefaultConfig(fig5Nodes), Ranks: fig5Nodes}, func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()
@@ -205,7 +206,7 @@ func timelineSingle(o Options, op, label string, bytes int64, nonblocking bool) 
 func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ndup = 4
 	entries := make([]TimelineEntry, ndup)
-	w, err := job(o, fig5Nodes, fig5Nodes, nil, progress.Spec{}, func(pr *mpi.Proc) {
+	w, err := o.run(job.Spec{Config: simnet.DefaultConfig(fig5Nodes), Ranks: fig5Nodes}, func(pr *mpi.Proc) {
 		c := pr.World()
 		comms := c.DupN(ndup)
 		c.Barrier()
@@ -241,7 +242,11 @@ func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 func timelinePPN(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := job(o, fig5Nodes, fig5Nodes*ppn, mesh.NaturalPlacement(fig5Nodes*ppn, ppn), progress.Spec{}, func(pr *mpi.Proc) {
+	w, err := o.run(job.Spec{
+		Config:    simnet.DefaultConfig(fig5Nodes),
+		Ranks:     fig5Nodes * ppn,
+		Placement: mesh.NaturalPlacement(fig5Nodes*ppn, ppn),
+	}, func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

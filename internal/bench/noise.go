@@ -4,9 +4,8 @@ import (
 	"io"
 
 	"commoverlap/internal/faults"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
-	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -82,43 +81,28 @@ func Noise(w io.Writer, o Options) (NoiseResult, error) {
 }
 
 // noisyCollectiveRun measures one (case, amplitude) cell: the Fig. 5
-// collective job with a seeded fault injector installed. Amplitude 0 runs
-// clean (no injector), so the baseline is exactly collectiveRun's machine.
+// collective job with a seeded fault injector installed between world
+// construction and launch. Amplitude 0 installs none, so the baseline is
+// exactly collectiveRun's machine.
 func noisyCollectiveRun(o Options, op string, cc CollCase, total int64, amp float64) (float64, error) {
 	p := fig5Nodes
 	ppn, ndup := cc.shape()
+	s := job.Spec{
+		Config:    simnet.DefaultConfig(p),
+		Ranks:     p * ppn,
+		Placement: mesh.NaturalPlacement(p*ppn, ppn),
+	}
+	if amp > 0 {
+		inj, err := faults.New(faults.Noise(noiseSeed, amp))
+		if err != nil {
+			return 0, err
+		}
+		s.Setup = inj.Install
+	}
 	var elapsed float64
-	body := collectiveBody(op, ppn, ndup, total, &elapsed)
-	if err := jobNoise(o, p, p*ppn, mesh.NaturalPlacement(p*ppn, ppn), faults.Noise(noiseSeed, amp), body); err != nil {
+	if _, err := o.run(s, collectiveBody(op, ppn, ndup, total, &elapsed)); err != nil {
 		return 0, err
 	}
 	vol := 2 * float64(p-1) / float64(p) * float64(total)
 	return vol / elapsed, nil
-}
-
-// jobNoise is job with a fault injector installed between world
-// construction and launch. An all-zero config (amplitude 0) skips
-// installation entirely so clean runs are bit-identical to job's.
-func jobNoise(o Options, nodes, ranks int, placement []int, cfg faults.Config, body func(p *mpi.Proc)) error {
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, simnet.DefaultConfig(nodes))
-	if err != nil {
-		return err
-	}
-	w, err := mpi.NewWorld(net, ranks, placement)
-	if err != nil {
-		return err
-	}
-	if o.Metrics != nil {
-		w.SetMetrics(o.Metrics)
-	}
-	if cfg != (faults.Config{Seed: cfg.Seed}) {
-		inj, err := faults.New(cfg)
-		if err != nil {
-			return err
-		}
-		inj.Install(w)
-	}
-	w.Launch(body)
-	return eng.Run()
 }

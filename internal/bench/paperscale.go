@@ -6,10 +6,11 @@ import (
 
 	"commoverlap/internal/cache"
 	"commoverlap/internal/core"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
 	"commoverlap/internal/purify"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/tune"
 )
 
@@ -196,7 +197,7 @@ func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResul
 func purifyTFlops(o Options, n, ne, p, ndup, iters int) (float64, error) {
 	dims := mesh.Cubic(p)
 	var kernelTime float64
-	_, err := job(o, dims.Size(), dims.Size(), nil, progress.Spec{}, func(pr *mpi.Proc) {
+	_, err := o.run(job.Spec{Config: simnet.DefaultConfig(dims.Size()), Ranks: dims.Size()}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup})
 		if err != nil {
 			panic(err)

@@ -4,8 +4,9 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/sparse"
 )
 
@@ -46,7 +47,7 @@ func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
 		pipelined := (i-1)%2 == 1
 		h := sparse.BandedHamiltonian(n, hb, float64(hb)/3)
 		var worst float64
-		_, err := job(o, 16, 16, nil, progress.Spec{}, func(pr *mpi.Proc) {
+		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(16), Ranks: 16}, func(pr *mpi.Proc) {
 			env, err := core.NewSpEnv(pr, q, n, 2, 1, 0)
 			if err != nil {
 				panic(err)
@@ -78,7 +79,7 @@ func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
 
 func dense2DTime(o Options, q, n int) (float64, error) {
 	var worst float64
-	_, err := job(o, q*q, q*q, nil, progress.Spec{}, func(pr *mpi.Proc) {
+	_, err := o.run(job.Spec{Config: simnet.DefaultConfig(q * q), Ranks: q * q}, func(pr *mpi.Proc) {
 		env, err := core.NewEnv2D(pr, q, core.Config{N: n, NDup: 2})
 		if err != nil {
 			panic(err)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/sim"
-	"commoverlap/internal/simnet"
+	"commoverlap/internal/tune"
 )
 
 // The topology experiment: the same allreduce swept over the overlap axes
@@ -128,68 +126,19 @@ func Topo(w io.Writer, o Options) (TopoResult, error) {
 	return res, nil
 }
 
-// topoCell measures one (fabric, ndup, ppn, alg) cell: the tuner's
-// measurement job (column communicators, duplicated comms, surplus ranks
+// topoCell measures one (fabric, ndup, ppn, alg) cell: the tuner's own
+// allreduce cell (column communicators, duplicated comms, surplus ranks
 // parked) plus a post-run per-link-class utilization snapshot.
 func topoCell(o Options, fabric string, ndup, ppn int, alg string) (TopoRow, error) {
 	row := TopoRow{Fabric: fabric, NDup: ndup, PPN: ppn, Alg: alg}
-	name := fabric
-	if name == "flat" {
-		name = ""
-	}
-	spec, err := simnet.TopoByName(name, topoNodes)
-	if err != nil {
-		return row, err
-	}
-	cfg := simnet.DefaultConfig(topoNodes)
-	cfg.Topo = spec
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return row, err
-	}
-	ranks := topoNodes * topoLaunchPPN
-	w, err := mpi.NewWorld(net, ranks, mesh.NaturalPlacement(ranks, topoLaunchPPN))
-	if err != nil {
-		return row, err
-	}
-	if o.Metrics != nil {
-		w.SetMetrics(o.Metrics)
-	}
-	w.AllreduceAlg = alg
+	k := tune.Kernel{Op: "allreduce", Bytes: topoBytes, Nodes: topoNodes, Topo: fabric}
 	var elapsed float64
-	w.Launch(func(pr *mpi.Proc) {
-		lane := pr.Rank() % topoLaunchPPN
-		color := lane
-		if lane >= ppn {
-			color = -1
-		}
-		col := pr.World().Split(color, pr.Rank()/topoLaunchPPN)
-		var comms []*mpi.Comm
-		if col != nil {
-			comms = col.DupN(ndup)
-		}
-		mpi.RunActive(pr, pr.World(), col != nil, mpi.DefaultPollInterval, func() {
-			t0 := pr.Now()
-			share := topoBytes / int64(ppn) / int64(ndup)
-			if share == 0 {
-				share = 1
-			}
-			reqs := make([]*mpi.Request, ndup)
-			for d := 0; d < ndup; d++ {
-				reqs[d] = comms[d].Iallreduce(mpi.Phantom(share), mpi.OpSum)
-			}
-			mpi.Waitall(reqs...)
-			if dt := pr.Now() - t0; dt > elapsed {
-				elapsed = dt
-			}
-		})
-	})
-	if err := eng.Run(); err != nil {
+	w, err := o.run(tune.CollectiveJob(k, tune.Params{NDup: ndup, PPN: ppn, Alg: alg}, topoLaunchPPN, &elapsed))
+	if err != nil {
 		return row, err
 	}
 	vol := 2 * float64(topoNodes-1) / float64(topoNodes) * float64(topoBytes)
 	row.BW = vol / elapsed
-	row.UplinkUtil = net.LinkUtilization(eng.Now())["uplink"]
+	row.UplinkUtil = w.Net.LinkUtilization(w.Eng.Now())["uplink"]
 	return row, nil
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"commoverlap/internal/faults"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
@@ -72,15 +73,14 @@ type Scenario struct {
 	// drive interior-link contention (shared uplinks, torus rails) through
 	// the same invariant battery as the flat fabric.
 	Topo string
-	// Config, when non-nil, adjusts the machine configuration before the
-	// fabric is built — e.g. enabling the per-node DMA offload engine
-	// (simnet.Config.OffloadRate) so the checker can drive the progress
-	// engine's offload charging through the invariant battery. It runs
-	// after the topology is applied.
-	Config func(cfg *simnet.Config)
+	// Progress is the progress-engine label the job runs with
+	// (progress.Parse): "dma" enables every node's DMA offload engine and
+	// "rankN" dedicates N ranks per node as progress agents, so the checker
+	// drives the engine's consumer-tagged resource charging through the
+	// invariant battery. Empty is the engine off.
+	Progress string
 	// Setup, when non-nil, configures the world before launch — forcing a
-	// collective-algorithm family member, adjusting switch points, or
-	// dedicating progress-agent ranks (mpi.World.Progress). Unlike
+	// collective-algorithm family member or adjusting switch points. Unlike
 	// Options.Mutate it is part of the scenario itself, not a test hook.
 	Setup func(w *mpi.World)
 	Body  func(p *mpi.Proc, fail Failf)
@@ -141,56 +141,44 @@ func (c *collector) addf(invariant, format string, args ...any) {
 // armed and returns the report.
 func RunScenario(sc Scenario, opts Options) Report {
 	col := &collector{}
-
-	eng := sim.NewEngine()
-	if opts.Tie != nil {
-		eng.SetTieBreak(opts.Tie)
-	}
-	events := watchClock(eng, col)
-
-	cfg := simnet.DefaultConfig(sc.Nodes)
-	topo, err := simnet.TopoByName(sc.Topo, sc.Nodes)
-	if err != nil {
-		col.addf("setup", "topology: %v", err)
-		return Report{Violations: col.violations}
-	}
-	cfg.Topo = topo
-	if sc.Config != nil {
-		sc.Config(&cfg)
-	}
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		col.addf("setup", "simnet: %v", err)
-		return Report{Violations: col.violations}
-	}
-	w, err := mpi.NewWorld(net, sc.Ranks, sc.Placement)
-	if err != nil {
-		col.addf("setup", "world: %v", err)
-		return Report{Violations: col.violations}
-	}
-	// Any runaway poll spin should trip fast enough to diagnose.
-	w.MaxPollTime = 60
-	if sc.Setup != nil {
-		sc.Setup(w)
-	}
-	if opts.Mutate != nil {
-		opts.Mutate(w)
-	}
 	var inj *faults.Injector
 	if opts.Faults != nil {
-		inj, err = faults.New(*opts.Faults)
-		if err != nil {
+		var err error
+		if inj, err = faults.New(*opts.Faults); err != nil {
 			col.addf("setup", "faults: %v", err)
 			return Report{Violations: col.violations}
 		}
-		inj.Install(w)
 	}
-	watchResources(w, col)
+	var events *int
 	var log trace.MsgLog
-	w.Probe = log.Add
-
+	spec := job.Spec{
+		Config:    simnet.DefaultConfig(sc.Nodes),
+		Topo:      sc.Topo,
+		Progress:  sc.Progress,
+		Ranks:     sc.Ranks,
+		Placement: sc.Placement,
+		Setup: func(w *mpi.World) {
+			if opts.Tie != nil {
+				w.Eng.SetTieBreak(opts.Tie)
+			}
+			events = watchClock(w.Eng, col)
+			// Any runaway poll spin should trip fast enough to diagnose.
+			w.MaxPollTime = 60
+			if sc.Setup != nil {
+				sc.Setup(w)
+			}
+			if opts.Mutate != nil {
+				opts.Mutate(w)
+			}
+			if inj != nil {
+				inj.Install(w)
+			}
+			watchResources(w, col)
+			w.Probe = log.Add
+		},
+	}
 	fail := func(format string, args ...any) { col.addf("oracle", format, args...) }
-	w.Launch(func(p *mpi.Proc) {
+	w, err := job.Run(spec, func(p *mpi.Proc) {
 		// A panic in a rank body runs on the rank's own goroutine; recover
 		// here so it becomes a violation instead of killing the process.
 		// The rank then exits early, so peers typically deadlock — the
@@ -202,22 +190,28 @@ func RunScenario(sc Scenario, opts Options) Report {
 		}()
 		sc.Body(p, fail)
 	})
-
-	if err := eng.Run(); err != nil {
-		col.addf("deadlock", "%v", err)
+	if w == nil {
+		col.addf("setup", "%v", err)
+		return Report{Violations: col.violations}
 	}
-	if err := w.CheckClean(); err != nil {
+	if w.Eng.Live() > 0 {
+		// A deadlock: Run returned the engine's error without checking
+		// the teardown, which the leftover processes fail too.
+		col.addf("deadlock", "%v", err)
+		err = w.CheckClean()
+	}
+	if err != nil {
 		col.addf("teardown", "%v", err)
 	}
 	checkMessageOrder(&log, col)
 	checkDelivery(&log, col)
-	resources := checkResourceAccounting(w, eng.Now(), col)
+	resources := checkResourceAccounting(w, w.Eng.Now(), col)
 
 	return Report{
 		Violations: col.violations,
 		Events:     *events,
 		Messages:   log.Len(),
-		FinalTime:  eng.Now(),
+		FinalTime:  w.Eng.Now(),
 		Resources:  resources,
 		Log:        &log,
 		Faults:     inj,

@@ -7,8 +7,6 @@ import (
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
-	"commoverlap/internal/simnet"
 	"commoverlap/internal/workload"
 )
 
@@ -407,7 +405,7 @@ func progressRanksScenario() Scenario {
 	return Scenario{
 		Name: "progress-ranks", Ranks: ranks, Nodes: spec.Nodes,
 		Placement: mesh.NaturalPlacement(ranks, spec.LaunchPPN),
-		Setup:     func(w *mpi.World) { progress.MustParse(spec.Progress).ApplyWorld(w) },
+		Progress:  spec.Progress,
 		Body: func(p *mpi.Proc, fail Failf) {
 			if _, err := workload.RunRank(p, spec); err != nil {
 				fail("progress-ranks: %v", err)
@@ -438,7 +436,7 @@ func progressDMAScenario() Scenario {
 	return Scenario{
 		Name: "progress-dma", Ranks: ranks, Nodes: spec.Nodes,
 		Placement: mesh.NaturalPlacement(ranks, spec.LaunchPPN),
-		Config:    func(cfg *simnet.Config) { progress.MustParse(spec.Progress).ApplyConfig(cfg) },
+		Progress:  spec.Progress,
 		Body: func(p *mpi.Proc, fail Failf) {
 			if _, err := workload.RunRank(p, spec); err != nil {
 				fail("progress-dma: %v", err)

@@ -1,4 +1,4 @@
-// Package progress names and wires the asynchronous progress engine — the
+// Package progress names the asynchronous progress engine — the
 // third overlap mechanism next to the paper's duplicated communicators
 // (N_DUP) and parked per-node ranks (PPN). Two modes exist:
 //
@@ -10,18 +10,16 @@
 //     chunk forwarding at its own byte rate, freeing every rank's NIC lane
 //     for in-flight collectives to interleave with tile-level compute.
 //
-// A Spec round-trips through a compact label ("", "rank2", "dma", or
-// "dma@2.5e10") so the tuner can carry the axis inside Params, the
-// persisted TUNING.json, and cell provenance hashes.
+// Every layer carries the engine as a compact label ("", "rank2", "dma", or
+// "dma@2.5e10"): the tuner inside Params, the persisted TUNING.json and
+// cell provenance hashes. Parse decodes a label into a Spec; job.Run, which
+// builds every simulated cell, wires it into the machine and the world.
 package progress
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 )
 
 // Mode selects which progress engine, if any, a run uses.
@@ -79,40 +77,6 @@ func MustParse(s string) Spec {
 	return sp
 }
 
-// String renders the canonical label Parse accepts.
-func (s Spec) String() string {
-	switch s.Mode {
-	case Ranks:
-		return fmt.Sprintf("rank%d", s.Ranks)
-	case Offload:
-		if s.Rate > 0 && s.Rate != simnet.DefaultOffloadRate {
-			return fmt.Sprintf("dma@%g", s.Rate)
-		}
-		return "dma"
-	}
-	return ""
-}
-
-// Validate reports configuration errors.
-func (s Spec) Validate() error {
-	switch s.Mode {
-	case Off, Offload:
-		if s.Mode == Offload && s.Rate < 0 {
-			return fmt.Errorf("progress: offload rate %g, need >= 0", s.Rate)
-		}
-		return nil
-	case Ranks:
-		if s.Ranks < 1 {
-			return fmt.Errorf("progress: %d progress ranks per node, need >= 1", s.Ranks)
-		}
-		return nil
-	}
-	return fmt.Errorf("progress: unknown mode %d", s.Mode)
-}
-
-// On reports whether any engine is enabled.
-func (s Spec) On() bool { return s.Mode != Off }
-
 // LanesNeeded reports how many per-node rank lanes the mode consumes on top
 // of the active ones: Ranks-mode agents must come out of the launched (and
 // otherwise parked) lanes, while the offload engine is hardware and needs
@@ -122,25 +86,4 @@ func (s Spec) LanesNeeded() int {
 		return s.Ranks
 	}
 	return 0
-}
-
-// ApplyConfig wires the machine-level half of the spec: Offload mode
-// enables the fabric's per-node DMA engine (installed on every endpoint at
-// creation). Call before simnet.New.
-func (s Spec) ApplyConfig(cfg *simnet.Config) {
-	if s.Mode != Offload {
-		return
-	}
-	cfg.OffloadRate = s.Rate
-	if cfg.OffloadRate == 0 {
-		cfg.OffloadRate = simnet.DefaultOffloadRate
-	}
-}
-
-// ApplyWorld wires the job-level half of the spec: Ranks mode sets the
-// World's progress-agent count. Call after NewWorld and before Launch.
-func (s Spec) ApplyWorld(w *mpi.World) {
-	if s.Mode == Ranks {
-		w.Progress = s.Ranks
-	}
 }

@@ -23,11 +23,11 @@ import (
 	"sync"
 
 	"commoverlap/internal/cache"
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 	"commoverlap/internal/runner"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 	"commoverlap/internal/workload"
 )
@@ -398,11 +398,9 @@ func DefaultKernels() []Kernel {
 }
 
 // Measure runs one cell: a fresh simulated machine of k.Nodes nodes with
-// grid-constant launchPPN ranks per node, p.PPN of them active. The active
-// ranks run the collective split across p.PPN column communicators (one
-// rank per node each) times p.NDup duplicates; the surplus ranks park on an
-// Ibarrier with the paper's Test+usleep poll. Returns bandwidth in bytes/s
-// under the paper's volume convention (2(p-1)/p * n).
+// grid-constant launchPPN ranks per node, p.PPN of them active (see
+// CollectiveJob). Returns bandwidth in bytes/s under the paper's volume
+// convention (2(p-1)/p * n).
 func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 	if err := k.validate(); err != nil {
 		return 0, err
@@ -418,46 +416,55 @@ func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 	if workloadOp(k.Op) {
 		return measureWorkload(k, p, launchPPN)
 	}
-	cfg := simnet.DefaultConfig(k.Nodes)
-	sp.ApplyConfig(&cfg)
-	topo, err := simnet.TopoByName(k.Topo, k.Nodes)
-	if err != nil {
+	var elapsed float64
+	if _, err := job.Run(CollectiveJob(k, p, launchPPN, &elapsed)); err != nil {
 		return 0, err
 	}
-	cfg.Topo = topo
+	vol := 2 * float64(k.Nodes-1) / float64(k.Nodes) * float64(k.Bytes)
+	return vol / elapsed, nil
+}
+
+// CollectiveJob is the tuner's cell for a bare-collective kernel: the job
+// spec (the cell's protocol overrides, fabric and progress engine on
+// k.Nodes nodes of launchPPN naturally placed ranks, the switch points and
+// forced algorithm set on the world) and the rank body. The active ranks
+// run the collective split across p.PPN column communicators (one rank per
+// node each) times p.NDup duplicates; the surplus ranks park on an
+// Ibarrier with the paper's Test+usleep poll. The slowest active rank's
+// elapsed time lands in *elapsed.
+func CollectiveJob(k Kernel, p Params, launchPPN int, elapsed *float64) (job.Spec, func(*mpi.Proc)) {
+	cfg := simnet.DefaultConfig(k.Nodes)
 	if p.ChunkBytes != 0 {
 		cfg.ChunkBytes = p.ChunkBytes
 	}
 	if p.EagerLimit != 0 {
 		cfg.EagerLimit = p.EagerLimit
 	}
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return 0, err
-	}
 	ranks := k.Nodes * launchPPN
-	w, err := mpi.NewWorld(net, ranks, mesh.NaturalPlacement(ranks, launchPPN))
-	if err != nil {
-		return 0, err
+	s := job.Spec{
+		Config:    cfg,
+		Topo:      k.Topo,
+		Progress:  p.Progress,
+		Ranks:     ranks,
+		Placement: mesh.NaturalPlacement(ranks, launchPPN),
+		Setup: func(w *mpi.World) {
+			if p.BcastLongMsg != 0 {
+				w.BcastLongMsg = p.BcastLongMsg
+			}
+			if p.ReduceLongMsg != 0 {
+				w.ReduceLongMsg = p.ReduceLongMsg
+			}
+			switch k.Op {
+			case "bcast":
+				w.BcastAlg = p.Alg
+			case "reduce":
+				w.ReduceAlg = p.Alg
+			case "allreduce":
+				w.AllreduceAlg = p.Alg
+			}
+		},
 	}
-	if p.BcastLongMsg != 0 {
-		w.BcastLongMsg = p.BcastLongMsg
-	}
-	if p.ReduceLongMsg != 0 {
-		w.ReduceLongMsg = p.ReduceLongMsg
-	}
-	switch k.Op {
-	case "bcast":
-		w.BcastAlg = p.Alg
-	case "reduce":
-		w.ReduceAlg = p.Alg
-	case "allreduce":
-		w.AllreduceAlg = p.Alg
-	}
-	sp.ApplyWorld(w)
-	var elapsed float64
-	w.Launch(func(pr *mpi.Proc) {
+	return s, func(pr *mpi.Proc) {
 		// Column communicators (one rank per node each) are split off while
 		// every rank is awake — communicator creation is collective — and
 		// only then do the surplus ranks park.
@@ -490,16 +497,11 @@ func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 				}
 			}
 			mpi.Waitall(reqs...)
-			if dt := pr.Now() - t0; dt > elapsed {
-				elapsed = dt
+			if dt := pr.Now() - t0; dt > *elapsed {
+				*elapsed = dt
 			}
 		})
-	})
-	if err := eng.Run(); err != nil {
-		return 0, err
 	}
-	vol := 2 * float64(k.Nodes-1) / float64(k.Nodes) * float64(k.Bytes)
-	return vol / elapsed, nil
 }
 
 // workloadUnits is the fixed bucket/shard/microbatch count a workload
@@ -514,11 +516,6 @@ const workloadUnits = 8
 // (workload.Spec.Phantom), which give the same Goodput as real ones.
 func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 	cfg := workload.AcceleratorConfig(k.Nodes)
-	topo, err := simnet.TopoByName(k.Topo, k.Nodes)
-	if err != nil {
-		return 0, err
-	}
-	cfg.Topo = topo
 	if p.ChunkBytes != 0 {
 		cfg.ChunkBytes = p.ChunkBytes
 	}

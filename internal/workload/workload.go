@@ -36,10 +36,10 @@ import (
 	"hash/fnv"
 	"math"
 
+	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
-	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
 )
 
@@ -208,47 +208,29 @@ func Run(s Spec) (Result, error) {
 	if err := s.validate(); err != nil {
 		return Result{}, err
 	}
-	var cfg simnet.Config
+	cfg := AcceleratorConfig(s.Nodes)
 	if s.Config != nil {
 		cfg = *s.Config
-	} else {
-		cfg = AcceleratorConfig(s.Nodes)
 	}
 	cfg.Nodes = s.Nodes
-	topo, err := simnet.TopoByName(s.Topo, s.Nodes)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Topo = topo
-	sp := progress.MustParse(s.Progress) // validated above
-	sp.ApplyConfig(&cfg)
-	eng := sim.NewEngine()
-	net, err := simnet.New(eng, cfg)
-	if err != nil {
-		return Result{}, err
-	}
 	ranks := s.Nodes * s.LaunchPPN
-	w, err := mpi.NewWorld(net, ranks, mesh.NaturalPlacement(ranks, s.LaunchPPN))
-	if err != nil {
-		return Result{}, err
-	}
-	if s.Alg != "" {
-		w.AllreduceAlg = s.Alg
-	}
-	sp.ApplyWorld(w)
 	var firstErr error
 	rrs := make([]RankResult, ranks)
-	w.Launch(func(p *mpi.Proc) {
+	_, err := job.Run(job.Spec{
+		Config:    cfg,
+		Topo:      s.Topo,
+		Progress:  s.Progress,
+		Ranks:     ranks,
+		Placement: mesh.NaturalPlacement(ranks, s.LaunchPPN),
+		Setup:     func(w *mpi.World) { w.AllreduceAlg = s.Alg },
+	}, func(p *mpi.Proc) {
 		rr, err := RunRank(p, s)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		rrs[p.Rank()] = rr
 	})
-	if err := eng.Run(); err != nil {
-		return Result{}, err
-	}
-	if err := w.CheckClean(); err != nil {
+	if err != nil {
 		return Result{}, err
 	}
 	if firstErr != nil {
