@@ -19,9 +19,11 @@ type Status struct {
 // receive request when the payload has arrived, a collective request when
 // the rank's participation is finished.
 type Request struct {
-	done *sim.Gate
-	sp   *sim.Proc
-	w    *World
+	done   *sim.Gate
+	sp     *sim.Proc
+	w      *World
+	info   reqInfo // what posted it, for teardown diagnostics
+	openAt int     // index in World.open until it completes
 	// Status is valid after completion of a receive request.
 	Status Status
 }

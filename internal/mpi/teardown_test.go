@@ -37,8 +37,8 @@ func TestCheckCleanAfterCleanRun(t *testing.T) {
 	if err := w.CheckClean(); err != nil {
 		t.Fatalf("clean run reported leaks: %v", err)
 	}
-	if n := w.PendingRequests(); n != 0 {
-		t.Fatalf("PendingRequests() = %d, want 0", n)
+	if n := len(w.open); n != 0 {
+		t.Fatalf("%d open requests, want 0", n)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestPollWaitRunawayPanics(t *testing.T) {
 	default:
 		t.Fatal("runaway PollWait did not panic")
 	}
-	if parks, wakes := w.ParkStats(); parks != 1 || wakes != 0 {
-		t.Fatalf("ParkStats() = (%d, %d), want (1, 0)", parks, wakes)
+	if w.parks != 1 || w.wakes != 0 {
+		t.Fatalf("(parks, wakes) = (%d, %d), want (1, 0)", w.parks, w.wakes)
 	}
 	if err := w.CheckClean(); err == nil || !strings.Contains(err.Error(), "never woken") {
 		t.Fatalf("CheckClean() = %v, want parked-never-woken report", err)
@@ -155,8 +155,8 @@ func TestParkStatsBalancedAfterRunActive(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if parks, wakes := w.ParkStats(); parks != 2 || wakes != 2 {
-		t.Fatalf("ParkStats() = (%d, %d), want (2, 2)", parks, wakes)
+	if w.parks != 2 || w.wakes != 2 {
+		t.Fatalf("(parks, wakes) = (%d, %d), want (2, 2)", w.parks, w.wakes)
 	}
 	if err := w.CheckClean(); err != nil {
 		t.Fatal(err)

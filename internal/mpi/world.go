@@ -96,8 +96,8 @@ type World struct {
 	// never be set in production code.
 	UnsafeNoMsgOrder bool
 
-	open         map[*Request]reqInfo // in-flight (unfired) requests
-	parks, wakes int                  // RunActive park/wake accounting
+	open         []*Request // in-flight (unfired) requests, in no particular order
+	parks, wakes int        // RunActive park/wake accounting
 
 	// Free lists for the collective hot path's per-operation objects:
 	// requests, receiver-side envelopes, posted-receive records, and the
@@ -164,7 +164,6 @@ func NewWorld(net *simnet.Net, size int, placement []int) (*World, error) {
 		BcastLongMsg:  DefaultBcastLongMsg,
 		ReduceLongMsg: DefaultReduceLongMsg,
 		MaxPollTime:   3600, // one virtual hour: far beyond any legitimate sim
-		open:          make(map[*Request]reqInfo),
 	}
 	w.ranks = make([]*rankState, size)
 	for r := 0; r < size; r++ {
@@ -181,12 +180,18 @@ func NewWorld(net *simnet.Net, size int, placement []int) (*World, error) {
 	return w, nil
 }
 
-// reqOpenDone removes a completed request from the open-request table. It is
-// a package-level function registered via OnFireArg so the per-request
-// completion hook allocates no closure.
+// reqOpenDone removes a completed request from the open-request table by
+// moving the last open request into its slot. It is a package-level function
+// registered via OnFireArg so the per-request completion hook allocates no
+// closure.
 var reqOpenDone = func(a any) {
 	r := a.(*Request)
-	delete(r.w.open, r)
+	open := r.w.open
+	last := len(open) - 1
+	q := open[last]
+	open[r.openAt], q.openAt = q, r.openAt
+	open[last] = nil
+	r.w.open = open[:last]
 }
 
 // newRequest allocates (or recycles) a tracked request. Every request the
@@ -202,7 +207,9 @@ func (w *World) newRequest(sp *sim.Proc, kind string, rank, ctx int) *Request {
 	} else {
 		req = &Request{done: w.Eng.NewGate(), sp: sp, w: w}
 	}
-	w.open[req] = reqInfo{kind: kind, rank: rank, ctx: ctx}
+	req.info = reqInfo{kind: kind, rank: rank, ctx: ctx}
+	req.openAt = len(w.open)
+	w.open = append(w.open, req)
 	req.done.OnFireArg(reqOpenDone, req)
 	return req
 }
@@ -286,14 +293,6 @@ func (w *World) ResourceSnapshots() []sim.ResourceStats {
 	return out
 }
 
-// PendingRequests reports the number of posted requests that have not
-// completed.
-func (w *World) PendingRequests() int { return len(w.open) }
-
-// ParkStats reports how many ranks RunActive has parked and how many of
-// those have been woken again.
-func (w *World) ParkStats() (parks, wakes int) { return w.parks, w.wakes }
-
 // EachEndpoint visits every rank's fabric endpoint in rank order. The
 // fault-injection layer uses it to install per-lane perturbation hooks with
 // the rank and node identity preserved (EachResource flattens that away).
@@ -324,8 +323,8 @@ func (w *World) CheckClean() error {
 	var leaks []string
 	if n := len(w.open); n > 0 {
 		descs := make([]string, 0, n)
-		for _, info := range w.open {
-			descs = append(descs, fmt.Sprintf("%s(rank %d, ctx %d)", info.kind, info.rank, info.ctx))
+		for _, r := range w.open {
+			descs = append(descs, fmt.Sprintf("%s(rank %d, ctx %d)", r.info.kind, r.info.rank, r.info.ctx))
 		}
 		sort.Strings(descs)
 		leaks = append(leaks, fmt.Sprintf("%d pending request(s): %v", n, descs))

@@ -221,6 +221,15 @@ type Server struct {
 	testHold func()
 }
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client that never finishes them does not hold a
+// goroutine and a descriptor forever. net/http starts the timer when the
+// connection is accepted and, on a kept-alive connection, when the next
+// request's first bytes arrive, so idle keep-alive clients are unaffected.
+// There is no write timeout: GET /jobs/{id}/events streams for a job's
+// whole life.
+const readHeaderTimeout = 10 * time.Second
+
 // New builds a Server; call Start to listen.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -240,7 +249,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.http = &http.Server{Handler: mux}
+	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 

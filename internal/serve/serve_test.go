@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -605,5 +607,42 @@ func TestServerForgetsOldestFinishedJobs(t *testing.T) {
 	}
 	if !bytes.Equal(body, newest.Bytes()) {
 		t.Errorf("newest job's result changed:\n%s\nwant\n%s", body, newest.Bytes())
+	}
+}
+
+// TestServerDropsStalledHeaders opens a connection that sends a request line
+// and never finishes the headers: the server must close it once the header
+// timeout passes instead of holding it open.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	srv := New(Config{Cache: cache.New(0)})
+	if srv.http.ReadHeaderTimeout <= 0 {
+		t.Fatal("New sets no header timeout")
+	}
+	srv.http.ReadHeaderTimeout = 100 * time.Millisecond // keeps the test short
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server still held the stalled connection after 2 s")
 	}
 }

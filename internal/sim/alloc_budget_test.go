@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestAllocBudgetEventDispatch pins steady-state event dispatch at zero
 // allocations per event: 64 processes sleeping in a loop exercise schedule,
@@ -17,13 +20,47 @@ func TestAllocBudgetEventDispatch(t *testing.T) {
 }
 
 // TestAllocBudgetStepDispatch pins step-process dispatch at zero allocations
-// per event, as TestAllocBudgetEventDispatch does for goroutine processes.
+// per event, as TestAllocBudgetEventDispatch does for goroutine processes,
+// for wakeups booked ahead on the heap and for wakeups at the current time,
+// which go through the same-time lane.
 func TestAllocBudgetStepDispatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation budgets need benchmark iterations")
+	checkSteadyDispatch(t, "step dispatch", nil, false)
+	checkSteadyDispatch(t, "same-time step dispatch", nil, true)
+}
+
+// TestAllocBudgetTiedDispatch pins dispatch through a tie-break policy at
+// zero allocations per event in steady state: under LIFO every event ties
+// with 63 others, and the tie candidates must not be gathered in a fresh
+// slice per dispatch.
+func TestAllocBudgetTiedDispatch(t *testing.T) {
+	checkSteadyDispatch(t, "tied step dispatch under LIFO", LIFO(), false)
+}
+
+// steadyGrowthAllocs bounds the allocations of a whole spawnSteppers run
+// once its 64 processes are spawned. Steady-state dispatch allocates
+// nothing: only the event heap, the same-time lane and the tie buffer grow,
+// a few times each, to hold the processes' events (14-15 allocations
+// measured, with and without -race). An allocation per event, or per
+// instant of virtual time, grows with the run instead.
+const steadyGrowthAllocs = 64
+
+// checkSteadyDispatch runs 32Ki events of spawnSteppers(tb, sameTime), over
+// 256 or more instants of virtual time, and requires the run to stay within
+// steadyGrowthAllocs. A per-event budget would need a truncating average,
+// which misses one allocation every few dozen events, such as a lane that
+// loses its capacity each time it drains.
+func checkSteadyDispatch(t *testing.T, name string, tb TieBreak, sameTime bool) {
+	t.Helper()
+	const events = 1 << 15
+	e := spawnSteppers(events, tb, sameTime)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	res := testing.Benchmark(BenchmarkStepThroughput)
-	if got := res.AllocsPerOp(); got != 0 {
-		t.Errorf("step dispatch: %d allocs/op, budget 0", got)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > steadyGrowthAllocs {
+		t.Errorf("%s: %d allocations over %d events, budget 0 per event (%d in all for slice growth)",
+			name, n, events, steadyGrowthAllocs)
 	}
 }

@@ -60,23 +60,54 @@ func BenchmarkResourceReserve(b *testing.B) {
 // BenchmarkStepThroughput is BenchmarkEventThroughput for step processes:
 // 64 of them book a wakeup one virtual second ahead on every event, and each
 // event is a step function call on the dispatching goroutine.
-func BenchmarkStepThroughput(b *testing.B) {
+func BenchmarkStepThroughput(b *testing.B) { stepThroughput(b, nil, false) }
+
+// BenchmarkSameTimeStepThroughput alternates each step process between a
+// wakeup at the current time, which goes to the engine's same-time lane, and
+// one a virtual second ahead, which goes to the heap.
+func BenchmarkSameTimeStepThroughput(b *testing.B) { stepThroughput(b, nil, true) }
+
+// BenchmarkTiedStepThroughput is BenchmarkStepThroughput under LIFO: every
+// event ties with the other 63 processes' wakeups, so each dispatch goes
+// through the tie-break.
+func BenchmarkTiedStepThroughput(b *testing.B) { stepThroughput(b, LIFO(), false) }
+
+// stepThroughput times about b.N events of spawnSteppers(tb, sameTime).
+func stepThroughput(b *testing.B, tb TieBreak, sameTime bool) {
 	b.ReportAllocs()
-	e := NewEngine()
-	const procs = 64
-	end := float64(b.N) / procs
-	for i := 0; i < procs; i++ {
-		e.SpawnStep("p", func(p *Proc) {
-			if p.Now() >= end {
-				p.Exit()
-				return
-			}
-			p.WakeAt(p.Now() + 1)
-		})
-	}
+	e := spawnSteppers(b.N, tb, sameTime)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// spawnSteppers returns an engine under policy tb with 64 step processes
+// that dispatch about n events in all. Each books its next wakeup one
+// virtual second ahead or, with sameTime, alternately at the current time
+// and one second ahead.
+func spawnSteppers(n int, tb TieBreak, sameTime bool) *Engine {
+	e := NewEngine()
+	e.SetTieBreak(tb)
+	const procs = 64
+	end := float64(n) / procs
+	if sameTime {
+		end /= 2
+	}
+	for i := 0; i < procs; i++ {
+		same := false
+		e.SpawnStep("p", func(p *Proc) {
+			if p.Now() >= end {
+				p.Exit()
+				return
+			}
+			if same = sameTime && !same; same {
+				p.WakeAt(p.Now())
+			} else {
+				p.WakeAt(p.Now() + 1)
+			}
+		})
+	}
+	return e
 }

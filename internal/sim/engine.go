@@ -30,6 +30,17 @@
 // by later Spawn and SpawnStep calls instead of being torn down and
 // recreated. None of these change the schedule: the dispatch order remains
 // the strict (time, sequence) order of the event heap.
+//
+// Many events are booked for the instant they run: a spawn, a Sleep(0), a
+// gate fire or a transfer step that continues at once. With no tie-break
+// policy installed such an event skips the heap and goes to a FIFO lane, a
+// slice in booking order. Dispatch pops the heap's events at the current
+// time first, then the lane, then the rest of the heap. That is still the
+// (time, sequence) order: the lane is empty whenever the clock advances, so
+// every heap event at the current time was booked before the clock reached
+// it and has a lower sequence number than every lane event. A policy needs
+// to see every tie, so with one installed the lane is off, and SetTieBreak
+// moves any lane events into the heap with their sequence numbers.
 package sim
 
 import (
@@ -45,11 +56,23 @@ type Engine struct {
 	now    float64
 	events eventHeap
 	seq    int64
-	live   map[*Proc]struct{}
 	idseq  int
 	closed bool
 	tie    TieBreak
 	hook   func(t float64, p *Proc)
+
+	// lane holds the events booked at the current time while no tie-break
+	// policy is installed, in booking order; lane[laneHead:] are still to
+	// run. It empties before the clock advances.
+	lane     []event
+	laneHead int
+
+	// live holds the spawned processes that have not returned, in no
+	// particular order; each Proc stores its index for swap-removal.
+	live []*Proc
+
+	// ties is breakTie's reused candidate buffer.
+	ties []event
 
 	// done wakes Run: the process that finds no event left to dispatch
 	// sends on it, and so does each process goroutine as it exits during
@@ -145,10 +168,7 @@ func (h *eventHeap) pop() event {
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		done: make(chan struct{}),
-		live: make(map[*Proc]struct{}),
-	}
+	return &Engine{done: make(chan struct{})}
 }
 
 // Now reports the current virtual time in seconds.
@@ -156,11 +176,20 @@ func (e *Engine) Now() float64 { return e.now }
 
 // SetTieBreak installs a policy for ordering same-time events. A nil policy
 // (the default) is equivalent to FIFO and skips the tie-collection work on
-// every dispatch. Install a policy before Run; changing it mid-run is legal
-// but makes the schedule hard to describe. The policy sees every tie, the
+// every dispatch: events booked for the current time then go to the FIFO
+// lane instead of the heap. Install a policy before Run; changing it mid-run
+// is legal but makes the schedule hard to describe. SetTieBreak moves the
+// lane's events into the heap with their original sequence numbers, so a
+// new policy sees them among the ties. The policy sees every tie, the
 // blocking process's own wakeup included: when it picks that wakeup, the
 // process keeps running inline exactly as it does with no policy.
-func (e *Engine) SetTieBreak(tb TieBreak) { e.tie = tb }
+func (e *Engine) SetTieBreak(tb TieBreak) {
+	e.tie = tb
+	for _, ev := range e.lane[e.laneHead:] {
+		e.events.push(ev)
+	}
+	e.resetLane()
+}
 
 // SetEventHook installs an observer called once per dispatched event, after
 // the clock has advanced to the event's time and before the process resumes.
@@ -179,7 +208,7 @@ func (e *Engine) Live() int { return len(e.live) }
 // blocked on), sorted, for teardown diagnostics.
 func (e *Engine) LiveProcs() []string {
 	names := make([]string, 0, len(e.live))
-	for p := range e.live {
+	for _, p := range e.live {
 		names = append(names, fmt.Sprintf("%s(#%d) blocked on %s", p.Name, p.ID, p.blockedOn))
 	}
 	sort.Strings(names)
@@ -195,6 +224,7 @@ type Proc struct {
 	Name      string
 	resume    chan struct{} // nil for a step process
 	pending   bool          // an event for this proc is scheduled and not yet delivered
+	liveAt    int           // index in the engine's live set while alive
 	blockedOn string
 	fn        func(p *Proc) // body to run on next resume (pooled goroutines)
 	step      func(p *Proc) // a step process's step function; nil once it exits
@@ -265,9 +295,20 @@ func (e *Engine) admit(p *Proc, name string) *Proc {
 	p.ID = e.idseq
 	p.Name = name
 	e.idseq++
-	e.live[p] = struct{}{}
+	p.liveAt = len(e.live)
+	e.live = append(e.live, p)
 	e.wakeAt(e.now, p)
 	return p
+}
+
+// leave removes p from the live set by moving the last live process into
+// its slot.
+func (e *Engine) leave(p *Proc) {
+	last := len(e.live) - 1
+	q := e.live[last]
+	e.live[p.liveAt], q.liveAt = q, p.liveAt
+	e.live[last] = nil
+	e.live = e.live[:last]
 }
 
 // WakeAt books p's next event at time t, or at the current time if t is
@@ -280,7 +321,7 @@ func (p *Proc) WakeAt(t float64) { p.eng.wakeAt(t, p) }
 // recycles the Proc when the step function returns. The process must have
 // no event booked, and nothing may use p after its step function returns.
 func (p *Proc) Exit() {
-	delete(p.eng.live, p)
+	p.eng.leave(p)
 	p.step = nil
 }
 
@@ -297,7 +338,7 @@ func (p *Proc) run() {
 		fn := p.fn
 		p.fn = nil
 		fn(p)
-		delete(e.live, p)
+		e.leave(p)
 		e.pool = append(e.pool, p)
 		// A step process run by dispatch may Spawn, re-arm this very
 		// goroutine and get its first event dispatched: then the new body
@@ -320,8 +361,19 @@ func (e *Engine) wakeAt(t float64, p *Proc) {
 		t = e.now
 	}
 	p.pending = true
-	e.events.push(event{t: t, seq: e.seq, p: p})
+	ev := event{t: t, seq: e.seq, p: p}
 	e.seq++
+	if t == e.now && e.tie == nil {
+		e.lane = append(e.lane, ev)
+		return
+	}
+	e.events.push(ev)
+}
+
+// resetLane empties the lane, keeping its capacity.
+func (e *Engine) resetLane() {
+	clear(e.lane)
+	e.lane, e.laneHead = e.lane[:0], 0
 }
 
 // Run executes the simulation until no events remain. It returns an error if
@@ -355,7 +407,7 @@ func (e *Engine) Run() error {
 func (e *Engine) release() {
 	procs := e.pool
 	e.pool, e.stepPool = nil, nil
-	for p := range e.live {
+	for _, p := range e.live {
 		if p.resume != nil {
 			procs = append(procs, p)
 		}
@@ -387,16 +439,26 @@ func (e *Engine) dispatch() *Proc {
 	}
 }
 
-// next dispatches the earliest pending event: it pops the event (letting the
-// tie-break policy pick among same-time events), advances the clock, calls
-// the hook and returns the event's process, or nil when no events remain.
+// next dispatches the earliest pending event: it pops the event (from the
+// heap while the heap holds events at the current time, then from the lane,
+// letting the tie-break policy pick among same-time heap events), advances
+// the clock, calls the hook and returns the event's process, or nil when no
+// events remain.
 func (e *Engine) next() *Proc {
-	if len(e.events) == 0 {
+	var ev event
+	switch {
+	case e.laneHead < len(e.lane) && (len(e.events) == 0 || e.events[0].t != e.now):
+		ev = e.lane[e.laneHead]
+		if e.laneHead++; e.laneHead == len(e.lane) {
+			e.resetLane()
+		}
+	case len(e.events) > 0:
+		ev = e.events.pop()
+		if e.tie != nil && len(e.events) > 0 && e.events[0].t == ev.t {
+			ev = e.breakTie(ev)
+		}
+	default:
 		return nil
-	}
-	ev := e.events.pop()
-	if e.tie != nil && len(e.events) > 0 && e.events[0].t == ev.t {
-		ev = e.breakTie(ev)
 	}
 	if ev.t < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %g -> %g", e.now, ev.t))
@@ -425,10 +487,11 @@ func (e *Engine) handoff(q *Proc) {
 // heap pops at equal times come off in ascending sequence order, so the
 // candidate slice the policy indexes into is FIFO-ordered.
 func (e *Engine) breakTie(ev event) event {
-	ties := []event{ev}
+	ties := append(e.ties[:0], ev)
 	for len(e.events) > 0 && e.events[0].t == ev.t {
 		ties = append(ties, e.events.pop())
 	}
+	e.ties = ties
 	k := e.tie.Choose(len(ties))
 	if k < 0 || k >= len(ties) {
 		panic(fmt.Sprintf("sim: tie-break chose %d of %d candidates", k, len(ties)))

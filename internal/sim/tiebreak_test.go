@@ -268,3 +268,56 @@ func TestLIFOSleepZeroRunsInline(t *testing.T) {
 		t.Fatalf("LIFO ran %v with hook sequence %v, want %s for both", ran, hook, want)
 	}
 }
+
+// TestSetTieBreakSeesQueuedEvents installs LIFO after the spawns have booked
+// their first events, which with no policy sit on the same-time lane: the
+// policy must still see all four as ties.
+func TestSetTieBreakSeesQueuedEvents(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	spawnTied(e, 4, &order)
+	e.SetTieBreak(LIFO())
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[3 2 1 0]" {
+		t.Fatalf("LIFO installed after the spawns ran %s, want [3 2 1 0]", got)
+	}
+}
+
+// TestSetTieBreakMidRun pins the hook's (t, ID) sequence when the policy
+// changes mid-run. Process 3 installs LIFO at t=0 while the Sleep(0) wakeups
+// of processes 0-2 and the first event of process 4 are queued; process 4
+// removes it at t=1 while the t=1 wakeups of processes 0-3 are queued, and
+// then sleeps 0 itself, so its wakeup is booked after theirs. want was
+// generated by an engine with no same-time lane, which kept every event on
+// the heap.
+func TestSetTieBreakMidRun(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.SetEventHook(func(tm float64, p *Proc) { log = append(log, fmt.Sprintf("%g/%d", tm, p.ID)) })
+	for i := 0; i < 3; i++ {
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(0)
+			p.Sleep(1)
+			p.Sleep(0)
+		})
+	}
+	e.Spawn("lifo", func(p *Proc) {
+		e.SetTieBreak(LIFO())
+		p.Sleep(0)
+		p.Sleep(1)
+	})
+	e.Spawn("unset", func(p *Proc) {
+		p.Sleep(1)
+		e.SetTieBreak(nil)
+		p.Sleep(0)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "[0/0 0/1 0/2 0/3 0/3 0/2 0/1 0/0 0/4 1/4 1/3 1/2 1/1 1/0 1/4 1/2 1/1 1/0]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("hook sequence\n%s\nwant\n%s", got, want)
+	}
+}
