@@ -40,15 +40,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"commoverlap/internal/check"
 	"commoverlap/internal/sim"
+	"commoverlap/internal/simnet"
 	"commoverlap/internal/trace"
 )
 
 // utilLine summarizes a run's resource snapshots: mean busy fraction per
-// lane class and the busiest single resource.
+// lane class (simnet.LaneClass) and the busiest single resource.
 func utilLine(resources []sim.ResourceStats, elapsed float64) string {
 	if elapsed <= 0 {
 		return "util: n/a (zero elapsed)"
@@ -59,14 +59,14 @@ func utilLine(resources []sim.ResourceStats, elapsed float64) string {
 	var top float64
 	for _, s := range resources {
 		f := s.Utilization(elapsed)
-		switch {
-		case strings.HasSuffix(s.Name, ".egress"):
+		switch simnet.LaneClass(s.Name) {
+		case "wire":
 			wire += f
 			nWire++
-		case strings.HasSuffix(s.Name, ".cpu"):
+		case "cpu":
 			cpu += f
 			nCPU++
-		case strings.HasSuffix(s.Name, ".nic"):
+		case "nic":
 			nic += f
 			nNIC++
 		}
@@ -84,7 +84,14 @@ func utilLine(resources []sim.ResourceStats, elapsed float64) string {
 		100*mean(wire, nWire), 100*mean(cpu, nCPU), 100*mean(nic, nNIC), topName, 100*top)
 }
 
+// main only turns realMain's status into the process exit, so every exit,
+// the error exits included, runs the -cpuprofile/-memprofile writers that
+// realMain defers.
 func main() {
+	os.Exit(realMain())
+}
+
+func realMain() int {
 	var (
 		n        = flag.Int("n", 25, "seeded random schedules per scenario")
 		seed     = flag.Int64("seed", 1, "base seed for the random policy")
@@ -100,21 +107,15 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	exitCode := 0
-	defer func() {
-		if exitCode != 0 {
-			os.Exit(exitCode)
-		}
-	}()
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -152,7 +153,7 @@ func main() {
 		for _, fp := range check.FaultProfiles() {
 			fmt.Printf("  %-16s\n", fp.Name)
 		}
-		return
+		return 0
 	}
 
 	scens := check.Catalog()
@@ -160,7 +161,7 @@ func main() {
 		sc, ok := check.Find(*scenario)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "simcheck: unknown scenario %q (use -list)\n", *scenario)
-			os.Exit(2)
+			return 2
 		}
 		scens = []check.Scenario{sc}
 	}
@@ -169,7 +170,7 @@ func main() {
 		pol, ok := check.FindPolicy(*policy)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "simcheck: unknown policy %q (use -list)\n", *policy)
-			os.Exit(2)
+			return 2
 		}
 		policies = []check.Policy{pol}
 	}
@@ -184,7 +185,7 @@ func main() {
 	if *traceOut != "" && !singleRun {
 		fmt.Fprintln(os.Stderr,
 			"simcheck: -trace needs a single-run selection: -scenario NAME -policy POLICY (and -n 1 for random)")
-		os.Exit(2)
+		return 2
 	}
 
 	var profiles []check.FaultProfile
@@ -192,13 +193,16 @@ func main() {
 		fp, ok := check.FindFaultProfile(*faultsIn)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "simcheck: unknown fault profile %q (use -list)\n", *faultsIn)
-			os.Exit(2)
+			return 2
 		}
 		profiles = []check.FaultProfile{fp}
 	} else if *faultsIn == "all" {
 		profiles = check.FaultProfiles()
 	}
 
+	// traceErr is a failed -trace write; the run it belongs to is the only
+	// one, so the summary is skipped and the exit status is 1.
+	var traceErr error
 	report := func(r check.Result) {
 		if r.Failed() {
 			fmt.Printf("FAIL %s: %d violation(s)\n", r.Schedule(), len(r.Violations))
@@ -228,8 +232,8 @@ func main() {
 				}
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "simcheck: -trace %s: %v\n", *traceOut, err)
-				os.Exit(1)
+				traceErr = err
+				return
 			}
 			fmt.Printf("     [wrote Chrome trace %s]\n", *traceOut)
 		}
@@ -241,6 +245,10 @@ func main() {
 	} else {
 		sum = check.Explore(scens, policies, *n, *seed, *workers, report)
 	}
+	if traceErr != nil {
+		fmt.Fprintf(os.Stderr, "simcheck: -trace %s: %v\n", *traceOut, traceErr)
+		return 1
+	}
 
 	fmt.Printf("simcheck: %d runs (%d seeded schedules across %d scenarios, policies:",
 		sum.Runs, sum.Schedules, len(scens))
@@ -249,6 +257,7 @@ func main() {
 	}
 	fmt.Printf("), %d failed\n", len(sum.Failures))
 	if len(sum.Failures) > 0 {
-		exitCode = 1
+		return 1
 	}
+	return 0
 }

@@ -14,14 +14,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"commoverlap/internal/core"
 	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
 	"commoverlap/internal/runner"
 	"commoverlap/internal/simnet"
 )
@@ -125,7 +123,8 @@ type UtilStats struct {
 }
 
 // utilization classifies the world's post-run resource snapshots by lane
-// and averages their busy fractions. Call after Engine.Run.
+// (simnet.LaneClass) and averages their busy fractions. Call after
+// Engine.Run.
 func utilization(w *mpi.World) UtilStats {
 	u := UtilStats{Elapsed: w.Eng.Now()}
 	if u.Elapsed <= 0 {
@@ -134,17 +133,17 @@ func utilization(w *mpi.World) UtilStats {
 	var nWire, nCPU, nNIC, nOff int
 	for _, s := range w.ResourceSnapshots() {
 		f := s.Utilization(u.Elapsed)
-		switch {
-		case strings.HasSuffix(s.Name, ".egress"):
+		switch simnet.LaneClass(s.Name) {
+		case "wire":
 			u.Wire += f
 			nWire++
-		case strings.HasSuffix(s.Name, ".cpu"):
+		case "cpu":
 			u.CPU += f
 			nCPU++
-		case strings.HasSuffix(s.Name, ".nic"):
+		case "nic":
 			u.NIC += f
 			nNIC++
-		case strings.HasSuffix(s.Name, ".offload"):
+		case "offload":
 			u.Offload += f
 			nOff++
 		}
@@ -219,53 +218,27 @@ func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 
 // kernelCfg runs variant v on a p-edge cubic mesh under an explicit
 // configuration — the entry point for table-driven runs with per-phase
-// pipeline widths (Config.PhaseNDup) and progress-engine modes.
+// pipeline widths (Config.PhaseNDup).
 func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, error) {
 	dims := mesh.Cubic(p)
-	sp, err := progress.Parse(cfg.Progress)
-	if err != nil {
-		return KernelRun{}, err
-	}
 	ppn := cfg.PPN
 	if ppn == 0 {
 		ppn = 1
 	}
 	nodes := mesh.NodesNeeded(dims.Size(), ppn)
 	out := KernelRun{Nodes: nodes}
-	measure := func(env *core.Env, err error) {
+	w, err := o.run(job.Spec{
+		Config:    simnet.DefaultConfig(nodes),
+		Ranks:     dims.Size(),
+		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
+	}, func(pr *mpi.Proc) {
+		env, err := core.NewEnv(pr, dims, cfg)
 		if err != nil {
 			panic(err)
 		}
 		env.M.World.Barrier()
 		accumulate(&out, env.SymmSquareCube(v, nil))
-	}
-	s := job.Spec{
-		Config:    simnet.DefaultConfig(nodes),
-		Progress:  cfg.Progress,
-		Ranks:     dims.Size(),
-		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
-	}
-	body := func(pr *mpi.Proc) { measure(core.NewEnv(pr, dims, cfg)) }
-	if agents := sp.LanesNeeded(); agents > 0 {
-		// Rank-mode progress agents ride in extra launched lanes per node:
-		// the mesh ranks split off a working communicator while the agent
-		// lanes park (their CPUs advance the siblings' chunk pipelines).
-		launchPPN := ppn + agents
-		s.Ranks = nodes * launchPPN
-		s.Placement = mesh.NaturalPlacement(s.Ranks, launchPPN)
-		body = func(pr *mpi.Proc) {
-			node, lane := pr.Rank()/launchPPN, pr.Rank()%launchPPN
-			color := -1
-			if lane < ppn && node*ppn+lane < dims.Size() {
-				color = 0
-			}
-			sub := pr.World().Split(color, node*ppn+lane)
-			mpi.RunActive(pr, pr.World(), sub != nil, mpi.DefaultPollInterval, func() {
-				measure(core.NewEnvOn(pr, sub, dims, cfg))
-			})
-		}
-	}
-	w, err := o.run(s, body)
+	})
 	if err != nil {
 		return out, err
 	}

@@ -486,22 +486,6 @@ func TestSparseExperiment(t *testing.T) {
 	}
 }
 
-func TestTable1AppMatchesSingleShot(t *testing.T) {
-	sys := System{Name: "tiny", N: 2000, Ne: 400}
-	single, err := Kernel(core.Optimized, sys.N, 4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg, err := Table1App(io.Discard, Options{}, sys, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic simulator: iteration-averaged TFlops ~ single-shot.
-	if ratio := avg / single.TFlops; ratio < 0.93 || ratio > 1.07 {
-		t.Errorf("averaged %.2f vs single-shot %.2f (ratio %.3f)", avg, single.TFlops, ratio)
-	}
-}
-
 func TestScalingShape(t *testing.T) {
 	rows, err := Scaling(io.Discard, Options{N: 3000})
 	if err != nil {

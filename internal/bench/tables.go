@@ -199,24 +199,6 @@ func Table5(w io.Writer, o Options) ([]Table5Row, error) {
 	return rows, nil
 }
 
-// Table1App measures the kernel the way the paper actually does: averaged
-// over the iterations of a (phantom) purification run rather than a single
-// invocation. The simulator is deterministic, so the average matches the
-// single-shot Table1 numbers; this entry point documents and checks that
-// methodological equivalence.
-func Table1App(w io.Writer, o Options, sys System, iters int) (float64, error) {
-	if iters <= 0 {
-		iters = 3
-	}
-	tf, err := purifyTFlops(o, sys.N, sys.Ne, table1MeshEdge, 4, iters)
-	if err != nil {
-		return 0, err
-	}
-	fprintf(w, "Table I (application-averaged, %d purification iterations): %s %.2f TFlops\n",
-		iters, sys.Name, tf)
-	return tf, nil
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -119,24 +119,6 @@ func (s *Store) shardFor(key string) *shard {
 
 func entryCost(key string) int64 { return int64(len(key)) + entryOverhead }
 
-// Get returns the cached value for key, marking it most recently used.
-// It counts as a hit or miss.
-func (s *Store) Get(key string) (float64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if ok {
-		sh.lru.MoveToFront(e.elem)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		s.misses.Add(1)
-		return 0, false
-	}
-	s.hits.Add(1)
-	return e.bw, true
-}
-
 // GetOrCompute returns the value for key, computing it with fn on a miss.
 // Concurrent calls for the same missing key coalesce: exactly one runs fn,
 // the rest block until it publishes and share the outcome (including an
@@ -224,7 +206,7 @@ func (s *Store) insertLocked(sh *shard, key string, bw float64) {
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
 	Hits      uint64 // served from a completed entry
-	Misses    uint64 // led a computation (Get misses count here too)
+	Misses    uint64 // led a computation
 	Coalesced uint64 // waited on another caller's in-flight computation
 	Evictions uint64 // entries dropped by the LRU byte budget
 	Bytes     int64  // accounted bytes currently held
@@ -247,10 +229,11 @@ func (s *Store) Stats() Stats {
 // Publish exports the counters into a metrics registry as the monotone
 // counters cache.hits / cache.misses / cache.coalesced / cache.evictions
 // and the gauges cache.bytes / cache.entries. Repeated calls add only the
-// growth since the previous Publish, so the registry's counters stay
-// monotone no matter how often a caller flushes. The registry itself is
-// not safe for concurrent use; Publish serializes against other Publish
-// calls but the caller must own the registry.
+// change since the previous Publish, so the registry's counters stay
+// monotone and its gauges track the store, as long as every call flushes
+// into the same registry. The registry itself is not safe for concurrent
+// use; Publish serializes against other Publish calls but the caller must
+// own the registry.
 func (s *Store) Publish(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -262,7 +245,7 @@ func (s *Store) Publish(reg *metrics.Registry) {
 	reg.Add("cache.misses", "", float64(cur.Misses-s.published.Misses))
 	reg.Add("cache.coalesced", "", float64(cur.Coalesced-s.published.Coalesced))
 	reg.Add("cache.evictions", "", float64(cur.Evictions-s.published.Evictions))
-	reg.Set("cache.bytes", "", float64(cur.Bytes))
-	reg.Set("cache.entries", "", float64(cur.Entries))
+	reg.AddGauge("cache.bytes", "", float64(cur.Bytes-s.published.Bytes))
+	reg.AddGauge("cache.entries", "", float64(cur.Entries-s.published.Entries))
 	s.published = cur
 }

@@ -119,7 +119,7 @@ type Report struct {
 	// exports it as Chrome trace JSON).
 	Log *trace.MsgLog
 	// Faults is the installed perturbation injector (nil on clean runs);
-	// its Events/ChromeEvents expose the run's deterministic fault log.
+	// its Events expose the run's deterministic fault log.
 	Faults *faults.Injector
 }
 
@@ -210,7 +210,7 @@ func RunScenario(sc Scenario, opts Options) Report {
 	return Report{
 		Violations: col.violations,
 		Events:     *events,
-		Messages:   log.Len(),
+		Messages:   len(log.Events()),
 		FinalTime:  w.Eng.Now(),
 		Resources:  resources,
 		Log:        &log,

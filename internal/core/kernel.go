@@ -13,7 +13,6 @@ import (
 	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/progress"
 )
 
 // Phase names one communication phase of the optimized SymmSquareCube
@@ -64,13 +63,6 @@ type Config struct {
 	// moment it completes); when the widths differ the handoff falls back
 	// to a full wait between the phases.
 	PhaseNDup map[Phase]int
-	// Progress selects the asynchronous progress engine for the job the
-	// kernel runs in (progress.Parse labels: "" off, "rankN" agents per
-	// node, "dma" the per-node offload engine). The kernel itself only
-	// validates the label; the launching harness (internal/bench) builds
-	// the machine and world accordingly — rank-mode agents ride in extra
-	// launched lanes that park while the mesh ranks work.
-	Progress string
 }
 
 func (c *Config) validate() error {
@@ -87,9 +79,6 @@ func (c *Config) validate() error {
 		if nd <= 0 {
 			return fmt.Errorf("core: PhaseNDup[%s] = %d", ph, nd)
 		}
-	}
-	if _, err := progress.Parse(c.Progress); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -208,15 +197,10 @@ func (e *Env) buf(m *mat.Matrix) mpi.Buffer {
 	return mpi.F64(m.Data[:m.Rows*m.Cols])
 }
 
-// bandBuf wraps the c-th of NDup contiguous row bands of m — the paper's
+// bandBufN wraps the c-th of nd contiguous row bands of m — the paper's
 // "c-th part" of a block, kept contiguous so no repacking is needed between
-// pipelined operations (Section III principle 3).
-func (e *Env) bandBuf(m *mat.Matrix, c int) mpi.Buffer {
-	return e.bandBufN(m, c, e.Cfg.NDup)
-}
-
-// bandBufN is bandBuf with an explicit band count, for phases running at a
-// width other than the global NDup.
+// pipelined operations (Section III principle 3). nd is the width of the
+// phase the band travels in (Config.PhaseNDup).
 func (e *Env) bandBufN(m *mat.Matrix, c, nd int) mpi.Buffer {
 	bd := mat.BlockDim{N: m.Rows, P: nd}
 	lo, n := bd.Offset(c), bd.Count(c)

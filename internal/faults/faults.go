@@ -33,7 +33,6 @@ import (
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sim"
 	"commoverlap/internal/simnet"
-	"commoverlap/internal/trace"
 )
 
 // Config holds the perturbation model parameters. The zero value is a
@@ -159,15 +158,6 @@ func New(cfg Config) (*Injector, error) {
 		}
 	}
 	return inj, nil
-}
-
-// MustNew is New for configurations known valid at compile time (presets).
-func MustNew(cfg Config) *Injector {
-	inj, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return inj
 }
 
 // Install wires the injector into a world: straggler and preemption hooks
@@ -326,39 +316,6 @@ func (inj *Injector) metrics() *metrics.Registry {
 	return inj.w.Metrics
 }
 
-// Stragglers returns the indices of the nodes chosen as stragglers, in
-// ascending order (empty before Install).
-func (inj *Injector) Stragglers() []int { return maskIndices(inj.straggler) }
-
-// DegradedLinks returns the indices of the nodes whose links were chosen
-// for degradation, in ascending order (empty before Install).
-func (inj *Injector) DegradedLinks() []int { return maskIndices(inj.degraded) }
-
-func maskIndices(mask []bool) []int {
-	var out []int
-	for i, b := range mask {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Events returns the fault log in injection order. Identical seeds and
 // schedules reproduce it exactly.
 func (inj *Injector) Events() []Event { return inj.log }
-
-// ChromeEvents renders the fault log as instant trace events (one per
-// injected fault, on the affected node's track), loadable next to the span
-// and message exports in Perfetto.
-func (inj *Injector) ChromeEvents() []trace.ChromeEvent {
-	out := make([]trace.ChromeEvent, 0, len(inj.log))
-	for _, e := range inj.log {
-		out = append(out, trace.ChromeEvent{
-			Name: "fault:" + e.Kind, Cat: "fault", Ph: "i",
-			Ts: e.T * 1e6, Pid: e.Node, Tid: e.Node, Scope: "t",
-			Args: map[string]any{"stall_us": e.Dur * 1e6},
-		})
-	}
-	return out
-}

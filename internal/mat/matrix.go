@@ -118,25 +118,6 @@ func (m *Matrix) View(r0, c0, rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[r0*m.Stride+c0:]}
 }
 
-// Equal reports elementwise equality within tol. Phantom matrices compare
-// equal to anything of the same shape.
-func (m *Matrix) Equal(o *Matrix, tol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	if m.Phantom() || o.Phantom() {
-		return true
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-o.At(i, j)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns max_ij |m_ij - o_ij|.
 func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 	if m.Rows != o.Rows || m.Cols != o.Cols {

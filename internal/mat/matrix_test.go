@@ -238,12 +238,6 @@ func TestBlockDim(t *testing.T) {
 	if b.MaxCount() != 3 {
 		t.Errorf("MaxCount=%d", b.MaxCount())
 	}
-	for x := 0; x < 10; x++ {
-		o := b.Owner(x)
-		if x < b.Offset(o) || x >= b.Offset(o)+b.Count(o) {
-			t.Errorf("Owner(%d)=%d not containing", x, o)
-		}
-	}
 }
 
 // Property: counts sum to N, offsets consistent, sizes differ by at most 1.
@@ -308,14 +302,14 @@ func TestGemmTransposeIdentityProperty(t *testing.T) {
 	}
 }
 
+// TestSplitCountsOffsets splits 7 items over 3 blocks: the one extra item
+// goes to the first block.
 func TestSplitCountsOffsets(t *testing.T) {
-	c := SplitCounts(7, 3)
-	o := SplitOffsets(7, 3)
-	if c[0] != 3 || c[1] != 2 || c[2] != 2 {
-		t.Errorf("counts %v", c)
-	}
-	if o[0] != 0 || o[1] != 3 || o[2] != 5 {
-		t.Errorf("offsets %v", o)
+	b := BlockDim{N: 7, P: 3}
+	for i, want := range [][2]int{{3, 0}, {2, 3}, {2, 5}} {
+		if c, o := b.Count(i), b.Offset(i); c != want[0] || o != want[1] {
+			t.Errorf("block %d: count %d offset %d, want %d and %d", i, c, o, want[0], want[1])
+		}
 	}
 }
 

@@ -37,22 +37,6 @@ func (b BlockDim) MaxCount() int {
 	return b.N/b.P + 1
 }
 
-// Owner returns the block index containing item x.
-func (b BlockDim) Owner(x int) int {
-	if x < 0 || x >= b.N {
-		panic(fmt.Sprintf("mat: item %d out of [0,%d)", x, b.N))
-	}
-	q, r := b.N/b.P, b.N%b.P
-	cut := r * (q + 1)
-	if x < cut {
-		return x / (q + 1)
-	}
-	if q == 0 {
-		return r // unreachable when x < N, kept for clarity
-	}
-	return r + (x-cut)/q
-}
-
 func (b BlockDim) checkIdx(i int) {
 	if b.P <= 0 {
 		panic("mat: BlockDim with P <= 0")
@@ -60,27 +44,6 @@ func (b BlockDim) checkIdx(i int) {
 	if i < 0 || i >= b.P {
 		panic(fmt.Sprintf("mat: block %d out of [0,%d)", i, b.P))
 	}
-}
-
-// SplitCounts returns the sizes of the p blocks of n items, the flat version
-// of BlockDim for collective piece bookkeeping.
-func SplitCounts(n, p int) []int {
-	b := BlockDim{N: n, P: p}
-	out := make([]int, p)
-	for i := range out {
-		out[i] = b.Count(i)
-	}
-	return out
-}
-
-// SplitOffsets returns the start offsets matching SplitCounts.
-func SplitOffsets(n, p int) []int {
-	b := BlockDim{N: n, P: p}
-	out := make([]int, p)
-	for i := range out {
-		out[i] = b.Offset(i)
-	}
-	return out
 }
 
 // BlockView returns the (bi, bj) block of m under a p x p 2-D partition of

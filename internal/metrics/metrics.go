@@ -1,6 +1,6 @@
 // Package metrics is a virtual-time metrics registry for the simulated
-// machine: counters, gauges and fixed-bucket histograms keyed by a metric
-// name plus an optional label (a node, process or resource identity).
+// machine: counters and gauges keyed by a metric name plus an optional
+// label (a node, process or resource identity).
 //
 // The simulator runs exactly one process at a time, so the registry needs
 // no locking inside a simulation; like trace.Recorder it is not safe for
@@ -16,16 +16,14 @@ import (
 	"sort"
 )
 
-// Kind distinguishes the three instrument families.
+// Kind distinguishes the two instrument families.
 type Kind int
 
 const (
 	// KindCounter is a monotonically nondecreasing sum.
 	KindCounter Kind = iota
-	// KindGauge is a last-write-wins level that also tracks its peak.
+	// KindGauge is a level that moves both ways and tracks its peak.
 	KindGauge
-	// KindHistogram is a fixed-bucket distribution with count and sum.
-	KindHistogram
 )
 
 // String implements fmt.Stringer.
@@ -35,8 +33,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -48,13 +44,9 @@ type key struct {
 }
 
 type instrument struct {
-	kind    Kind
-	value   float64 // counter sum or gauge level
-	peak    float64 // gauge high-water mark
-	count   int64   // histogram observations
-	sum     float64 // histogram total
-	buckets []int64 // histogram counts per upper bound (last = +Inf)
-	bounds  []float64
+	kind  Kind
+	value float64 // counter sum or gauge level
+	peak  float64 // gauge high-water mark
 }
 
 // Registry holds the instruments. The zero value is ready to use; a nil
@@ -64,11 +56,6 @@ type Registry struct {
 	m map[key]*instrument
 }
 
-// DefaultBuckets are the histogram bounds used by Observe: powers of four
-// from 1 (microsecond-scale virtual durations are observed in seconds, so
-// callers typically scale first; byte-size observations fit directly).
-var DefaultBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
-
 func (r *Registry) get(name, label string, kind Kind) *instrument {
 	if r.m == nil {
 		r.m = make(map[key]*instrument)
@@ -77,10 +64,6 @@ func (r *Registry) get(name, label string, kind Kind) *instrument {
 	in, ok := r.m[k]
 	if !ok {
 		in = &instrument{kind: kind}
-		if kind == KindHistogram {
-			in.bounds = DefaultBuckets
-			in.buckets = make([]int64, len(in.bounds)+1)
-		}
 		r.m[k] = in
 	}
 	if in.kind != kind {
@@ -104,18 +87,6 @@ func (r *Registry) Add(name, label string, delta float64) {
 // Inc increments the counter (name, label) by one.
 func (r *Registry) Inc(name, label string) { r.Add(name, label, 1) }
 
-// Set stores the gauge level and updates its peak.
-func (r *Registry) Set(name, label string, v float64) {
-	if r == nil {
-		return
-	}
-	in := r.get(name, label, KindGauge)
-	in.value = v
-	if v > in.peak {
-		in.peak = v
-	}
-}
-
 // AddGauge moves the gauge by delta (negative deltas allowed) and updates
 // its peak. It is the natural instrument for in-flight counts.
 func (r *Registry) AddGauge(name, label string, delta float64) {
@@ -129,18 +100,6 @@ func (r *Registry) AddGauge(name, label string, delta float64) {
 	}
 }
 
-// Observe records one histogram observation.
-func (r *Registry) Observe(name, label string, v float64) {
-	if r == nil {
-		return
-	}
-	in := r.get(name, label, KindHistogram)
-	in.count++
-	in.sum += v
-	i := sort.SearchFloat64s(in.bounds, v) // first bound >= v
-	in.buckets[i]++
-}
-
 // Sample is one instrument's state in a snapshot.
 type Sample struct {
 	Name  string
@@ -149,15 +108,10 @@ type Sample struct {
 
 	Value float64 // counter sum or gauge level
 	Peak  float64 // gauge high-water mark
-
-	Count   int64     // histogram observations
-	Sum     float64   // histogram total
-	Bounds  []float64 // histogram bucket upper bounds (shared, do not mutate)
-	Buckets []int64   // histogram per-bucket counts (copy)
 }
 
-// Value returns the current counter or gauge value, or a histogram's sum.
-// It reads zero for instruments that were never touched.
+// Value returns the current counter or gauge value. It reads zero for
+// instruments that were never touched.
 func (r *Registry) Value(name, label string) float64 {
 	if r == nil || r.m == nil {
 		return 0
@@ -166,22 +120,7 @@ func (r *Registry) Value(name, label string) float64 {
 	if !ok {
 		return 0
 	}
-	if in.kind == KindHistogram {
-		return in.sum
-	}
 	return in.value
-}
-
-// Peak returns a gauge's high-water mark (zero for anything else).
-func (r *Registry) Peak(name, label string) float64 {
-	if r == nil || r.m == nil {
-		return 0
-	}
-	in, ok := r.m[key{name, label}]
-	if !ok || in.kind != KindGauge {
-		return 0
-	}
-	return in.peak
 }
 
 // Snapshot returns every instrument sorted by (name, label), detached from
@@ -192,13 +131,8 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	out := make([]Sample, 0, len(r.m))
 	for k, in := range r.m {
-		s := Sample{Name: k.name, Label: k.label, Kind: in.kind,
-			Value: in.value, Peak: in.peak, Count: in.count, Sum: in.sum}
-		if in.kind == KindHistogram {
-			s.Bounds = in.bounds
-			s.Buckets = append([]int64(nil), in.buckets...)
-		}
-		out = append(out, s)
+		out = append(out, Sample{Name: k.name, Label: k.label, Kind: in.kind,
+			Value: in.value, Peak: in.peak})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -237,12 +171,6 @@ func (r *Registry) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "%-*s  counter %14.6g\n", nameW, id, s.Value)
 		case KindGauge:
 			fmt.Fprintf(w, "%-*s  gauge   %14.6g  peak %.6g\n", nameW, id, s.Value, s.Peak)
-		case KindHistogram:
-			mean := 0.0
-			if s.Count > 0 {
-				mean = s.Sum / float64(s.Count)
-			}
-			fmt.Fprintf(w, "%-*s  histo   count %d  sum %.6g  mean %.6g\n", nameW, id, s.Count, s.Sum, mean)
 		}
 	}
 }

@@ -178,8 +178,8 @@ func TestStatusFields(t *testing.T) {
 
 func TestWorldNodeOf(t *testing.T) {
 	runJob(t, 4, 2, func(p *Proc) {
-		if p.Node() != p.Rank()%2 {
-			t.Errorf("rank %d on node %d", p.Rank(), p.Node())
+		if p.st.ep.Node != p.Rank()%2 {
+			t.Errorf("rank %d on node %d", p.Rank(), p.st.ep.Node)
 		}
 	})
 }

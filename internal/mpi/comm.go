@@ -31,12 +31,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
-
-// Context returns the communicator's context id (useful for debugging).
-func (c *Comm) Context() int { return c.ctx }
-
 type splitKey struct {
 	ctx, epoch int
 }

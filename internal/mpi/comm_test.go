@@ -39,8 +39,8 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 		if c.Rank() != p-1-pr.Rank() {
 			t.Errorf("world rank %d got comm rank %d, want %d", pr.Rank(), c.Rank(), p-1-pr.Rank())
 		}
-		if c.WorldRank(0) != p-1 {
-			t.Errorf("comm rank 0 is world %d, want %d", c.WorldRank(0), p-1)
+		if c.group[0] != p-1 {
+			t.Errorf("comm rank 0 is world %d, want %d", c.group[0], p-1)
 		}
 	})
 }
@@ -70,7 +70,7 @@ func TestDupIsolation(t *testing.T) {
 	runJob(t, p, 2, func(pr *Proc) {
 		world := pr.World()
 		dup := world.Dup()
-		if dup.Context() == world.Context() {
+		if dup.ctx == world.ctx {
 			t.Error("dup shares context with original")
 		}
 		if pr.Rank() == 0 {
@@ -95,10 +95,10 @@ func TestDupNProducesDistinctContexts(t *testing.T) {
 		comms := pr.World().DupN(4)
 		seen := map[int]bool{}
 		for _, c := range comms {
-			if seen[c.Context()] {
-				t.Errorf("duplicate context %d", c.Context())
+			if seen[c.ctx] {
+				t.Errorf("duplicate context %d", c.ctx)
 			}
-			seen[c.Context()] = true
+			seen[c.ctx] = true
 			if c.Size() != 3 || c.Rank() != pr.Rank() {
 				t.Errorf("dup shape wrong: size=%d rank=%d", c.Size(), c.Rank())
 			}
@@ -114,7 +114,7 @@ func TestContextsAgreeAcrossRanks(t *testing.T) {
 		row := pr.World().Split(pr.Rank()%2, pr.Rank())
 		d := row.Dup()
 		mu.Lock()
-		ctxs[pr.Rank()] = []int{row.Context(), d.Context()}
+		ctxs[pr.Rank()] = []int{row.ctx, d.ctx}
 		mu.Unlock()
 	})
 	// Ranks 0,2 share a color; ranks 1,3 share the other.

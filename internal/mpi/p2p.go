@@ -37,15 +37,6 @@ func (r *Request) Wait() { r.sp.Wait(r.done) }
 // so Test is a pure query.
 func (r *Request) Test() bool { return r.done.Fired() }
 
-// Free returns a completed request to the world's pool — the
-// MPI_Request_free analogue for steady-state loops. Without it a
-// nonblocking operation retires its request and completion gate to the
-// garbage collector (correct, but a few allocations per operation); with
-// Wait-then-Free the nonblocking hot path is as allocation-free as the
-// blocking one (see the mpi alloc-budget tests). The request must have
-// completed and must not be touched again afterwards.
-func (r *Request) Free() { r.w.freeRequest(r) }
-
 // waitOn blocks an explicit simulation process (used by collective child
 // processes, which are distinct from the posting rank's main process).
 func (r *Request) waitOn(sp *sim.Proc) { sp.Wait(r.done) }

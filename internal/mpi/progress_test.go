@@ -57,8 +57,8 @@ func TestProgressRankRedirect(t *testing.T) {
 
 	// The highest lane on each node is the agent.
 	for r, want := range map[int]bool{0: false, 1: true, 2: false, 3: true} {
-		if got := w.IsProgressRank(r); got != want {
-			t.Errorf("IsProgressRank(%d) = %v, want %v", r, got, want)
+		if got := w.ranks[r].isProg; got != want {
+			t.Errorf("rank %d: progress agent = %v, want %v", r, got, want)
 		}
 	}
 

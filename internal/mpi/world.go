@@ -353,12 +353,6 @@ func (w *World) CheckClean() error {
 	return fmt.Errorf("mpi: world not clean at teardown:\n  %s", strings.Join(leaks, "\n  "))
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
-// NodeOf returns the node hosting the given world rank.
-func (w *World) NodeOf(rank int) int { return w.ranks[rank].ep.Node }
-
 // Proc is the handle a rank's main function uses for all MPI calls. One is
 // passed to each rank body launched by Launch.
 type Proc struct {
@@ -404,10 +398,6 @@ func (w *World) wireProgressLanes() {
 	}
 }
 
-// IsProgressRank reports whether a world rank serves as a progress agent
-// (only possible after Launch on a World with Progress > 0).
-func (w *World) IsProgressRank(rank int) bool { return w.ranks[rank].isProg }
-
 // Launch spawns one simulation process per rank running body. Call
 // Engine.Run afterwards to execute the job.
 func (w *World) Launch(body func(p *Proc)) {
@@ -434,18 +424,8 @@ func (w *World) Launch(body func(p *Proc)) {
 // Rank returns the world rank of this process.
 func (p *Proc) Rank() int { return p.rank }
 
-// Size returns the world size.
-func (p *Proc) Size() int { return p.w.Size() }
-
 // Now returns the current virtual time in seconds.
 func (p *Proc) Now() float64 { return p.sp.Now() }
-
-// Node returns the node this rank lives on.
-func (p *Proc) Node() int { return p.st.ep.Node }
-
-// IsProgressRank reports whether this rank serves as a progress agent for
-// its node's sibling ranks.
-func (p *Proc) IsProgressRank() bool { return p.st.isProg }
 
 // World returns the communicator spanning all ranks.
 func (p *Proc) World() *Comm { return p.world }

@@ -9,32 +9,33 @@ import (
 	"commoverlap/internal/mpi"
 )
 
-// Dist runs canonical purification over any distributed SymmSquareCube
-// implementation (3D, 2.5D/Cannon, or 2D SUMMA — anything satisfying
-// core.SquareCuber): the Fock matrix lives in the kernel's block
-// distribution, every iteration's D² and D³ come from one kernel
-// invocation, and the three traces the update needs are combined with one
-// small allreduce.
+// Dist runs canonical purification over the 3D SymmSquareCube kernel: the
+// Fock matrix lives in the kernel's block distribution (plane k == 0 holds
+// the blocks), every iteration's D² and D³ come from one kernel invocation
+// of the chosen variant, and the three traces the update needs are combined
+// with one small allreduce.
 type Dist struct {
-	K core.SquareCuber
+	env *core.Env
+	v   core.Variant
 }
 
-// NewDist wraps a 3D kernel environment with the chosen algorithm variant
-// (the common case; see NewDistKernel for the general form).
-func NewDist(env *core.Env, v core.Variant) *Dist {
-	return &Dist{K: core.Kernel3D{Env: env, Variant: v}}
-}
+// NewDist wraps a 3D kernel environment with the chosen algorithm variant.
+func NewDist(env *core.Env, v core.Variant) *Dist { return &Dist{env: env, v: v} }
 
-// NewDistKernel wraps any SquareCuber.
-func NewDistKernel(k core.SquareCuber) *Dist { return &Dist{K: k} }
+// layout returns the kernel's world communicator, the block-grid edge q,
+// this rank's block coordinates (i, j), and whether this rank holds blocks.
+func (dd *Dist) layout() (world *mpi.Comm, q, i, j int, holds bool) {
+	m := dd.env.M
+	return m.World, m.Dims.Q, m.I, m.J, m.K == 0
+}
 
 // spectral computes mu = tr(F)/N and Gershgorin bounds of the distributed
 // F with two world allreduces: per-row |off-diagonal| sums travel as one
 // N-length vector (setup cost only), then the disc extremes and the trace
 // are combined.
 func (dd *Dist) spectral(fblk *mat.Matrix) (mu, hmin, hmax float64) {
-	world, q, i, j, holds := dd.K.Layout()
-	cfg := dd.K.Config()
+	world, q, i, j, holds := dd.layout()
+	cfg := dd.env.Cfg
 	bd := mat.BlockDim{N: cfg.N, P: q}
 
 	rowAbs := make([]float64, cfg.N)
@@ -78,7 +79,7 @@ func (dd *Dist) spectral(fblk *mat.Matrix) (mu, hmin, hmax float64) {
 // blockTrace returns this rank's contribution to the global trace: the
 // diagonal of its block when the block sits on the grid diagonal.
 func (dd *Dist) blockTrace(blk *mat.Matrix) float64 {
-	_, _, i, j, holds := dd.K.Layout()
+	_, _, i, j, holds := dd.layout()
 	if !holds || i != j || blk == nil || blk.Phantom() {
 		return 0
 	}
@@ -90,12 +91,12 @@ func (dd *Dist) blockTrace(blk *mat.Matrix) float64 {
 // this rank's block of the converged density matrix. Every rank of the
 // kernel's world must call Run.
 func (dd *Dist) Run(fblk *mat.Matrix, opt Options) (*mat.Matrix, Stats, error) {
-	cfg := dd.K.Config()
+	cfg := dd.env.Cfg
 	opt, err := opt.norm(cfg.N)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	world, q, i, j, holds := dd.K.Layout()
+	world, q, i, j, holds := dd.layout()
 	n := float64(cfg.N)
 	isReal := cfg.Real
 	if isReal && holds && fblk == nil {
@@ -121,7 +122,7 @@ func (dd *Dist) Run(fblk *mat.Matrix, opt Options) (*mat.Matrix, Stats, error) {
 
 	var st Stats
 	for st.Iters = 0; st.Iters < opt.MaxIter; st.Iters++ {
-		res := dd.K.SquareCube(d)
+		res := dd.env.SymmSquareCube(dd.v, d)
 		st.KernelTime += res.Time
 		st.GemmTime += res.GemmTime
 

@@ -38,16 +38,3 @@ func ExampleSparseSerial() {
 	fmt.Printf("converged=%v trace=%.1f fill=%.0f%%\n", st.Converged, d.Trace(), fill)
 	// Output: converged=true trace=15.0 fill=32%
 }
-
-// McWeeny purification reaches the same projector through the iteration
-// the paper's introduction quotes, with a chemical-potential search.
-func ExampleMcWeenySerial() {
-	f := mat.BandedHamiltonian(16, 4)
-	canonical, _, _ := purify.Serial(f, purify.Options{Ne: 4})
-	mcweeny, _, err := purify.McWeenySerial(f, purify.Options{Ne: 4, Tol: 1e-12, MaxIter: 200})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("max difference %.0e\n", mcweeny.MaxAbsDiff(canonical))
-	// Output: max difference 1e-11
-}

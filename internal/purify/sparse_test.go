@@ -78,6 +78,9 @@ func TestSparseSerialErrors(t *testing.T) {
 	if _, _, err := SparseSerial(h, Options{Ne: 0}, 0); err == nil {
 		t.Error("Ne=0 accepted")
 	}
+	if _, _, err := SparseSerial(h, Options{Ne: 9}, 0); err == nil {
+		t.Error("Ne>N accepted")
+	}
 }
 
 func TestSparseGershgorinMatchesDense(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,9 +41,9 @@ func TestMapOrdering(t *testing.T) {
 func TestMapSequentialParity(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		calls := 0
+		var calls atomic.Int64 // the pool's workers count concurrently
 		out, err := Map(10, workers, func(i int) (int, error) {
-			calls++
+			calls.Add(1)
 			if i == 3 {
 				return 0, boom
 			}
@@ -51,8 +52,8 @@ func TestMapSequentialParity(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
-		if workers == 1 && calls != 10 {
-			t.Fatalf("sequential path made %d calls, want 10 (run all, report lowest)", calls)
+		if workers == 1 && calls.Load() != 10 {
+			t.Fatalf("sequential path made %d calls, want 10 (run all, report lowest)", calls.Load())
 		}
 		for i, v := range out {
 			want := i * i

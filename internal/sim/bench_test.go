@@ -6,6 +6,17 @@ import "testing"
 // schedule/resume cycles per second the cooperative scheduler sustains.
 func BenchmarkEventThroughput(b *testing.B) {
 	b.ReportAllocs()
+	e := spawnSleepers(b.N)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// spawnSleepers returns an engine whose 64 goroutine processes sleep in a
+// loop until about n wakeups have been dispatched.
+func spawnSleepers(n int) *Engine {
 	e := NewEngine()
 	const procs = 64
 	stop := false
@@ -17,14 +28,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 		})
 	}
 	e.Spawn("ctl", func(p *Proc) {
-		p.Sleep(float64(b.N) / procs)
+		p.Sleep(float64(n) / procs)
 		stop = true
 	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	return e
 }
 
 // BenchmarkGateFanout measures waking many waiters from one gate.

@@ -230,9 +230,6 @@ type Proc struct {
 	step      func(p *Proc) // a step process's step function; nil once it exits
 }
 
-// Eng returns the engine this process belongs to.
-func (p *Proc) Eng() *Engine { return p.eng }
-
 // Now reports the current virtual time. It equals the engine's clock while
 // the process is running.
 func (p *Proc) Now() float64 { return p.eng.now }

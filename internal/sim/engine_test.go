@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSingleProcSleep(t *testing.T) {
@@ -119,8 +120,8 @@ func TestGateWaitBeforeFire(t *testing.T) {
 	if wokeAt != 3 {
 		t.Errorf("woke at %g want 3", wokeAt)
 	}
-	if !g.Fired() || g.FiredAt() != 3 {
-		t.Errorf("gate state: fired=%v at=%g", g.Fired(), g.FiredAt())
+	if !g.Fired() {
+		t.Error("gate not fired")
 	}
 }
 
@@ -159,9 +160,6 @@ func TestGateDoubleFireIsNoop(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("callback ran %d times, want 1", n)
-	}
-	if g.FiredAt() != 0 {
-		t.Errorf("fire time %g want 0 (first fire wins)", g.FiredAt())
 	}
 }
 
@@ -346,14 +344,7 @@ func TestRunReleasesBlockedGoroutines(t *testing.T) {
 	if e.Live() != 3 || len(e.LiveProcs()) != 3 {
 		t.Fatalf("Live() = %d, LiveProcs() = %v, want the 3 blocked processes", e.Live(), e.LiveProcs())
 	}
-	// A released goroutine can still be exiting after its last send, so let
-	// the scheduler settle for a bounded number of rounds.
-	after := runtime.NumGoroutine()
-	for i := 0; i < 100 && after > before; i++ {
-		runtime.Gosched()
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
+	if after := goroutinesSettle(before); after > before {
 		t.Fatalf("goroutines grew across a deadlocked Run: %d -> %d", before, after)
 	}
 	if fmt.Sprint(exited) != "[0 1 2]" {
@@ -393,7 +384,9 @@ func TestWaitAllOrderIndependent(t *testing.T) {
 	g1, g2, g3 := e.NewGate(), e.NewGate(), e.NewGate()
 	var at float64
 	e.Spawn("waiter", func(p *Proc) {
-		p.WaitAll(g3, g1, g2) // waits in given order; must still finish at max
+		for _, g := range []*Gate{g3, g1, g2} { // not the firing order
+			p.Wait(g)
+		}
 		at = p.Now()
 	})
 	e.Spawn("firer", func(p *Proc) {
@@ -408,7 +401,7 @@ func TestWaitAllOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if at != 3 {
-		t.Errorf("WaitAll finished at %g want 3", at)
+		t.Errorf("waits finished at %g want 3", at)
 	}
 }
 
@@ -426,4 +419,19 @@ func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// goroutinesSettle returns the goroutine count once it is back down to
+// before, or after a second. A goroutine the engine released can still be
+// exiting after its last send, and on a loaded host its thread may not run
+// for many scheduler rounds; a leaked goroutine never exits, so it still
+// fails the caller.
+func goroutinesSettle(before int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

@@ -1,14 +1,13 @@
 package sim
 
-// Gate is a one-shot completion signal. Processes block on it with Wait (or
-// WaitAll); Fire releases all current and future waiters. Gates also carry
+// Gate is a one-shot completion signal. Processes block on it with Wait;
+// Fire releases all current and future waiters. Gates also carry
 // lightweight callbacks that run inline at fire time, which is how derived
 // events (e.g. "message delivered, enqueue it at the receiver") are chained
 // without spawning a process per hop.
 type Gate struct {
 	eng     *Engine
 	fired   bool
-	t       float64 // fire time, valid once fired
 	waiters []*Proc
 	cbs     []gateCB
 }
@@ -43,7 +42,6 @@ func (e *Engine) NewGate() *Gate {
 // gate, which Engine.Run reports as a deadlock.
 func (e *Engine) FreeGate(g *Gate) {
 	g.fired = false
-	g.t = 0
 	for i := range g.waiters {
 		g.waiters[i] = nil
 	}
@@ -58,10 +56,6 @@ func (e *Engine) FreeGate(g *Gate) {
 // Fired reports whether the gate has fired.
 func (g *Gate) Fired() bool { return g.fired }
 
-// FiredAt returns the virtual time the gate fired. It is only meaningful
-// once Fired is true.
-func (g *Gate) FiredAt() float64 { return g.t }
-
 // Fire releases the gate at the current virtual time. Firing an already
 // fired gate is a no-op. Callbacks run inline, in registration order, before
 // any waiter resumes.
@@ -70,7 +64,6 @@ func (g *Gate) Fire() {
 		return
 	}
 	g.fired = true
-	g.t = g.eng.now
 	// Detach the callback list before running it (a callback registering on
 	// this gate re-enters OnFireArg, which runs immediately once fired), then
 	// hand the cleared backing array back so a recycled gate keeps capacity.
@@ -116,11 +109,4 @@ func (p *Proc) Wait(g *Gate) {
 	}
 	g.waiters = append(g.waiters, p)
 	p.park("gate")
-}
-
-// WaitAll blocks p until every gate has fired.
-func (p *Proc) WaitAll(gates ...*Gate) {
-	for _, g := range gates {
-		p.Wait(g)
-	}
 }

@@ -76,14 +76,6 @@ func (s ResourceStats) Utilization(elapsed float64) float64 {
 	return s.BusyTime / elapsed
 }
 
-// MeanQueueWait reports the average start-ready delay per reservation.
-func (s ResourceStats) MeanQueueWait() float64 {
-	if s.Reservations == 0 {
-		return 0
-	}
-	return s.QueueWait / float64(s.Reservations)
-}
-
 // NewResource returns an idle resource available from time zero.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
 

@@ -41,9 +41,6 @@ func TestResourceSnapshotAccounting(t *testing.T) {
 	if st.FirstStart != 0 || st.LastDone != 8 {
 		t.Errorf("window [%g,%g], want [0,8]", st.FirstStart, st.LastDone)
 	}
-	if got := st.MeanQueueWait(); math.Abs(got-1.0/3) > 1e-15 {
-		t.Errorf("mean queue wait = %g, want 1/3", got)
-	}
 
 	// busy + idle == elapsed for any window covering the run.
 	for _, elapsed := range []float64{8, 10, 100} {

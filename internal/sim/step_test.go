@@ -28,12 +28,7 @@ func TestStepDeadlockReported(t *testing.T) {
 	if e.Live() != 2 {
 		t.Errorf("Live() = %d, want 2", e.Live())
 	}
-	after := runtime.NumGoroutine()
-	for i := 0; i < 100 && after > before; i++ {
-		runtime.Gosched()
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
+	if after := goroutinesSettle(before); after > before {
 		t.Fatalf("goroutines grew across a deadlocked Run: %d -> %d", before, after)
 	}
 }

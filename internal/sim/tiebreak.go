@@ -13,8 +13,6 @@ import "math/rand"
 // this to hunt for order-dependent bugs; production runs leave the engine's
 // default (FIFO, equivalent to no policy) in place.
 type TieBreak interface {
-	// Name identifies the policy in reports and repro commands.
-	Name() string
 	// Choose returns the index in [0, n) of the tied event to run next.
 	// It is called once per pop with n >= 2 tied candidates.
 	Choose(n int) int
@@ -26,7 +24,6 @@ func FIFO() TieBreak { return fifoTB{} }
 
 type fifoTB struct{}
 
-func (fifoTB) Name() string     { return "fifo" }
 func (fifoTB) Choose(n int) int { return 0 }
 
 // LIFO returns the adversarial policy: among tied events, run the one
@@ -36,7 +33,6 @@ func LIFO() TieBreak { return lifoTB{} }
 
 type lifoTB struct{}
 
-func (lifoTB) Name() string     { return "lifo" }
 func (lifoTB) Choose(n int) int { return n - 1 }
 
 // Seeded returns a deterministic pseudo-random policy: among tied events,
@@ -44,14 +40,11 @@ func (lifoTB) Choose(n int) int { return n - 1 }
 // same seed make identical choices, so any schedule found by exploration can
 // be replayed exactly from its seed.
 func Seeded(seed int64) TieBreak {
-	return &seededTB{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &seededTB{rng: rand.New(rand.NewSource(seed))}
 }
 
 type seededTB struct {
-	seed int64
-	rng  *rand.Rand
+	rng *rand.Rand
 }
 
-func (s *seededTB) Name() string     { return "random" }
-func (s *seededTB) Seed() int64      { return s.seed }
 func (s *seededTB) Choose(n int) int { return s.rng.Intn(n) }

@@ -236,11 +236,12 @@ func TestDispatchPathsMatchAcrossPolicies(t *testing.T) {
 		t.Errorf("no policy: step processes dispatched\n%s\ngoroutine processes\n%s", def, gor)
 	}
 	seeded := func(seed int64) func() TieBreak { return func() TieBreak { return Seeded(seed) } }
-	for _, policy := range []func() TieBreak{FIFO, LIFO, seeded(1), seeded(2), seeded(3)} {
+	names := []string{"fifo", "lifo", "seeded 1", "seeded 2", "seeded 3"}
+	for i, policy := range []func() TieBreak{FIFO, LIFO, seeded(1), seeded(2), seeded(3)} {
 		steps := fmt.Sprint(dispatchLog(t, policy(), false))
 		gor := fmt.Sprint(dispatchLog(t, policy(), true))
 		if steps != gor {
-			t.Errorf("%s: step processes dispatched\n%s\ngoroutine processes\n%s", policy().Name(), steps, gor)
+			t.Errorf("%s: step processes dispatched\n%s\ngoroutine processes\n%s", names[i], steps, gor)
 		}
 	}
 }

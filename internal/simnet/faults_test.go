@@ -55,7 +55,7 @@ func TestTransientLossRetransmits(t *testing.T) {
 	var clean float64
 	run(t, 2, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
-		_, d := n.Transfer(a, b, size)
+		_, d := xferGates(n, a, b, size, false)
 		p.Wait(d)
 		clean = p.Now()
 	})
@@ -65,7 +65,7 @@ func TestTransientLossRetransmits(t *testing.T) {
 	var faulty float64
 	runFaults(t, 2, fm, reg, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
-		_, d := n.Transfer(a, b, size)
+		_, d := xferGates(n, a, b, size, false)
 		p.Wait(d)
 		faulty = p.Now()
 	})
@@ -102,14 +102,14 @@ func TestChunkDelayJitter(t *testing.T) {
 	var clean, jittered float64
 	run(t, 2, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
-		_, d := n.Transfer(a, b, size)
+		_, d := xferGates(n, a, b, size, false)
 		p.Wait(d)
 		clean = p.Now()
 	})
 	jfm := &jitterOnly{jitter: 200e-6}
 	runFaults(t, 2, jfm, nil, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
-		_, d := n.Transfer(a, b, size)
+		_, d := xferGates(n, a, b, size, false)
 		p.Wait(d)
 		jittered = p.Now()
 	})
@@ -145,9 +145,9 @@ func TestNilRegistryFullTransfer(t *testing.T) {
 		}
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
 		c := n.NewEndpoint(0)
-		_, inter := n.Transfer(a, b, 1<<20)
-		_, intra := n.Transfer(a, c, 1<<20)
-		_, bulk := n.TransferBulk(a, b, 1<<20)
+		_, inter := xferGates(n, a, b, 1<<20, false)
+		_, intra := xferGates(n, a, c, 1<<20, false)
+		_, bulk := xferGates(n, a, b, 1<<20, true)
 		p.Wait(inter)
 		p.Wait(intra)
 		p.Wait(bulk)

@@ -58,28 +58,26 @@ func FuzzChunking(f *testing.F) {
 		}
 		dstB := net.NewEndpoint(1)
 
-		injA, delA := net.Transfer(src, dstA, sizeA)
-		var injB, delB *sim.Gate
+		// Fire times of A's injection and delivery, then B's; -1 until fired.
+		at := [4]float64{-1, -1, -1, -1}
+		stamp := func(i any) { at[i.(int)] = eng.Now() }
+		net.TransferFn(src, dstA, sizeA, stamp, 0, stamp, 1)
 		if bulkB {
-			injB, delB = net.TransferBulk(src, dstB, sizeB)
+			net.TransferBulkFn(src, dstB, sizeB, stamp, 2, stamp, 3)
 		} else {
-			injB, delB = net.Transfer(src, dstB, sizeB)
+			net.TransferFn(src, dstB, sizeB, stamp, 2, stamp, 3)
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatalf("transfers deadlocked: %v", err)
 		}
 
-		for _, g := range []struct {
-			name     string
-			inj, del *sim.Gate
-		}{{"A", injA, delA}, {"B", injB, delB}} {
-			if !g.inj.Fired() || !g.del.Fired() {
-				t.Fatalf("transfer %s: injected fired=%v delivered fired=%v, want both",
-					g.name, g.inj.Fired(), g.del.Fired())
+		for i, name := range []string{"A", "B"} {
+			inj, del := at[2*i], at[2*i+1]
+			if inj < 0 || del < 0 {
+				t.Fatalf("transfer %s: injected at %g, delivered at %g, want both fired", name, inj, del)
 			}
-			if g.del.FiredAt() < g.inj.FiredAt() {
-				t.Errorf("transfer %s delivered at %g before injection completed at %g",
-					g.name, g.del.FiredAt(), g.inj.FiredAt())
+			if del < inj {
+				t.Errorf("transfer %s delivered at %g before injection completed at %g", name, del, inj)
 			}
 		}
 
@@ -87,7 +85,7 @@ func FuzzChunking(f *testing.F) {
 		if !intraA {
 			wantWire += sizeA
 		}
-		if got := net.WireBytes(0); got != wantWire {
+		if got := net.nodes[0].egressBytes; got != wantWire {
 			t.Errorf("egress wire carried %d bytes, want %d (chunking lost or invented data)", got, wantWire)
 		}
 		if got := net.TotalWireBytes(); got != wantWire {

@@ -21,6 +21,7 @@ package simnet
 
 import (
 	"fmt"
+	"strings"
 
 	"commoverlap/internal/metrics"
 	"commoverlap/internal/sim"
@@ -260,10 +261,6 @@ func (ep *Endpoint) SetProgressLanes(lanes []*sim.Resource, byteRate float64) {
 	ep.progIdx = 0
 }
 
-// ProgressLanes reports the endpoint's current progress-lane group and byte
-// rate (nil, 0 when chunk forwarding runs on the endpoint's own NIC lane).
-func (ep *Endpoint) ProgressLanes() ([]*sim.Resource, float64) { return ep.prog, ep.progRate }
-
 // nicStage books one chunk-pipeline stage (overhead seconds plus bytes at
 // rate) for the endpoint: on its private NIC lane by default, or on the
 // next progress lane in round-robin order when a group is installed.
@@ -301,6 +298,25 @@ func (n *Net) NewEndpoint(node int) *Endpoint {
 	return ep
 }
 
+// LaneClass sorts a resource into the lane class its fabric name marks:
+// "wire" for a node's egress wire, "cpu" and "nic" for an endpoint's CPU
+// and NIC lanes, "offload" for a node's DMA offload engine, and "" for the
+// rest (ingress wires, shared-memory buses, interior links). Utilization
+// reports average busy fractions per class.
+func LaneClass(name string) string {
+	switch {
+	case strings.HasSuffix(name, ".egress"):
+		return "wire"
+	case strings.HasSuffix(name, ".cpu"):
+		return "cpu"
+	case strings.HasSuffix(name, ".nic"):
+		return "nic"
+	case strings.HasSuffix(name, ".offload"):
+		return "offload"
+	}
+	return ""
+}
+
 // EachResource visits every FIFO resource the fabric owns (topology links —
 // core switch, group uplinks/downlinks, torus rails — then per-node
 // egress/ingress wires and shared-memory buses). Endpoint CPU/NIC resources
@@ -319,13 +335,6 @@ func (n *Net) EachResource(f func(*sim.Resource)) {
 		}
 	}
 }
-
-// Topology returns the fabric's topology.
-func (n *Net) Topology() Topology { return n.topo }
-
-// Links returns the topology's interior links in construction order, for
-// per-link-class utilization and byte accounting in benchmarks and tests.
-func (n *Net) Links() []*Link { return n.topo.Links() }
 
 // LinkUtilization reports the mean busy fraction of the topology's interior
 // links per link class over a window (empty map for a flat non-blocking
@@ -373,16 +382,10 @@ func (n *Net) EachWire(f func(node int, egress, ingress *sim.Resource)) {
 	}
 }
 
-// WireBusyTime returns the cumulative egress occupancy of a node's wire,
-// for utilization accounting in benchmarks.
-func (n *Net) WireBusyTime(node int) float64 { return n.nodes[node].egress.BusyTime() }
-
-// WireBytes returns the cumulative payload bytes a node's egress wire has
-// carried (inter-node traffic only; shared-memory traffic is not counted).
-func (n *Net) WireBytes(node int) int64 { return n.nodes[node].egressBytes }
-
-// TotalWireBytes sums WireBytes over all nodes: the machine-wide inter-node
-// communication volume, the quantity the paper's Table IV estimates.
+// TotalWireBytes sums the payload bytes every node's egress wire has carried
+// (inter-node traffic only; shared-memory traffic is not counted): the
+// machine-wide inter-node communication volume, the quantity the paper's
+// Table IV estimates.
 func (n *Net) TotalWireBytes() int64 {
 	var t int64
 	for i := range n.nodes {
@@ -391,11 +394,14 @@ func (n *Net) TotalWireBytes() int64 {
 	return t
 }
 
-// Transfer moves size bytes from src to dst. It returns two gates:
-// injected fires when the sender's buffer is reusable (all data has left the
-// sending process), delivered fires when the last byte is available at the
-// receiving process. Zero-byte transfers still pay per-message overheads and
-// latency, which models control messages and barriers.
+// TransferFn moves size bytes from src to dst. onInjected(injArg) runs when
+// the sender's buffer is reusable (all data has left the sending process)
+// and onDelivered(delArg) when the last byte is available at the receiving
+// process; either callback may be nil. Zero-byte transfers still pay
+// per-message overheads and latency, which models control messages and
+// barriers. Passing package-level functions plus caller-owned arguments
+// makes the per-message fast path allocation-free; the callbacks run inline
+// inside the transfer's step processes and must not block.
 //
 // The transfer has a sender half and a receiver half, each a state machine
 // the engine steps inline at its own virtual times (a sim step process), so
@@ -403,43 +409,15 @@ func (n *Net) TotalWireBytes() int64 {
 // actual virtual start time. Reserving further ahead would punch unfillable
 // holes into the FIFO next-free-time resources and serialize concurrent
 // transfers that should interleave.
-func (n *Net) Transfer(src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
-	injected = n.Eng.NewGate()
-	delivered = n.Eng.NewGate()
-	n.transfer(src, dst, size, n.Cfg.CPUCopyRate, fireGateCB, injected, fireGateCB, delivered)
-	return injected, delivered
-}
-
-// TransferBulk is the zero-copy (rendezvous/DMA) path: the wire bears the
-// per-byte cost while the endpoints' CPUs pay only a small residual per-byte
-// rate (DMARate) plus the per-chunk overheads. The MPI layer routes
-// rendezvous payloads here; eager messages, which are copied through
-// bounce buffers, use Transfer.
-func (n *Net) TransferBulk(src, dst *Endpoint, size int64) (injected, delivered *sim.Gate) {
-	injected = n.Eng.NewGate()
-	delivered = n.Eng.NewGate()
-	n.transfer(src, dst, size, n.Cfg.DMARate, fireGateCB, injected, fireGateCB, delivered)
-	return injected, delivered
-}
-
-// fireGateCB adapts the callback-based transfer core to the gate-returning
-// public API: a package-level function value, so registering it allocates no
-// closure.
-var fireGateCB = func(a any) { a.(*sim.Gate).Fire() }
-
-// TransferFn is Transfer with completion callbacks instead of gates:
-// onInjected(injArg) runs when the sender's buffer is reusable and
-// onDelivered(delArg) when the last byte reaches the receiving process.
-// Either callback may be nil. Passing package-level functions plus
-// caller-owned arguments makes the per-message fast path allocation-free,
-// which is why the MPI layer uses this form; callbacks run inline inside the
-// transfer's step processes and must not block.
 func (n *Net) TransferFn(src, dst *Endpoint, size int64, onInjected func(any), injArg any, onDelivered func(any), delArg any) {
 	n.transfer(src, dst, size, n.Cfg.CPUCopyRate, onInjected, injArg, onDelivered, delArg)
 }
 
-// TransferBulkFn is TransferBulk with completion callbacks instead of gates;
-// see TransferFn.
+// TransferBulkFn is the zero-copy (rendezvous/DMA) path: the wire bears the
+// per-byte cost while the endpoints' CPUs pay only a small residual per-byte
+// rate (DMARate) plus the per-chunk overheads. The MPI layer routes
+// rendezvous payloads here; eager messages, which are copied through
+// bounce buffers, use TransferFn.
 func (n *Net) TransferBulkFn(src, dst *Endpoint, size int64, onInjected func(any), injArg any, onDelivered func(any), delArg any) {
 	n.transfer(src, dst, size, n.Cfg.DMARate, onInjected, injArg, onDelivered, delArg)
 }

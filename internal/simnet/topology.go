@@ -132,12 +132,10 @@ type Link struct {
 	Res       *sim.Resource
 	Bandwidth float64 // bytes/s
 	Class     string  // "core", "uplink", "downlink" or "rail"
-	bytes     int64
+	// bytes is the cumulative payload the link has carried (retransmitted
+	// chunks count once per attempt, like wire bytes).
+	bytes int64
 }
-
-// Bytes reports the cumulative payload bytes the link has carried
-// (retransmitted chunks count once per attempt, like wire bytes).
-func (l *Link) Bytes() int64 { return l.bytes }
 
 // Topology answers routing queries for the fabric. Route returns the
 // ordered interior links an inter-node chunk crosses (possibly none) and
@@ -146,7 +144,6 @@ func (l *Link) Bytes() int64 { return l.bytes }
 // egress/ingress wires are not part of the route — the transfer pipeline
 // always pays those.
 type Topology interface {
-	Name() string
 	Links() []*Link
 	Route(src, dst int) ([]*Link, float64)
 }
@@ -166,7 +163,6 @@ type flatTopo struct {
 	links []*Link // empty, or the single core link
 }
 
-func (t *flatTopo) Name() string   { return "flat" }
 func (t *flatTopo) Links() []*Link { return t.links }
 func (t *flatTopo) Route(src, dst int) ([]*Link, float64) {
 	return t.links, t.lat
@@ -182,7 +178,6 @@ type hierTopo struct {
 	crossRoutes map[int][]*Link
 }
 
-func (t *hierTopo) Name() string { return "hier" }
 func (t *hierTopo) Links() []*Link {
 	out := make([]*Link, 0, len(t.core)+2*len(t.up))
 	out = append(out, t.core...)
@@ -216,7 +211,6 @@ type torusTopo struct {
 	links []*Link
 }
 
-func (t *torusTopo) Name() string   { return "torus" }
 func (t *torusTopo) Links() []*Link { return t.links }
 
 // step returns the signed unit move along one dimension of extent n that

@@ -75,32 +75,33 @@ func FuzzTopologyRoute(f *testing.F) {
 			{int(srcA8) % nodes, int(dstA8) % nodes, sizeA},
 			{int(srcB8) % nodes, int(dstB8) % nodes, sizeB},
 		}
-		var gates [][2]*sim.Gate
+		// Each flow's injection and delivery time; -1 until fired.
+		at := [][2]float64{{-1, -1}, {-1, -1}}
 		for i, fl := range flows {
 			a, b := net.NewEndpoint(fl.src), net.NewEndpoint(fl.dst)
-			var inj, del *sim.Gate
+			onInj := func(any) { at[i][0] = eng.Now() }
+			onDel := func(any) { at[i][1] = eng.Now() }
 			if i == 0 {
-				inj, del = net.Transfer(a, b, fl.size)
+				net.TransferFn(a, b, fl.size, onInj, nil, onDel, nil)
 			} else {
-				inj, del = net.TransferBulk(a, b, fl.size)
+				net.TransferBulkFn(a, b, fl.size, onInj, nil, onDel, nil)
 			}
-			gates = append(gates, [2]*sim.Gate{inj, del})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatalf("transfers deadlocked (%+v): %v", spec, err)
 		}
-		for i, g := range gates {
-			if !g[0].Fired() || !g[1].Fired() {
-				t.Fatalf("flow %d: injected fired=%v delivered fired=%v", i, g[0].Fired(), g[1].Fired())
+		for i, ts := range at {
+			if ts[0] < 0 || ts[1] < 0 {
+				t.Fatalf("flow %d: injected at %g, delivered at %g, want both fired", i, ts[0], ts[1])
 			}
-			if g[1].FiredAt() < g[0].FiredAt() {
+			if ts[1] < ts[0] {
 				t.Errorf("flow %d delivered before injected", i)
 			}
 		}
 
 		// Route determinism and per-link byte conservation: replaying each
 		// flow's route must predict every link's byte counter exactly.
-		topo := net.Topology()
+		topo := net.topo
 		want := make(map[*Link]int64)
 		for _, fl := range flows {
 			if fl.src == fl.dst {
@@ -119,8 +120,8 @@ func FuzzTopologyRoute(f *testing.F) {
 			}
 		}
 		elapsed := eng.Now()
-		for _, l := range net.Links() {
-			if got := l.Bytes(); got != want[l] {
+		for _, l := range net.topo.Links() {
+			if got := l.bytes; got != want[l] {
 				t.Errorf("link %s carried %d bytes, want %d (lost or invented bytes)",
 					l.Res.Name, got, want[l])
 			}

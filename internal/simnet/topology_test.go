@@ -63,10 +63,10 @@ func TestTopoSpecValidate(t *testing.T) {
 func TestFlatTopoIdentical(t *testing.T) {
 	n := runTopo(t, 2, TopoSpec{}, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(1)
-		_, d := n.Transfer(a, b, 1<<20)
+		_, d := xferGates(n, a, b, 1<<20, false)
 		p.Wait(d)
 	})
-	if got := len(n.Links()); got != 0 {
+	if got := len(n.topo.Links()); got != 0 {
 		t.Errorf("flat non-blocking fabric has %d interior links, want 0", got)
 	}
 	if u := n.LinkUtilization(1); u != nil {
@@ -80,7 +80,7 @@ func TestFlatTopoIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	links := nb.Links()
+	links := nb.topo.Links()
 	if len(links) != 1 || links[0].Class != "core" || links[0].Bandwidth != cfg.CoreBandwidth {
 		t.Fatalf("blocking flat fabric links = %+v", links)
 	}
@@ -96,17 +96,17 @@ func TestHierRouting(t *testing.T) {
 		eps := []*Endpoint{n.NewEndpoint(0), n.NewEndpoint(1), n.NewEndpoint(2), n.NewEndpoint(3)}
 		// Intra-group 0->1, then two cross-group transfers 0->2 and 1->3
 		// sharing group 0's uplink.
-		_, d0 := n.Transfer(eps[0], eps[1], size)
+		_, d0 := xferGates(n, eps[0], eps[1], size, false)
 		p.Wait(d0)
-		_, d1 := n.Transfer(eps[0], eps[2], size)
-		_, d2 := n.Transfer(eps[1], eps[3], size)
+		_, d1 := xferGates(n, eps[0], eps[2], size, false)
+		_, d2 := xferGates(n, eps[1], eps[3], size, false)
 		p.Wait(d1)
 		p.Wait(d2)
 	})
 
-	topo := n.Topology()
-	if topo.Name() != "hier" {
-		t.Fatalf("topology %q", topo.Name())
+	topo := n.topo
+	if _, ok := topo.(*hierTopo); !ok {
+		t.Fatalf("topology %T, want hier", topo)
 	}
 	if links, _ := topo.Route(0, 1); len(links) != 0 {
 		t.Errorf("intra-group route has %d links", len(links))
@@ -121,15 +121,15 @@ func TestHierRouting(t *testing.T) {
 	// Both cross-group transfers left group 0: its uplink carried 2*size,
 	// group 1's downlink received the same, and no bytes were lost.
 	var up0, down1 int64
-	for _, l := range n.Links() {
+	for _, l := range n.topo.Links() {
 		switch l.Res.Name {
 		case "group0.uplink":
-			up0 = l.Bytes()
+			up0 = l.bytes
 		case "group1.downlink":
-			down1 = l.Bytes()
+			down1 = l.bytes
 		default:
-			if l.Bytes() != 0 {
-				t.Errorf("%s carried %d bytes, want 0", l.Res.Name, l.Bytes())
+			if l.bytes != 0 {
+				t.Errorf("%s carried %d bytes, want 0", l.Res.Name, l.bytes)
 			}
 		}
 	}
@@ -160,13 +160,13 @@ func TestHierUplinkContention(t *testing.T) {
 			a0, b0 := n.NewEndpoint(0), n.NewEndpoint(2)
 			a1, b1 := n.NewEndpoint(src2), n.NewEndpoint(dst2)
 			t0 := p.Now()
-			_, d1 := n.TransferBulk(a0, b0, size)
-			_, d2 := n.TransferBulk(a1, b1, size)
+			_, d1 := xferGates(n, a0, b0, size, true)
+			_, d2 := xferGates(n, a1, b1, size, true)
 			p.Wait(d1)
 			p.Wait(d2)
 			dt = p.Now() - t0
 		})
-		for _, l := range n.Links() {
+		for _, l := range n.topo.Links() {
 			if l.Res.Name == "group0.uplink" {
 				uplinkUtil = l.Res.BusyTime() / dt
 			}
@@ -191,10 +191,10 @@ func TestTorusRouting(t *testing.T) {
 	const size = 256 << 10
 	n := runTopo(t, 8, spec, func(n *Net, p *sim.Proc) {
 		a, b := n.NewEndpoint(0), n.NewEndpoint(7) // (0,0) -> (3,1): 1 x-hop (wrap) + 1 y-hop
-		_, d := n.Transfer(a, b, size)
+		_, d := xferGates(n, a, b, size, false)
 		p.Wait(d)
 	})
-	topo := n.Topology()
+	topo := n.topo
 	links, lat := topo.Route(0, 7)
 	if len(links) != 2 {
 		t.Fatalf("route 0->7 has %d hops, want 2 (wrap -x, then y)", len(links))
@@ -214,13 +214,13 @@ func TestTorusRouting(t *testing.T) {
 	}
 	// Exactly the two route links carried the payload.
 	var carried int
-	for _, l := range n.Links() {
-		if l.Bytes() == 0 {
+	for _, l := range n.topo.Links() {
+		if l.bytes == 0 {
 			continue
 		}
 		carried++
-		if l.Bytes() != size {
-			t.Errorf("%s carried %d bytes, want %d", l.Res.Name, l.Bytes(), size)
+		if l.bytes != size {
+			t.Errorf("%s carried %d bytes, want %d", l.Res.Name, l.bytes, size)
 		}
 	}
 	if carried != 2 {
@@ -246,7 +246,7 @@ func TestTopoResourceAccounting(t *testing.T) {
 			var gates []*sim.Gate
 			for i := 0; i < 8; i++ {
 				a, b := n.NewEndpoint(i), n.NewEndpoint((i+3)%8)
-				_, d := n.Transfer(a, b, 1<<20)
+				_, d := xferGates(n, a, b, 1<<20, false)
 				gates = append(gates, d)
 			}
 			for _, g := range gates {
@@ -256,7 +256,7 @@ func TestTopoResourceAccounting(t *testing.T) {
 		elapsed := n.Eng.Now()
 		seen := make(map[*sim.Resource]bool)
 		n.EachResource(func(r *sim.Resource) { seen[r] = true })
-		for _, l := range n.Links() {
+		for _, l := range n.topo.Links() {
 			if !seen[l.Res] {
 				t.Errorf("%s: link %s missing from EachResource", name, l.Res.Name)
 			}

@@ -89,15 +89,6 @@ func (m *CSR) Trace() float64 {
 	return s
 }
 
-// FrobNorm returns the Frobenius norm of the stored entries.
-func (m *CSR) FrobNorm() float64 {
-	s := 0.0
-	for _, v := range m.Val {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Scale multiplies all stored entries by a.
 func (m *CSR) Scale(a float64) {
 	for i := range m.Val {

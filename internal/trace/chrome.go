@@ -94,7 +94,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // step on the receiver's. Loading them next to the span export shows where
 // each envelope was in its life while the wire was (or was not) busy.
 func (l *MsgLog) ChromeEvents() []ChromeEvent {
-	out := make([]ChromeEvent, 0, l.Len())
+	out := make([]ChromeEvent, 0, len(l.events))
 	for _, e := range l.Events() {
 		pid := e.Dst
 		if e.Kind == MsgPost {

@@ -71,6 +71,3 @@ func (l *MsgLog) Add(e MsgEvent) { l.events = append(l.events, e) }
 // Events returns the recorded events in arrival order (which is virtual-time
 // order, since the simulator's clock is monotone).
 func (l *MsgLog) Events() []MsgEvent { return l.events }
-
-// Len reports the number of recorded events.
-func (l *MsgLog) Len() int { return len(l.events) }

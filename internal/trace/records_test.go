@@ -10,10 +10,10 @@ func TestMsgLogAppendsInOrder(t *testing.T) {
 	l.Add(MsgEvent{Kind: MsgPost, T: 1, Ctx: 3, Src: 0, Dst: 1, Tag: 7, Seq: 0, Bytes: 64})
 	l.Add(MsgEvent{Kind: MsgAdmit, T: 2, Ctx: 3, Src: 0, Dst: 1, Tag: 7, Seq: 0, Bytes: 64})
 	l.Add(MsgEvent{Kind: MsgMatch, T: 2, Ctx: 3, Src: 0, Dst: 1, Tag: 7, Seq: 0, Bytes: 64})
-	if l.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", l.Len())
-	}
 	evs := l.Events()
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
+	}
 	if evs[0].Kind != MsgPost || evs[1].Kind != MsgAdmit || evs[2].Kind != MsgMatch {
 		t.Fatalf("events out of order: %v", evs)
 	}

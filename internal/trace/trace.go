@@ -35,7 +35,6 @@ type Recorder struct {
 	events []Event
 	spans  []openSpan           // indexed by SpanID-1
 	open   map[spanKey][]SpanID // FIFO queues of not-yet-closed occurrences
-	nOpen  int
 }
 
 type openSpan struct {
@@ -68,7 +67,6 @@ func (r *Recorder) Begin(rank int, label string, t float64) SpanID {
 	}
 	k := spanKey{rank, label}
 	r.open[k] = append(r.open[k], id)
-	r.nOpen++
 	return id
 }
 
@@ -84,7 +82,6 @@ func (r *Recorder) EndSpan(id SpanID, t float64) {
 		panic(fmt.Sprintf("trace: span %q on rank %d (id %d) closed twice", sp.label, sp.rank, id))
 	}
 	sp.closed = true
-	r.nOpen--
 	k := spanKey{sp.rank, sp.label}
 	for i, qid := range r.open[k] {
 		if qid == id {
@@ -107,10 +104,6 @@ func (r *Recorder) End(rank int, label string, t float64) {
 	r.EndSpan(q[0], t)
 }
 
-// OpenSpans reports the number of spans begun but not yet ended. A clean
-// instrumentation pass leaves it at zero.
-func (r *Recorder) OpenSpans() int { return r.nOpen }
-
 // Events returns the recorded events sorted by (start, rank, label);
 // events identical under that key keep their insertion order (stable
 // sort), so repeated point events are deterministic across runs — the
@@ -129,9 +122,6 @@ func (r *Recorder) Events() []Event {
 	})
 	return out
 }
-
-// Len reports the number of closed events.
-func (r *Recorder) Len() int { return len(r.events) }
 
 // renderGutterCap bounds how wide the label gutter may grow.
 const renderGutterCap = 40

@@ -52,9 +52,6 @@ const (
 	Pipeline     Pattern = "pipeline"
 )
 
-// Patterns returns the pattern family in canonical order.
-func Patterns() []Pattern { return []Pattern{DataParallel, ZeRO, Pipeline} }
-
 // AcceleratorConfig is the accelerator-flavored machine preset: an
 // accelerator node does dense arithmetic two orders of magnitude faster
 // than the paper's CPU nodes, talks to the fabric through a fat NIC in

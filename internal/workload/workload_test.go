@@ -21,6 +21,9 @@ func smallSpec(pat Pattern, overlap bool) Spec {
 	}
 }
 
+// allPatterns is the pattern family in canonical order.
+var allPatterns = []Pattern{DataParallel, ZeRO, Pipeline}
+
 // TestPatternsOracle runs every pattern in both variants: the per-rank
 // oracles inside the pattern bodies must pass (Run returns their first
 // failure), and the blocking and overlapped schedules must produce
@@ -28,7 +31,7 @@ func smallSpec(pat Pattern, overlap bool) Spec {
 // semantics change. Cases fan through the replica runner so `go test
 // -race` exercises concurrent independent worlds.
 func TestPatternsOracle(t *testing.T) {
-	pats := Patterns()
+	pats := allPatterns
 	res, err := runner.Map(2*len(pats), 4, func(i int) (Result, error) {
 		return Run(smallSpec(pats[i/2], i%2 == 1))
 	})
@@ -69,7 +72,7 @@ func TestRunDeterminism(t *testing.T) {
 // and the active sub-communicator's result is still exact (the oracle
 // inside the body uses the active size).
 func TestParkedPPN(t *testing.T) {
-	for _, pat := range Patterns() {
+	for _, pat := range allPatterns {
 		spec := smallSpec(pat, true)
 		spec.PPN = 1 // half the launched ranks park
 		if _, err := Run(spec); err != nil {
@@ -81,7 +84,7 @@ func TestParkedPPN(t *testing.T) {
 // TestHierFabric runs every pattern on the hierarchical fabric so the
 // NVLink-flavored preset's inter-node traffic crosses shared uplinks.
 func TestHierFabric(t *testing.T) {
-	for _, pat := range Patterns() {
+	for _, pat := range allPatterns {
 		spec := smallSpec(pat, true)
 		spec.Topo = "hier"
 		if _, err := Run(spec); err != nil {
@@ -119,7 +122,7 @@ func TestForcedAlg(t *testing.T) {
 // report Checksum 0.
 func TestPhantomCongruent(t *testing.T) {
 	var specs []Spec
-	for _, pat := range Patterns() {
+	for _, pat := range allPatterns {
 		for _, overlap := range []bool{false, true} {
 			base := smallSpec(pat, overlap)
 			base.Elems = 3001
