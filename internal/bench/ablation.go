@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/simnet"
@@ -30,27 +29,14 @@ type AblationRow struct {
 // switch points and similar) before launch. It returns the kernel's TFlops.
 func ablationKernel(o Options, cfg simnet.Config, n, p, ndup, ppn int, roundRobin bool, setup func(*mpi.World)) (float64, error) {
 	dims := mesh.Cubic(p)
-	cfg.Nodes = mesh.NodesNeeded(dims.Size(), ppn)
-	placement := mesh.NaturalPlacement(dims.Size(), ppn)
+	s := naturalSpec(dims.Size(), ppn)
+	cfg.Nodes = s.Config.Nodes
+	s.Config, s.Setup = cfg, setup
 	if roundRobin {
-		placement = mesh.RoundRobinPlacement(dims.Size(), cfg.Nodes)
+		s.Placement = mesh.RoundRobinPlacement(dims.Size(), cfg.Nodes)
 	}
-	var worst float64
-	_, err := o.run(job.Spec{Config: cfg, Ranks: dims.Size(), Placement: placement, Setup: setup}, func(pr *mpi.Proc) {
-		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube(core.Optimized, nil)
-		if res.Time > worst {
-			worst = res.Time
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return core.KernelFlops(n) / worst / 1e12, nil
+	kr, err := o.kernelCell(s, n, kernel3D(dims, core.Optimized, core.Config{N: n, NDup: ndup, PPN: ppn}))
+	return kr.TFlops, err
 }
 
 // Ablate sweeps the three knobs and prints the sensitivity table.

@@ -53,19 +53,24 @@ type Options struct {
 	TracePath string
 }
 
-// n is the kernel experiments' matrix dimension.
-func (o Options) n() int {
+// system is the kernel experiments' test system: the paper's 1hsg_70, or a
+// custom one of dimension N with the paper systems' one electron per five
+// basis functions.
+func (o Options) system() System {
 	if o.N != 0 {
-		return o.N
+		return System{Name: "custom", N: o.N, Ne: o.N / 5}
 	}
-	return Systems[2].N
+	return Systems[2]
 }
+
+// n is the kernel experiments' matrix dimension.
+func (o Options) n() int { return o.system().N }
 
 // systems is the Table I/II system list: the paper's three, or one custom
 // system when N is overridden.
 func (o Options) systems() []System {
 	if o.N != 0 {
-		return []System{{Name: "custom", N: o.N}}
+		return []System{o.system()}
 	}
 	return Systems
 }
@@ -91,8 +96,8 @@ type System struct {
 }
 
 // Systems are the paper's three test systems (dimensions from Table I).
-// The electron counts are synthetic (about one per five basis functions),
-// chosen only to give purification realistic iteration counts.
+// The electron counts are synthetic (one per five basis functions), chosen
+// only to give purification realistic iteration counts.
 var Systems = []System{
 	{Name: "1hsg_45", N: 5330, Ne: 1066},
 	{Name: "1hsg_60", N: 6895, Ne: 1379},
@@ -193,27 +198,14 @@ func kernel(o Options, v core.Variant, n, p, ndup, ppn int) (KernelRun, error) {
 // kernel25 runs the 2.5D kernel (Algorithm 6) on a q x q x c mesh.
 func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 	dims := mesh.Dims{Q: q, C: c}
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	var out KernelRun
-	out.Nodes = nodes
-	w, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(nodes),
-		Ranks:     dims.Size(),
-		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
-	}, func(pr *mpi.Proc) {
+	return o.kernelCell(naturalSpec(dims.Size(), ppn), n, func(pr *mpi.Proc) (core.Result, error) {
 		env, err := core.NewEnv25(pr, dims, core.Config{N: n, NDup: ndup, PPN: ppn})
 		if err != nil {
-			panic(err)
+			return core.Result{}, err
 		}
 		env.M.World.Barrier()
-		res := env.SymmSquareCube25(nil)
-		accumulate(&out, res)
+		return env.SymmSquareCube25(nil), nil
 	})
-	if err != nil {
-		return out, err
-	}
-	finish(&out, n, w)
-	return out, nil
 }
 
 // kernelCfg runs variant v on a p-edge cubic mesh under an explicit
@@ -221,31 +213,68 @@ func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 // pipeline widths (Config.PhaseNDup).
 func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, error) {
 	dims := mesh.Cubic(p)
-	ppn := cfg.PPN
-	if ppn == 0 {
-		ppn = 1
-	}
-	nodes := mesh.NodesNeeded(dims.Size(), ppn)
-	out := KernelRun{Nodes: nodes}
-	w, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(nodes),
-		Ranks:     dims.Size(),
-		Placement: mesh.NaturalPlacement(dims.Size(), ppn),
-	}, func(pr *mpi.Proc) {
+	return o.kernelCell(naturalSpec(dims.Size(), max(cfg.PPN, 1)), cfg.N, kernel3D(dims, v, cfg))
+}
+
+// kernel3D is the rank body of a 3D SymmSquareCube cell.
+func kernel3D(dims mesh.Dims, v core.Variant, cfg core.Config) func(*mpi.Proc) (core.Result, error) {
+	return func(pr *mpi.Proc) (core.Result, error) {
 		env, err := core.NewEnv(pr, dims, cfg)
 		if err != nil {
-			panic(err)
+			return core.Result{}, err
 		}
 		env.M.World.Barrier()
-		accumulate(&out, env.SymmSquareCube(v, nil))
+		return env.SymmSquareCube(v, nil), nil
+	}
+}
+
+// kernel2D runs SymmSquareCube built on 2D SUMMA on a q x q mesh, one rank
+// per node.
+func kernel2D(o Options, q, n, ndup int, pipelined bool) (KernelRun, error) {
+	return o.kernelCell(naturalSpec(q*q, 1), n, func(pr *mpi.Proc) (core.Result, error) {
+		env, err := core.NewEnv2D(pr, q, core.Config{N: n, NDup: ndup})
+		if err != nil {
+			return core.Result{}, err
+		}
+		env.M.World.Barrier()
+		return env.SymmSquareCube2D(nil, pipelined), nil
 	})
+}
+
+// kernelCell runs one kernel cell: body runs on every rank of the job s
+// describes and returns that rank's kernel result. The slowest rank's
+// times, the run's wire volume and utilization, and the TFlops of one
+// dimension-n SymmSquareCube over the slowest time make up the KernelRun.
+// A body's error fails the cell.
+func (o Options) kernelCell(s job.Spec, n int, body func(*mpi.Proc) (core.Result, error)) (KernelRun, error) {
+	out := KernelRun{Nodes: s.Config.Nodes}
+	// Rank bodies run one at a time under the engine, so out and bodyErr
+	// need no locking.
+	var bodyErr error
+	w, err := o.run(s, func(pr *mpi.Proc) {
+		res, err := body(pr)
+		if err != nil {
+			if bodyErr == nil {
+				bodyErr = err
+			}
+			return
+		}
+		accumulate(&out, res)
+	})
+	if bodyErr != nil {
+		return out, bodyErr
+	}
 	if err != nil {
 		return out, err
 	}
-	finish(&out, cfg.N, w)
+	out.TFlops = core.KernelFlops(n) / out.Time / 1e12
+	out.Volume = w.Net.TotalWireBytes()
+	out.WireUtil, out.PeakWireUtil = w.Net.Utilization(w.Eng.Now())
 	return out, nil
 }
 
+// accumulate folds one rank's result into the cell: each time is the
+// maximum over ranks.
 func accumulate(out *KernelRun, res core.Result) {
 	if res.Time > out.Time {
 		out.Time = res.Time
@@ -258,10 +287,14 @@ func accumulate(out *KernelRun, res core.Result) {
 	}
 }
 
-func finish(out *KernelRun, n int, w *mpi.World) {
-	out.TFlops = core.KernelFlops(n) / out.Time / 1e12
-	out.Volume = w.Net.TotalWireBytes()
-	out.WireUtil, out.PeakWireUtil = w.Net.Utilization(w.Eng.Now())
+// naturalSpec is the job of ranks ranks on the default machine, ppn to a
+// node in rank order, on just enough nodes.
+func naturalSpec(ranks, ppn int) job.Spec {
+	return job.Spec{
+		Config:    simnet.DefaultConfig(mesh.NodesNeeded(ranks, ppn)),
+		Ranks:     ranks,
+		Placement: mesh.NaturalPlacement(ranks, ppn),
+	}
 }
 
 func fprintf(w io.Writer, format string, args ...any) {

@@ -515,7 +515,9 @@ func TestPaperScaleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64..216-node sweep takes seconds")
 	}
-	res, err := PaperScale(io.Discard, Options{N: 3000})
+	// N = 1000 is below 1hsg_70's electron count: the purification cells
+	// must take theirs from the custom system, not the paper's.
+	res, err := PaperScale(io.Discard, Options{N: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

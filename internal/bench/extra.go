@@ -4,9 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 	"commoverlap/internal/solver"
 )
 
@@ -44,7 +42,7 @@ func Solver(w io.Writer, o Options) ([]SolverRow, error) {
 		variant := i % 2
 		n := ranks * perRank
 		var t float64
-		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(ranks), Ranks: ranks}, func(pr *mpi.Proc) {
+		_, err := o.run(naturalSpec(ranks, 1), func(pr *mpi.Proc) {
 			cg, err := solver.New(pr, pr.World(), n, solver.NewStencil(halfBW), false, 1)
 			if err != nil {
 				panic(err)
@@ -93,48 +91,29 @@ func Algos(w io.Writer, o Options) ([]AlgoRow, error) {
 	fprintf(w, "%-22s %10s %10s\n", "algorithm", "N_DUP=1", "N_DUP=4")
 	var rows []AlgoRow
 
-	summa := func(ndup int) (float64, error) {
-		var worst float64
-		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(64), Ranks: 64}, func(pr *mpi.Proc) {
-			env, err := core.NewEnv2D(pr, 8, core.Config{N: n, NDup: ndup, PPN: 1})
-			if err != nil {
-				panic(err)
-			}
-			env.M.World.Barrier()
-			res := env.SymmSquareCube2D(nil, ndup > 1)
-			if res.Time > worst {
-				worst = res.Time
-			}
-		})
-		return core.KernelFlops(n) / worst / 1e12, err
-	}
-	cells, err := parcases(o, 6, func(i int) (float64, error) {
+	cells, err := parcases(o, 6, func(i int) (KernelRun, error) {
 		switch i {
 		case 0:
-			return summa(1)
+			return kernel2D(o, 8, n, 1, false)
 		case 1:
-			return summa(4)
+			return kernel2D(o, 8, n, 4, true)
 		case 2:
-			kr, err := kernel(o, core.Baseline, n, 4, 1, 1)
-			return kr.TFlops, err
+			return kernel(o, core.Baseline, n, 4, 1, 1)
 		case 3:
-			kr, err := kernel(o, core.Optimized, n, 4, 4, 1)
-			return kr.TFlops, err
+			return kernel(o, core.Optimized, n, 4, 4, 1)
 		case 4:
-			kr, err := kernel25(o, 4, 4, n, 1, 1)
-			return kr.TFlops, err
+			return kernel25(o, 4, 4, n, 1, 1)
 		default:
-			kr, err := kernel25(o, 4, 4, n, 4, 1)
-			return kr.TFlops, err
+			return kernel25(o, 4, 4, n, 4, 1)
 		}
 	})
 	if err != nil {
 		return rows, err
 	}
 	rows = append(rows,
-		AlgoRow{Name: "2D SUMMA 8x8", Ranks: 64, TFlopsND1: cells[0], TFlopsND4: cells[1]},
-		AlgoRow{Name: "3D kernel 4x4x4", Ranks: 64, TFlopsND1: cells[2], TFlopsND4: cells[3]},
-		AlgoRow{Name: "2.5D Cannon 4x4x4", Ranks: 64, TFlopsND1: cells[4], TFlopsND4: cells[5]})
+		AlgoRow{Name: "2D SUMMA 8x8", Ranks: 64, TFlopsND1: cells[0].TFlops, TFlopsND4: cells[1].TFlops},
+		AlgoRow{Name: "3D kernel 4x4x4", Ranks: 64, TFlopsND1: cells[2].TFlops, TFlopsND4: cells[3].TFlops},
+		AlgoRow{Name: "2.5D Cannon 4x4x4", Ranks: 64, TFlopsND1: cells[4].TFlops, TFlopsND4: cells[5].TFlops})
 
 	for _, r := range rows {
 		fprintf(w, "%-22s %10.2f %10.2f\n", r.Name, r.TFlopsND1, r.TFlopsND4)

@@ -3,9 +3,7 @@ package bench
 import (
 	"io"
 
-	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 )
 
 // Fig3Result holds the unidirectional point-to-point bandwidth sweep:
@@ -62,16 +60,8 @@ func Fig3(w io.Writer, o Options) (Fig3Result, error) {
 // msg-byte messages from node 0 to node 1.
 func p2pBandwidth(o Options, ppn int, msg int64) (float64, error) {
 	const reps = 4
-	placement := make([]int, 2*ppn)
-	for i := ppn; i < 2*ppn; i++ {
-		placement[i] = 1
-	}
 	var elapsed float64
-	_, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(2),
-		Ranks:     2 * ppn,
-		Placement: placement,
-	}, func(pr *mpi.Proc) {
+	_, err := o.run(naturalSpec(2*ppn, ppn), func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"commoverlap/internal/job"
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 )
 
 // CollCase identifies one of the three micro-benchmark configurations of
@@ -77,7 +74,7 @@ func Fig5(w io.Writer, o Options) (Fig5Result, error) {
 		size := res.Sizes[i/(len(ops)*3)]
 		op := ops[i/3%len(ops)]
 		cc := CollCase(i % 3)
-		bw, util, err := collectiveRun(o, op, cc, size, fig5Nodes)
+		bw, util, err := collectiveRun(o, op, cc, size, fig5Nodes, nil)
 		return cell{bw, util}, err
 	})
 	if err != nil {
@@ -112,15 +109,14 @@ func Fig5(w io.Writer, o Options) (Fig5Result, error) {
 
 // collectiveRun measures one Fig. 5 cell on a machine of p nodes — the
 // micro-benchmark the paper-scale sweep generalizes — and the run's lane
-// utilization.
-func collectiveRun(o Options, op string, cc CollCase, total int64, p int) (float64, UtilStats, error) {
+// utilization. setup, when non-nil, adjusts the built world before launch
+// (the noise experiment's fault injector).
+func collectiveRun(o Options, op string, cc CollCase, total int64, p int, setup func(*mpi.World)) (float64, UtilStats, error) {
 	ppn, ndup := cc.shape()
+	s := naturalSpec(p*ppn, ppn)
+	s.Setup = setup
 	var elapsed float64
-	w, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(p),
-		Ranks:     p * ppn,
-		Placement: mesh.NaturalPlacement(p*ppn, ppn),
-	}, collectiveBody(op, ppn, ndup, total, &elapsed))
+	w, err := o.run(s, collectiveBody(op, ppn, ndup, total, &elapsed))
 	if err != nil {
 		return 0, UtilStats{}, err
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"commoverlap/internal/job"
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 	"commoverlap/internal/trace"
 )
 
@@ -167,7 +164,7 @@ func (r Fig6Result) WriteChromeTrace(w io.Writer) error {
 
 func timelineSingle(o Options, op, label string, bytes int64, nonblocking bool) ([]TimelineEntry, UtilStats, error) {
 	var entry TimelineEntry
-	w, err := o.run(job.Spec{Config: simnet.DefaultConfig(fig5Nodes), Ranks: fig5Nodes}, func(pr *mpi.Proc) {
+	w, err := o.run(naturalSpec(fig5Nodes, 1), func(pr *mpi.Proc) {
 		c := pr.World()
 		c.Barrier()
 		t0 := pr.Now()
@@ -206,7 +203,7 @@ func timelineSingle(o Options, op, label string, bytes int64, nonblocking bool) 
 func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ndup = 4
 	entries := make([]TimelineEntry, ndup)
-	w, err := o.run(job.Spec{Config: simnet.DefaultConfig(fig5Nodes), Ranks: fig5Nodes}, func(pr *mpi.Proc) {
+	w, err := o.run(naturalSpec(fig5Nodes, 1), func(pr *mpi.Proc) {
 		c := pr.World()
 		comms := c.DupN(ndup)
 		c.Barrier()
@@ -242,11 +239,7 @@ func timelineOverlap(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 func timelinePPN(o Options, op string) ([]TimelineEntry, UtilStats, error) {
 	const ppn = 4
 	entries := make([]TimelineEntry, ppn)
-	w, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(fig5Nodes),
-		Ranks:     fig5Nodes * ppn,
-		Placement: mesh.NaturalPlacement(fig5Nodes*ppn, ppn),
-	}, func(pr *mpi.Proc) {
+	w, err := o.run(naturalSpec(fig5Nodes*ppn, ppn), func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

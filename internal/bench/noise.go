@@ -4,9 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/faults"
-	"commoverlap/internal/job"
-	"commoverlap/internal/mesh"
-	"commoverlap/internal/simnet"
+	"commoverlap/internal/mpi"
 )
 
 // The skew-resilience experiment: the paper's Fig. 5 micro-benchmark cases
@@ -59,8 +57,19 @@ func Noise(w io.Writer, o Options) (NoiseResult, error) {
 		fprintf(w, "  %-28s", c)
 	}
 	fprintf(w, "\n")
+	// Amplitude 0 installs no fault injector, so each case's baseline is
+	// exactly its Fig. 5 machine.
 	cells, err := parcases(o, len(res.Amps)*3, func(i int) (float64, error) {
-		return noisyCollectiveRun(o, "reduce", CollCase(i%3), noiseSize, res.Amps[i/3])
+		var setup func(*mpi.World)
+		if amp := res.Amps[i/3]; amp > 0 {
+			inj, err := faults.New(faults.Noise(noiseSeed, amp))
+			if err != nil {
+				return 0, err
+			}
+			setup = inj.Install
+		}
+		bw, _, err := collectiveRun(o, "reduce", CollCase(i%3), noiseSize, fig5Nodes, setup)
+		return bw, err
 	})
 	if err != nil {
 		return res, err
@@ -78,31 +87,4 @@ func Noise(w io.Writer, o Options) (NoiseResult, error) {
 	fprintf(w, "\nRetention = bandwidth / the same case's clean-machine bandwidth.\n")
 	fprintf(w, "Overlapped cases degrade more gracefully: their spare bands keep the\nwire busy through stalls that sit on the blocking case's critical path.\n")
 	return res, nil
-}
-
-// noisyCollectiveRun measures one (case, amplitude) cell: the Fig. 5
-// collective job with a seeded fault injector installed between world
-// construction and launch. Amplitude 0 installs none, so the baseline is
-// exactly collectiveRun's machine.
-func noisyCollectiveRun(o Options, op string, cc CollCase, total int64, amp float64) (float64, error) {
-	p := fig5Nodes
-	ppn, ndup := cc.shape()
-	s := job.Spec{
-		Config:    simnet.DefaultConfig(p),
-		Ranks:     p * ppn,
-		Placement: mesh.NaturalPlacement(p*ppn, ppn),
-	}
-	if amp > 0 {
-		inj, err := faults.New(faults.Noise(noiseSeed, amp))
-		if err != nil {
-			return 0, err
-		}
-		s.Setup = inj.Install
-	}
-	var elapsed float64
-	if _, err := o.run(s, collectiveBody(op, ppn, ndup, total, &elapsed)); err != nil {
-		return 0, err
-	}
-	vol := 2 * float64(p-1) / float64(p) * float64(total)
-	return vol / elapsed, nil
 }

@@ -6,11 +6,9 @@ import (
 
 	"commoverlap/internal/cache"
 	"commoverlap/internal/core"
-	"commoverlap/internal/job"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/purify"
-	"commoverlap/internal/simnet"
 	"commoverlap/internal/tune"
 )
 
@@ -76,8 +74,8 @@ type PaperScaleResult struct {
 // PaperScale runs the 64-node collective micro-benchmark and the
 // 64..216-node strong-scaling sweep at dimension n (default 1hsg_70).
 func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
-	n := o.n()
-	ne := Systems[2].Ne
+	sys := o.system()
+	n := sys.N
 	res := PaperScaleResult{CollNodes: PaperScaleNodes, CollSize: paperScaleSize}
 
 	// Cases 0..2: the three collective cases on 64 nodes. Cases 3..: per
@@ -86,7 +84,7 @@ func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 	const perMesh = 3
 	cells, err := parcases(o, 3+len(paperScaleMeshes)*perMesh, func(i int) (float64, error) {
 		if i < 3 {
-			bw, _, err := collectiveRun(o, "reduce", CollCase(i), paperScaleSize, PaperScaleNodes)
+			bw, _, err := collectiveRun(o, "reduce", CollCase(i), paperScaleSize, PaperScaleNodes, nil)
 			return bw, err
 		}
 		p := paperScaleMeshes[(i-3)/perMesh]
@@ -98,7 +96,7 @@ func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 			kr, err := kernel(o, core.Optimized, n, p, 4, 1)
 			return kr.TFlops, err
 		default:
-			return purifyTFlops(o, n, ne, p, 4, paperScaleIters)
+			return purifyTFlops(o, n, sys.Ne, p, 4, paperScaleIters)
 		}
 	})
 	if err != nil {
@@ -196,25 +194,18 @@ func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResul
 // p^3 mesh and returns the application-averaged kernel TFlops.
 func purifyTFlops(o Options, n, ne, p, ndup, iters int) (float64, error) {
 	dims := mesh.Cubic(p)
-	var kernelTime float64
-	_, err := o.run(job.Spec{Config: simnet.DefaultConfig(dims.Size()), Ranks: dims.Size()}, func(pr *mpi.Proc) {
+	kr, err := o.kernelCell(naturalSpec(dims.Size(), 1), n, func(pr *mpi.Proc) (core.Result, error) {
 		env, err := core.NewEnv(pr, dims, core.Config{N: n, NDup: ndup})
 		if err != nil {
-			panic(err)
+			return core.Result{}, err
 		}
-		dd := purify.NewDist(env, core.Optimized)
-		_, st, err := dd.Run(nil, purify.Options{Ne: max(ne, 1), MaxIter: iters})
-		if err != nil {
-			panic(err)
-		}
-		if st.KernelTime > kernelTime {
-			kernelTime = st.KernelTime
-		}
+		_, st, err := purify.NewDist(env, core.Optimized).Run(nil, purify.Options{Ne: max(ne, 1), MaxIter: iters})
+		return core.Result{Time: st.KernelTime}, err
 	})
 	if err != nil {
 		return 0, err
 	}
-	return float64(iters) * core.KernelFlops(n) / kernelTime / 1e12, nil
+	return float64(iters) * core.KernelFlops(n) / kr.Time / 1e12, nil
 }
 
 func cube(p int) int { return p * p * p }

@@ -4,9 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/job"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 	"commoverlap/internal/sparse"
 )
 
@@ -41,25 +39,23 @@ func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
 	// be the only cross-cell state.
 	cells, err := parcases(o, 1+len(halfBWs)*2, func(i int) (float64, error) {
 		if i == 0 {
-			return dense2DTime(o, q, n)
+			kr, err := kernel2D(o, q, n, 2, true)
+			return kr.Time, err
 		}
 		hb := halfBWs[(i-1)/2]
 		pipelined := (i-1)%2 == 1
 		h := sparse.BandedHamiltonian(n, hb, float64(hb)/3)
-		var worst float64
-		_, err := o.run(job.Spec{Config: simnet.DefaultConfig(16), Ranks: 16}, func(pr *mpi.Proc) {
+		kr, err := o.kernelCell(naturalSpec(q*q, 1), n, func(pr *mpi.Proc) (core.Result, error) {
 			env, err := core.NewSpEnv(pr, q, n, 2, 1, 0)
 			if err != nil {
-				panic(err)
+				return core.Result{}, err
 			}
 			blk := spBlockOf(h, q, env.M.I, env.M.J)
 			env.M.World.Barrier()
 			res := env.SymmSquareCubeSparse(blk, pipelined)
-			if res.Time > worst {
-				worst = res.Time
-			}
+			return core.Result{Time: res.Time, GemmTime: res.GemmTime}, nil
 		})
-		return worst, err
+		return kr.Time, err
 	})
 	if err != nil {
 		return nil, err
@@ -75,22 +71,6 @@ func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
 			hb, fill, row.BlockingTime, row.PipelinedTime, row.DenseTime)
 	}
 	return rows, nil
-}
-
-func dense2DTime(o Options, q, n int) (float64, error) {
-	var worst float64
-	_, err := o.run(job.Spec{Config: simnet.DefaultConfig(q * q), Ranks: q * q}, func(pr *mpi.Proc) {
-		env, err := core.NewEnv2D(pr, q, core.Config{N: n, NDup: 2})
-		if err != nil {
-			panic(err)
-		}
-		env.M.World.Barrier()
-		res := env.SymmSquareCube2D(nil, true)
-		if res.Time > worst {
-			worst = res.Time
-		}
-	})
-	return worst, err
 }
 
 // spBlockOf extracts block (i,j) of h under the q x q BlockDim partition

@@ -4,10 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
-	"commoverlap/internal/job"
-	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
-	"commoverlap/internal/simnet"
 )
 
 // Table4Row is one row of Table IV: the baseline kernel's inter-node
@@ -90,11 +87,7 @@ func ppnCollectiveBW(o Options, op string, ppn int) (float64, error) {
 	const total = 16 << 20
 	p := fig5Nodes
 	var elapsed float64
-	_, err := o.run(job.Spec{
-		Config:    simnet.DefaultConfig(p),
-		Ranks:     p * ppn,
-		Placement: mesh.NaturalPlacement(p*ppn, ppn),
-	}, func(pr *mpi.Proc) {
+	_, err := o.run(naturalSpec(p*ppn, ppn), func(pr *mpi.Proc) {
 		col := pr.World().Split(pr.Rank()%ppn, pr.Rank()/ppn)
 		pr.World().Barrier()
 		t0 := pr.Now()

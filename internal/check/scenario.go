@@ -37,7 +37,9 @@ func Catalog() []Scenario {
 		bcastScenario("bcast-rndv", rndvElems),
 		reduceScenario("reduce-eager", eagerElems),
 		reduceScenario("reduce-rndv", rndvElems),
-		allreduceScenario(),
+		// 6 ranks: non-power-of-two sizes take the fold/unfold path of
+		// recursive halving-doubling.
+		allreduceAlgScenario("allreduce", mpi.AlgAuto, ""),
 		allreduceAlgScenario("allreduce-ring-hier", mpi.AlgRing, "hier"),
 		allreduceAlgScenario("allreduce-bruck-hier", mpi.AlgBruck, "hier"),
 		allreduceAlgScenario("allreduce-shift-torus", mpi.AlgShift, "torus"),
@@ -179,35 +181,13 @@ func reduceScenario(name string, elems int) Scenario {
 	}
 }
 
-func allreduceScenario() Scenario {
-	return Scenario{
-		// 6 ranks: non-power-of-two sizes take the fold/unfold path of
-		// recursive halving-doubling.
-		Name: "allreduce", Ranks: 6, Nodes: 3,
-		Body: func(p *mpi.Proc, fail Failf) {
-			c := p.World()
-			buf := make([]float64, rndvElems)
-			for i := range buf {
-				buf[i] = float64((p.Rank() + 1) * (i%5 + 1))
-			}
-			c.Allreduce(mpi.F64(buf), mpi.OpSum)
-			ranks := c.Size() * (c.Size() + 1) / 2
-			for i := range buf {
-				if want := float64(ranks * (i%5 + 1)); buf[i] != want {
-					fail("allreduce: rank %d element %d = %g, want %g", p.Rank(), i, buf[i], want)
-					return
-				}
-			}
-		},
-	}
-}
-
-// allreduceAlgScenario forces one member of the collective-algorithm family
-// on a non-flat fabric, so the explorer drives the ring, Bruck, and
-// shift-schedule exchange patterns — and the interior-link contention they
-// create on shared uplinks or torus rails — through the full invariant
-// battery. Six ranks keep the non-power-of-two paths (Bruck's wrap step, the
-// ring's uneven segments) live.
+// allreduceAlgScenario runs a six-rank allreduce under algorithm alg on
+// fabric topo. Forcing one member of the collective-algorithm family on a
+// non-flat fabric drives the ring, Bruck, and shift-schedule exchange
+// patterns — and the interior-link contention they create on shared
+// uplinks or torus rails — through the full invariant battery. Six ranks
+// keep the non-power-of-two paths (Bruck's wrap step, the ring's uneven
+// segments) live.
 func allreduceAlgScenario(name, alg, topo string) Scenario {
 	return Scenario{
 		Name: name, Ranks: 6, Nodes: 3, Topo: topo,

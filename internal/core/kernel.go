@@ -113,19 +113,101 @@ func (c *Config) maxNDup() int {
 	return w
 }
 
-// Env is the per-rank kernel environment: the mesh communicators plus NDup
-// duplicates of each family, created once (outside the timed region, as in
-// GTFock) and reused across purification iterations.
-type Env struct {
+// kernelEnv is what every kernel environment shares: the rank, its mesh
+// communicators, the validated configuration and the local-multiply clock,
+// with the block, payload and GEMM helpers built on them. Env, Env25,
+// Env2D, MatVec and SpEnv embed it, so P, M, Cfg and GemmTime read as
+// their own fields.
+type kernelEnv struct {
 	P   *mpi.Proc
 	M   *mesh.Comms
 	Cfg Config
 
-	RowDup, ColDup, GridDup, WorldDup []*mpi.Comm
-
 	// GemmTime accumulates the virtual time this rank spent in local matrix
 	// multiplication, so harnesses can separate compute from communication.
 	GemmTime float64
+}
+
+// newKernelEnv validates cfg, defaults its PPN to 1 and builds the mesh
+// over comm. It duplicates no communicator: each environment's constructor
+// makes exactly the Dup calls its kernel needs, in a fixed order, because
+// every Split is a rendezvous whose wake order the timed region inherits.
+func newKernelEnv(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (kernelEnv, error) {
+	if err := cfg.validate(); err != nil {
+		return kernelEnv{}, err
+	}
+	if cfg.PPN == 0 {
+		cfg.PPN = 1
+	}
+	m, err := mesh.Build(comm, dims)
+	if err != nil {
+		return kernelEnv{}, err
+	}
+	return kernelEnv{P: p, M: m, Cfg: cfg}, nil
+}
+
+// blocks returns the row/column partition of the global matrix over the
+// mesh edge.
+func (e *kernelEnv) blocks() mat.BlockDim {
+	return mat.BlockDim{N: e.Cfg.N, P: e.M.Dims.Q}
+}
+
+// newBlock allocates a rows x cols working matrix, real or phantom per the
+// configuration.
+func (e *kernelEnv) newBlock(rows, cols int) *mat.Matrix {
+	if e.Cfg.Real {
+		return mat.New(rows, cols)
+	}
+	return mat.NewPhantom(rows, cols)
+}
+
+// buf wraps a whole matrix as a message payload.
+func (e *kernelEnv) buf(m *mat.Matrix) mpi.Buffer {
+	if m.Phantom() {
+		return mpi.Phantom(m.Bytes())
+	}
+	if m.Stride != m.Cols {
+		panic("core: message from non-contiguous matrix view")
+	}
+	return mpi.F64(m.Data[:m.Rows*m.Cols])
+}
+
+// bandBufN wraps the c-th of nd contiguous row bands of m — the paper's
+// "c-th part" of a block, kept contiguous so no repacking is needed between
+// pipelined operations (Section III principle 3). nd is the width of the
+// phase the band travels in (Config.PhaseNDup).
+func (e *kernelEnv) bandBufN(m *mat.Matrix, c, nd int) mpi.Buffer {
+	bd := mat.BlockDim{N: m.Rows, P: nd}
+	lo, n := bd.Offset(c), bd.Count(c)
+	if m.Phantom() {
+		return mpi.Phantom(int64(n) * int64(m.Cols) * 8)
+	}
+	if m.Stride != m.Cols {
+		panic("core: band of non-contiguous matrix view")
+	}
+	return mpi.F64(m.Data[lo*m.Cols : (lo+n)*m.Cols])
+}
+
+// gemm performs C = A*B + accumulate*C, charging virtual compute time for
+// the node share this rank owns and doing the real arithmetic in real mode.
+func (e *kernelEnv) gemm(a, b, c *mat.Matrix, accumulate bool) {
+	t0 := e.P.Now()
+	e.P.Compute(mat.GemmFlops(a.Rows, a.Cols, b.Cols), e.Cfg.PPN)
+	beta := 0.0
+	if accumulate {
+		beta = 1.0
+	}
+	mat.Gemm(1, a, b, beta, c)
+	e.GemmTime += e.P.Now() - t0
+}
+
+// Env is the per-rank kernel environment: the mesh communicators plus NDup
+// duplicates of each family, created once (outside the timed region, as in
+// GTFock) and reused across purification iterations.
+type Env struct {
+	kernelEnv
+
+	RowDup, ColDup, GridDup, WorldDup []*mpi.Comm
 
 	// Trace, when non-nil, receives (label, virtual time) pairs at phase
 	// boundaries of the kernels; the Fig. 6-style timeline harness uses it.
@@ -149,18 +231,12 @@ func NewEnv(p *mpi.Proc, dims mesh.Dims, cfg Config) (*Env, error) {
 // a kernel can run on a subset of the job's ranks (the paper's per-kernel
 // PPN mechanism parks the rest). Every rank of comm must call NewEnvOn.
 func NewEnvOn(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (*Env, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 1
-	}
-	m, err := mesh.Build(comm, dims)
+	ke, err := newKernelEnv(p, comm, dims, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{P: p, M: m, Cfg: cfg}
-	width := cfg.maxNDup()
+	e := &Env{kernelEnv: ke}
+	m, width := e.M, e.Cfg.maxNDup()
 	e.RowDup = m.Row.DupN(width)
 	e.ColDup = m.Col.DupN(width)
 	e.GridDup = m.Grid.DupN(width)
@@ -170,61 +246,6 @@ func NewEnvOn(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (*Env, er
 
 // nd returns the pipeline width the optimized kernel uses for one phase.
 func (e *Env) nd(ph Phase) int { return e.Cfg.phaseNDup(ph) }
-
-// blocks returns the row/column partition of the global matrix over the
-// mesh edge.
-func (e *Env) blocks() mat.BlockDim {
-	return mat.BlockDim{N: e.Cfg.N, P: e.M.Dims.Q}
-}
-
-// newBlock allocates a rows x cols working matrix, real or phantom per the
-// configuration.
-func (e *Env) newBlock(rows, cols int) *mat.Matrix {
-	if e.Cfg.Real {
-		return mat.New(rows, cols)
-	}
-	return mat.NewPhantom(rows, cols)
-}
-
-// buf wraps a whole matrix as a message payload.
-func (e *Env) buf(m *mat.Matrix) mpi.Buffer {
-	if m.Phantom() {
-		return mpi.Phantom(m.Bytes())
-	}
-	if m.Stride != m.Cols {
-		panic("core: message from non-contiguous matrix view")
-	}
-	return mpi.F64(m.Data[:m.Rows*m.Cols])
-}
-
-// bandBufN wraps the c-th of nd contiguous row bands of m — the paper's
-// "c-th part" of a block, kept contiguous so no repacking is needed between
-// pipelined operations (Section III principle 3). nd is the width of the
-// phase the band travels in (Config.PhaseNDup).
-func (e *Env) bandBufN(m *mat.Matrix, c, nd int) mpi.Buffer {
-	bd := mat.BlockDim{N: m.Rows, P: nd}
-	lo, n := bd.Offset(c), bd.Count(c)
-	if m.Phantom() {
-		return mpi.Phantom(int64(n) * int64(m.Cols) * 8)
-	}
-	if m.Stride != m.Cols {
-		panic("core: band of non-contiguous matrix view")
-	}
-	return mpi.F64(m.Data[lo*m.Cols : (lo+n)*m.Cols])
-}
-
-// gemm performs C = A*B + accumulate*C, charging virtual compute time for
-// the node share this rank owns and doing the real arithmetic in real mode.
-func (e *Env) gemm(a, b, c *mat.Matrix, accumulate bool) {
-	t0 := e.P.Now()
-	e.P.Compute(mat.GemmFlops(a.Rows, a.Cols, b.Cols), e.Cfg.PPN)
-	beta := 0.0
-	if accumulate {
-		beta = 1.0
-	}
-	mat.Gemm(1, a, b, beta, c)
-	e.GemmTime += e.P.Now() - t0
-}
 
 // Result carries one rank's kernel output and timing.
 type Result struct {

@@ -22,12 +22,8 @@ import (
 
 // MatVec is the per-rank state for the distributed y = A*x kernel.
 type MatVec struct {
-	P    *mpi.Proc
-	M    *mesh.Comms
-	Cfg  Config
-	a    *mat.Matrix // local block A_{i,j}
-	rows mat.BlockDim
-	cols mat.BlockDim
+	kernelEnv
+	a *mat.Matrix // local block A_{i,j}
 
 	rowDup []*mpi.Comm // N_DUP copies of the paper's row comm (mesh Col)
 	colDup []*mpi.Comm // N_DUP copies of the paper's col comm (mesh Row)
@@ -37,22 +33,13 @@ type MatVec struct {
 // this rank's block A_{i,j} (may be nil in phantom mode). Every rank of the
 // world must call NewMatVec with the same dims and cfg.
 func NewMatVec(p *mpi.Proc, q int, cfg Config, a *mat.Matrix) (*MatVec, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 1
-	}
-	dims := mesh.Dims{Q: q, C: 1}
-	m, err := mesh.Build(p.World(), dims)
+	ke, err := newKernelEnv(p, p.World(), mesh.Dims{Q: q, C: 1}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mv := &MatVec{P: p, M: m, Cfg: cfg,
-		rows: mat.BlockDim{N: cfg.N, P: q},
-		cols: mat.BlockDim{N: cfg.N, P: q},
-	}
-	bi, bj := mv.rows.Count(m.I), mv.cols.Count(m.J)
+	mv := &MatVec{kernelEnv: ke}
+	bd := mv.blocks()
+	bi, bj := bd.Count(mv.M.I), bd.Count(mv.M.J)
 	if a == nil {
 		if cfg.Real {
 			return nil, fmt.Errorf("core: real-mode MatVec needs the local block")
@@ -63,8 +50,8 @@ func NewMatVec(p *mpi.Proc, q int, cfg Config, a *mat.Matrix) (*MatVec, error) {
 		return nil, fmt.Errorf("core: block is %dx%d, want %dx%d", a.Rows, a.Cols, bi, bj)
 	}
 	mv.a = a
-	mv.rowDup = m.Col.DupN(cfg.NDup)
-	mv.colDup = m.Row.DupN(cfg.NDup)
+	mv.rowDup = mv.M.Col.DupN(cfg.NDup)
+	mv.colDup = mv.M.Row.DupN(cfg.NDup)
 	return mv, nil
 }
 
@@ -80,7 +67,7 @@ func (mv *MatVec) segment(v []float64, elems int, c int) mpi.Buffer {
 
 // local computes this rank's partial product y^(j)_i = A_{i,j} * x_j.
 func (mv *MatVec) local(x []float64) []float64 {
-	bi := mv.rows.Count(mv.M.I)
+	bi := mv.blocks().Count(mv.M.I)
 	var y []float64
 	if mv.Cfg.Real {
 		y = make([]float64, bi)
@@ -97,7 +84,7 @@ func (mv *MatVec) local(x []float64) []float64 {
 func (mv *MatVec) Plain(x []float64) []float64 {
 	m := mv.M
 	ypart := mv.local(x)
-	bi := mv.rows.Count(m.I)
+	bi := mv.blocks().Count(m.I)
 
 	// Reduce y^(j)_i over the mesh row (paper row comm, rank j) to j == i.
 	var yi []float64
@@ -112,7 +99,7 @@ func (mv *MatVec) Plain(x []float64) []float64 {
 
 	// Broadcast y_j down the mesh column (paper col comm, rank i) from the
 	// diagonal rank i == j.
-	bj := mv.cols.Count(m.J)
+	bj := mv.blocks().Count(m.J)
 	var yout []float64
 	if mv.Cfg.Real {
 		yout = make([]float64, bj)
@@ -132,8 +119,8 @@ func (mv *MatVec) Overlapped(x []float64) []float64 {
 	m := mv.M
 	nd := mv.Cfg.NDup
 	ypart := mv.local(x)
-	bi := mv.rows.Count(m.I)
-	bj := mv.cols.Count(m.J)
+	bi := mv.blocks().Count(m.I)
+	bj := mv.blocks().Count(m.J)
 
 	var yi []float64
 	if mv.Cfg.Real && m.J == m.I {

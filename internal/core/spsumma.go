@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"commoverlap/internal/mat"
 	"commoverlap/internal/mesh"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sparse"
@@ -21,50 +20,37 @@ import (
 // payload; the pipelined schedule prefetches headers for all panels up
 // front and payloads one panel ahead.
 type SpEnv struct {
-	P *mpi.Proc
-	M *mesh.Comms
+	kernelEnv
 
-	// N is the global dimension; Tol is the post-multiply threshold
-	// (0 keeps everything: exact sparse arithmetic).
-	N   int
+	// Tol is the post-multiply threshold (0 keeps everything: exact sparse
+	// arithmetic).
 	Tol float64
 
 	RowDup, ColDup []*mpi.Comm
-
-	// GemmTime accumulates virtual SpGEMM time.
-	GemmTime float64
-
-	ppn int
 }
 
 // spgemmEfficiency derates the node's dense-GEMM rate for sparse
 // multiplication, which is memory-bound (irregular gathers, no blocking).
 const spgemmEfficiency = 0.05
 
-// NewSpEnv builds the sparse kernel on a q x q mesh with ndup duplicated
-// communicators for the pipelined schedule. Every rank must call it with
-// identical arguments.
+// NewSpEnv builds the sparse kernel for dimension n on a q x q mesh with
+// ndup duplicated communicators for the pipelined schedule. Every rank must
+// call it with identical arguments.
 func NewSpEnv(p *mpi.Proc, q, n, ndup, ppn int, tol float64) (*SpEnv, error) {
-	if n <= 0 || ndup <= 0 {
-		return nil, fmt.Errorf("core: sparse env N=%d ndup=%d", n, ndup)
-	}
-	if ppn <= 0 {
-		ppn = 1
-	}
-	m, err := mesh.Build(p.World(), mesh.Dims{Q: q, C: 1})
+	ke, err := newKernelEnv(p, p.World(), mesh.Dims{Q: q, C: 1}, Config{N: n, NDup: ndup, PPN: ppn})
 	if err != nil {
 		return nil, err
 	}
-	e := &SpEnv{P: p, M: m, N: n, Tol: tol, ppn: ppn}
-	e.RowDup = m.Row.DupN(ndup)
-	e.ColDup = m.Col.DupN(ndup)
+	e := &SpEnv{kernelEnv: ke, Tol: tol}
+	e.RowDup = e.M.Row.DupN(ndup)
+	e.ColDup = e.M.Col.DupN(ndup)
 	return e, nil
 }
 
 // spgemm multiplies and charges virtual time.
 func (e *SpEnv) spgemm(a, b *sparse.CSR) *sparse.CSR {
 	t0 := e.P.Now()
-	e.P.Compute(sparse.SpGEMMFlops(a, b)/spgemmEfficiency, e.ppn)
+	e.P.Compute(sparse.SpGEMMFlops(a, b)/spgemmEfficiency, e.Cfg.PPN)
 	out := sparse.SpGEMM(a, b)
 	e.GemmTime += e.P.Now() - t0
 	return out
@@ -99,7 +85,7 @@ func panelBcast(comm *mpi.Comm, root int, blk *sparse.CSR) *sparse.CSR {
 func (e *SpEnv) spSumma(aBlk, bBlk *sparse.CSR, pipelined bool) *sparse.CSR {
 	m := e.M
 	q := m.Dims.Q
-	bd := mat.BlockDim{N: e.N, P: q}
+	bd := e.blocks()
 	c := sparse.NewEmpty(bd.Count(m.I), bd.Count(m.J))
 
 	if !pipelined {

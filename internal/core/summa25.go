@@ -18,77 +18,32 @@ import (
 // circular shifts exchange equal-shaped blocks; the per-block embedding
 // commutes with multiplication, so results are exact.
 type Env25 struct {
-	P   *mpi.Proc
-	M   *mesh.Comms
-	Cfg Config
+	kernelEnv
 
 	GridDup []*mpi.Comm
 
 	// S0 is the padded block edge; Steps is q/c, the Cannon steps per plane.
 	S0    int
 	Steps int
-
-	// GemmTime accumulates local multiplication time, as in Env.
-	GemmTime float64
 }
 
 // NewEnv25 builds the 2.5D kernel environment. dims.Q must be a multiple of
 // dims.C (each plane advances the same number of Cannon steps). Every rank
 // must call NewEnv25 with identical arguments.
 func NewEnv25(p *mpi.Proc, dims mesh.Dims, cfg Config) (*Env25, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 1
-	}
 	if dims.C > dims.Q || dims.Q%dims.C != 0 {
 		return nil, fmt.Errorf("core: 2.5D mesh %dx%dx%d needs c <= q and c | q", dims.Q, dims.Q, dims.C)
 	}
-	m, err := mesh.Build(p.World(), dims)
+	ke, err := newKernelEnv(p, p.World(), dims, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Env25{P: p, M: m, Cfg: cfg,
+	e := &Env25{kernelEnv: ke,
 		S0:    (cfg.N + dims.Q - 1) / dims.Q,
 		Steps: dims.Q / dims.C,
 	}
-	e.GridDup = m.Grid.DupN(cfg.NDup)
+	e.GridDup = e.M.Grid.DupN(cfg.NDup)
 	return e, nil
-}
-
-func (e *Env25) newBlock() *mat.Matrix {
-	if e.Cfg.Real {
-		return mat.New(e.S0, e.S0)
-	}
-	return mat.NewPhantom(e.S0, e.S0)
-}
-
-func (e *Env25) buf(m *mat.Matrix) mpi.Buffer {
-	if m.Phantom() {
-		return mpi.Phantom(m.Bytes())
-	}
-	return mpi.F64(m.Data[:m.Rows*m.Cols])
-}
-
-func (e *Env25) bandBuf(m *mat.Matrix, c int) mpi.Buffer {
-	bd := mat.BlockDim{N: m.Rows, P: e.Cfg.NDup}
-	lo, n := bd.Offset(c), bd.Count(c)
-	if m.Phantom() {
-		return mpi.Phantom(int64(n) * int64(m.Cols) * 8)
-	}
-	return mpi.F64(m.Data[lo*m.Cols : (lo+n)*m.Cols])
-}
-
-func (e *Env25) gemm(a, b, c *mat.Matrix, accumulate bool) {
-	t0 := e.P.Now()
-	e.P.Compute(mat.GemmFlops(a.Rows, a.Cols, b.Cols), e.Cfg.PPN)
-	beta := 0.0
-	if accumulate {
-		beta = 1.0
-	}
-	mat.Gemm(1, a, b, beta, c)
-	e.GemmTime += e.P.Now() - t0
 }
 
 // shiftInto circularly moves cur within comm: send cur to rank dst, receive
@@ -123,8 +78,8 @@ func (e *Env25) cannonPhase(a0, b0, c *mat.Matrix, tagBase int) {
 	i, j, k := m.I, m.J, m.K
 	t0 := k * e.Steps
 
-	aCur, aNext := e.newBlock(), e.newBlock()
-	bCur, bNext := e.newBlock(), e.newBlock()
+	aCur, aNext := e.newBlock(e.S0, e.S0), e.newBlock(e.S0, e.S0)
+	bCur, bNext := e.newBlock(e.S0, e.S0), e.newBlock(e.S0, e.S0)
 
 	// Initial skew: aCur = A_{i, (i+j+t0) mod q}; my a0 = A_{i,j} goes to
 	// the column that needs it. The shifts ride the mesh Col comm (rank j)
@@ -172,32 +127,32 @@ func (e *Env25) SymmSquareCube25(d *mat.Matrix) Result {
 	bi, bj := bd.Count(m.I), bd.Count(m.J)
 
 	// Step 1: broadcast D_{i,j} (padded) to all planes as both A and B.
-	a0 := e.newBlock()
+	a0 := e.newBlock(e.S0, e.S0)
 	if m.K == 0 && d != nil && !a0.Phantom() {
 		a0.View(0, 0, d.Rows, d.Cols).CopyFrom(d)
 	}
 	reqs := make([]*mpi.Request, nd)
 	for c := 0; c < nd; c++ {
-		reqs[c] = e.GridDup[c].Ibcast(0, e.bandBuf(a0, c))
+		reqs[c] = e.GridDup[c].Ibcast(0, e.bandBufN(a0, c, nd))
 	}
 	mpi.Waitall(reqs...)
 	b0 := a0 // first multiply squares D
 
 	// Step 2: Cannon partial products for D².
-	c2 := e.newBlock()
+	c2 := e.newBlock(e.S0, e.S0)
 	c2.Zero()
 	e.cannonPhase(a0, b0, c2, 10)
 
 	// Step 3: allreduce the partials along the grid; the result D²_{i,j}
 	// becomes the B operand of the second multiplication.
 	for c := 0; c < nd; c++ {
-		reqs[c] = e.GridDup[c].Iallreduce(e.bandBuf(c2, c), mpi.OpSum)
+		reqs[c] = e.GridDup[c].Iallreduce(e.bandBufN(c2, c, nd), mpi.OpSum)
 	}
 	mpi.Waitall(reqs...)
 	d2pad := c2
 
 	// Step 4: Cannon partial products for D³ = D * D².
-	c3 := e.newBlock()
+	c3 := e.newBlock(e.S0, e.S0)
 	c3.Zero()
 	e.cannonPhase(a0, d2pad, c3, 100)
 
@@ -207,11 +162,11 @@ func (e *Env25) SymmSquareCube25(d *mat.Matrix) Result {
 		recv := mpi.Buffer{}
 		if m.K == 0 {
 			if d3pad == nil {
-				d3pad = e.newBlock()
+				d3pad = e.newBlock(e.S0, e.S0)
 			}
-			recv = e.bandBuf(d3pad, c)
+			recv = e.bandBufN(d3pad, c, nd)
 		}
-		reqs[c] = e.GridDup[c].Ireduce(0, e.bandBuf(c3, c), recv, mpi.OpSum)
+		reqs[c] = e.GridDup[c].Ireduce(0, e.bandBufN(c3, c, nd), recv, mpi.OpSum)
 	}
 	mpi.Waitall(reqs...)
 

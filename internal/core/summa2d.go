@@ -18,54 +18,22 @@ import (
 // communicators (cycling over NDup of them) while panel t multiplies —
 // the paper's overlap idea applied to the 2D algorithm's panel loop.
 type Env2D struct {
-	P   *mpi.Proc
-	M   *mesh.Comms
-	Cfg Config
+	kernelEnv
 
 	RowDup, ColDup []*mpi.Comm
-
-	// GemmTime accumulates local multiplication time, as in Env.
-	GemmTime float64
 }
 
 // NewEnv2D builds the q x q SUMMA environment. Every rank of the world
 // must call it with identical arguments.
 func NewEnv2D(p *mpi.Proc, q int, cfg Config) (*Env2D, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 1
-	}
-	m, err := mesh.Build(p.World(), mesh.Dims{Q: q, C: 1})
+	ke, err := newKernelEnv(p, p.World(), mesh.Dims{Q: q, C: 1}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Env2D{P: p, M: m, Cfg: cfg}
-	e.RowDup = m.Row.DupN(cfg.NDup)
-	e.ColDup = m.Col.DupN(cfg.NDup)
+	e := &Env2D{kernelEnv: ke}
+	e.RowDup = e.M.Row.DupN(cfg.NDup)
+	e.ColDup = e.M.Col.DupN(cfg.NDup)
 	return e, nil
-}
-
-func (e *Env2D) newBlock(r, c int) *mat.Matrix {
-	if e.Cfg.Real {
-		return mat.New(r, c)
-	}
-	return mat.NewPhantom(r, c)
-}
-
-func (e *Env2D) buf(m *mat.Matrix) mpi.Buffer {
-	if m.Phantom() {
-		return mpi.Phantom(m.Bytes())
-	}
-	return mpi.F64(m.Data[:m.Rows*m.Cols])
-}
-
-func (e *Env2D) gemm(a, b, c *mat.Matrix) {
-	t0 := e.P.Now()
-	e.P.Compute(mat.GemmFlops(a.Rows, a.Cols, b.Cols), e.Cfg.PPN)
-	mat.Gemm(1, a, b, 1, c)
-	e.GemmTime += e.P.Now() - t0
 }
 
 // summa computes C += A x B where this rank holds block aBlk of A and
@@ -99,7 +67,7 @@ func (e *Env2D) summa(aBlk, bBlk, c *mat.Matrix, pipelined bool) {
 			ap, bp := makeA(t), makeB(t)
 			m.Col.Bcast(t, e.buf(ap))
 			m.Row.Bcast(t, e.buf(bp))
-			e.gemm(ap, bp, c)
+			e.gemm(ap, bp, c, true)
 		}
 		return
 	}
@@ -122,12 +90,8 @@ func (e *Env2D) summa(aBlk, bBlk, c *mat.Matrix, pipelined bool) {
 		}
 		reqA[t].Wait()
 		reqB[t].Wait()
-		e.gemm(aps[t], bps[t], c)
+		e.gemm(aps[t], bps[t], c, true)
 	}
-}
-
-func (e *Env2D) blocks() mat.BlockDim {
-	return mat.BlockDim{N: e.Cfg.N, P: e.M.Dims.Q}
 }
 
 // SymmSquareCube2D computes D² and D³ with two SUMMA multiplications.

@@ -12,7 +12,12 @@ import (
 // Communicator creation (Dup/Split) is collective and must be called by all
 // members in the same order, as in MPI. Creation itself is treated as
 // untimed setup: the paper's kernels duplicate their communicators once at
-// initialization, outside the measured region.
+// initialization, outside the measured region. It still leaves a trace in
+// that region: every Dup is a Split, a rendezvous whose last arrival wakes
+// the others, and the timed region inherits that wake order. Adding or
+// reordering one creation call therefore moves results where ranks share a
+// node's lanes (PPN > 1): one extra World Dup in core.NewEnv25 moves Table
+// V's 16x16x2 PPN-8 N_DUP=1 cell from 36.15 to 35.68 TFlops.
 type Comm struct {
 	p     *Proc
 	ctx   int
