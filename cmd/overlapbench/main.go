@@ -260,14 +260,12 @@ func runTune(args []string, workers int) error {
 		}
 	}
 	start := time.Now()
-	table, err := tune.Search(tune.Options{
-		Grid:     grid,
-		Workers:  workers,
-		Cache:    store,
-		Progress: func(line string) { fmt.Printf("  %s\n", line) },
-	})
+	table, err := tune.Search(tune.Options{Grid: grid, Workers: workers, Cache: store})
 	if err != nil {
 		return err
+	}
+	for _, e := range table.Entries {
+		fmt.Printf("  %s\n", e)
 	}
 	reused, total := table.CachedCount()
 	fmt.Printf("  [%s grid: %d of %d cells reused from the table, in %.1fs wall time]\n",

@@ -48,40 +48,21 @@ import (
 )
 
 // utilLine summarizes a run's resource snapshots: mean busy fraction per
-// lane class (simnet.LaneClass) and the busiest single resource.
+// lane class (simnet.MeanLaneUtil) and the busiest single resource.
 func utilLine(resources []sim.ResourceStats, elapsed float64) string {
 	if elapsed <= 0 {
 		return "util: n/a (zero elapsed)"
 	}
-	var wire, cpu, nic float64
-	var nWire, nCPU, nNIC int
 	var topName string
 	var top float64
 	for _, s := range resources {
-		f := s.Utilization(elapsed)
-		switch simnet.LaneClass(s.Name) {
-		case "wire":
-			wire += f
-			nWire++
-		case "cpu":
-			cpu += f
-			nCPU++
-		case "nic":
-			nic += f
-			nNIC++
-		}
-		if f > top {
+		if f := s.Utilization(elapsed); f > top {
 			top, topName = f, s.Name
 		}
 	}
-	mean := func(sum float64, n int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
+	u := simnet.MeanLaneUtil(resources, elapsed)
 	return fmt.Sprintf("util: wire %.1f%% cpu %.1f%% nic %.1f%% (busiest %s %.1f%%)",
-		100*mean(wire, nWire), 100*mean(cpu, nCPU), 100*mean(nic, nNIC), topName, 100*top)
+		100*u.Wire, 100*u.CPU, 100*u.NIC, topName, 100*top)
 }
 
 // main only turns realMain's status into the process exit, so every exit,

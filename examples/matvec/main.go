@@ -134,10 +134,3 @@ func runPhantom(q, n, ndup int, overlapped bool) float64 {
 	}
 	return worst
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

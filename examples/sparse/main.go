@@ -91,10 +91,3 @@ func runKernel(q, n int, h *sparse.CSR, pipelined bool) (d2, d3 *sparse.CSR, ela
 	}
 	return sparse.FromDense(gd2, 0), sparse.FromDense(gd3, 0), elapsed
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

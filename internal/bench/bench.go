@@ -113,59 +113,19 @@ func (o Options) run(s job.Spec, body func(p *mpi.Proc)) (*mpi.World, error) {
 }
 
 // UtilStats summarizes one job's resource occupancy over its elapsed
-// virtual time, grouped into the three lane classes the fabric models:
-// inter-node wires (node egress), per-rank CPU lanes (software costs:
-// staging, posting, reduction arithmetic) and per-rank NIC lanes (transfer
-// progress). Each is the mean busy fraction over that class, in [0, 1].
+// virtual time: the mean busy fraction of inter-node wires (node egress),
+// per-rank CPU lanes (software costs: staging, posting, reduction
+// arithmetic) and per-rank NIC lanes (transfer progress).
 type UtilStats struct {
 	Elapsed float64 // virtual seconds the job ran
-	Wire    float64 // mean busy fraction of node egress wires
-	CPU     float64 // mean busy fraction of rank CPU lanes
-	NIC     float64 // mean busy fraction of rank NIC lanes
-	// Offload is the mean busy fraction of the per-node DMA offload engines
-	// (zero when the progress engine's offload mode is off).
-	Offload float64
+	simnet.LaneUtil
 }
 
-// utilization classifies the world's post-run resource snapshots by lane
-// (simnet.LaneClass) and averages their busy fractions. Call after
-// Engine.Run.
+// utilization folds the world's post-run resource snapshots by lane class.
+// Call after Engine.Run.
 func utilization(w *mpi.World) UtilStats {
-	u := UtilStats{Elapsed: w.Eng.Now()}
-	if u.Elapsed <= 0 {
-		return u
-	}
-	var nWire, nCPU, nNIC, nOff int
-	for _, s := range w.ResourceSnapshots() {
-		f := s.Utilization(u.Elapsed)
-		switch simnet.LaneClass(s.Name) {
-		case "wire":
-			u.Wire += f
-			nWire++
-		case "cpu":
-			u.CPU += f
-			nCPU++
-		case "nic":
-			u.NIC += f
-			nNIC++
-		case "offload":
-			u.Offload += f
-			nOff++
-		}
-	}
-	if nWire > 0 {
-		u.Wire /= float64(nWire)
-	}
-	if nCPU > 0 {
-		u.CPU /= float64(nCPU)
-	}
-	if nNIC > 0 {
-		u.NIC /= float64(nNIC)
-	}
-	if nOff > 0 {
-		u.Offload /= float64(nOff)
-	}
-	return u
+	elapsed := w.Eng.Now()
+	return UtilStats{Elapsed: elapsed, LaneUtil: simnet.MeanLaneUtil(w.ResourceSnapshots(), elapsed)}
 }
 
 // KernelRun measures one SymmSquareCube invocation.
@@ -177,10 +137,8 @@ type KernelRun struct {
 	Volume   int64 // total inter-node bytes
 	Nodes    int
 	// WireUtil is the mean busy fraction of the node egress wires over the
-	// run, PeakWireUtil the busiest single wire — how hard the overlap
-	// variants actually drive the network.
-	WireUtil     float64
-	PeakWireUtil float64
+	// run — how hard the overlap variants actually drive the network.
+	WireUtil float64
 }
 
 // Kernel runs a variant at (n, mesh edge p, ndup, ppn) with phantom
@@ -269,7 +227,7 @@ func (o Options) kernelCell(s job.Spec, n int, body func(*mpi.Proc) (core.Result
 	}
 	out.TFlops = core.KernelFlops(n) / out.Time / 1e12
 	out.Volume = w.Net.TotalWireBytes()
-	out.WireUtil, out.PeakWireUtil = w.Net.Utilization(w.Eng.Now())
+	out.WireUtil, _ = w.Net.Utilization(w.Eng.Now())
 	return out, nil
 }
 

@@ -298,9 +298,6 @@ func TestKernelHelpers(t *testing.T) {
 	if kr.WireUtil <= 0 || kr.WireUtil > 1 {
 		t.Errorf("mean wire utilization %g outside (0,1]", kr.WireUtil)
 	}
-	if kr.PeakWireUtil < kr.WireUtil || kr.PeakWireUtil > 1 {
-		t.Errorf("peak wire utilization %g vs mean %g", kr.PeakWireUtil, kr.WireUtil)
-	}
 }
 
 // TestMetricsSink checks the overlapbench -metrics plumbing: installing a

@@ -198,10 +198,3 @@ func Table5(w io.Writer, o Options) ([]Table5Row, error) {
 	}
 	return rows, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -80,8 +80,7 @@ type Scenario struct {
 	// invariant battery. Empty is the engine off.
 	Progress string
 	// Setup, when non-nil, configures the world before launch — forcing a
-	// collective-algorithm family member or adjusting switch points. Unlike
-	// Options.Mutate it is part of the scenario itself, not a test hook.
+	// collective-algorithm family member or adjusting switch points.
 	Setup func(w *mpi.World)
 	Body  func(p *mpi.Proc, fail Failf)
 }
@@ -91,10 +90,6 @@ type Options struct {
 	// Tie is the tie-break policy installed on the engine; nil keeps the
 	// engine's default deterministic FIFO dispatch.
 	Tie sim.TieBreak
-	// Mutate, when non-nil, is applied to the world before launch. It
-	// exists for fault injection in the checker's self-tests (e.g. setting
-	// mpi.World.UnsafeNoMsgOrder) and must stay nil in normal exploration.
-	Mutate func(w *mpi.World)
 	// Faults, when non-nil, installs a deterministic perturbation layer
 	// (stragglers, degraded links, jitter, preemptions, transient chunk
 	// loss) before launch. Every invariant stays armed: perturbation may
@@ -166,9 +161,6 @@ func RunScenario(sc Scenario, opts Options) Report {
 			w.MaxPollTime = 60
 			if sc.Setup != nil {
 				sc.Setup(w)
-			}
-			if opts.Mutate != nil {
-				opts.Mutate(w)
 			}
 			if inj != nil {
 				inj.Install(w)

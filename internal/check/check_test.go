@@ -65,10 +65,16 @@ func TestInjectedOrderingBugCaught(t *testing.T) {
 	if !ok {
 		t.Fatal("p2p-burst missing from catalog")
 	}
-	inject := func(w *mpi.World) { w.UnsafeNoMsgOrder = true }
+	injected := sc
+	injected.Setup = func(w *mpi.World) {
+		if sc.Setup != nil {
+			sc.Setup(w)
+		}
+		w.UnsafeNoMsgOrder = true
+	}
 
 	// The adversarial policy catches it deterministically...
-	rep := RunScenario(sc, Options{Tie: sim.LIFO(), Mutate: inject})
+	rep := RunScenario(injected, Options{Tie: sim.LIFO()})
 	assertOrderingCaught(t, "lifo", rep)
 
 	// ...and so does seeded random exploration. Find a catching seed, then
@@ -76,7 +82,7 @@ func TestInjectedOrderingBugCaught(t *testing.T) {
 	var seed int64
 	var first Report
 	for s := int64(1); s <= 50; s++ {
-		if r := RunScenario(sc, Options{Tie: sim.Seeded(s), Mutate: inject}); r.Failed() {
+		if r := RunScenario(injected, Options{Tie: sim.Seeded(s)}); r.Failed() {
 			seed, first = s, r
 			break
 		}
@@ -87,7 +93,7 @@ func TestInjectedOrderingBugCaught(t *testing.T) {
 	t.Logf("injected bug caught at random seed %d with %d violations", seed, len(first.Violations))
 	assertOrderingCaught(t, "random", first)
 
-	replay := RunScenario(sc, Options{Tie: sim.Seeded(seed), Mutate: inject})
+	replay := RunScenario(injected, Options{Tie: sim.Seeded(seed)})
 	if len(replay.Violations) != len(first.Violations) {
 		t.Fatalf("replay of seed %d got %d violations, first run got %d",
 			seed, len(replay.Violations), len(first.Violations))

@@ -187,9 +187,6 @@ type SpResult struct {
 	D2, D3   *sparse.CSR
 	Time     float64
 	GemmTime float64
-	// NNZ reports the result blocks' stored entries, the quantity
-	// thresholding controls.
-	NNZ2, NNZ3 int
 }
 
 // SymmSquareCubeSparse computes D² and D³ of the block-sparse symmetric
@@ -204,6 +201,5 @@ func (e *SpEnv) SymmSquareCubeSparse(d *sparse.CSR, pipelined bool) SpResult {
 		D2: d2, D3: d3,
 		Time:     e.P.Now() - start,
 		GemmTime: e.GemmTime - g0,
-		NNZ2:     d2.NNZ(), NNZ3: d3.NNZ(),
 	}
 }

@@ -41,7 +41,7 @@ func checkSparse(t *testing.T, q, n, hb, ndup int, pipelined bool) {
 			t.Errorf("rank %d: no time recorded (%+v)", pr.Rank(), res)
 		}
 		// Far off-band blocks are legitimately empty; the diagonal never is.
-		if env.M.I == env.M.J && res.NNZ3 == 0 {
+		if env.M.I == env.M.J && res.D3.NNZ() == 0 {
 			t.Errorf("rank %d: empty diagonal D3 block", pr.Rank())
 		}
 	})
@@ -92,7 +92,7 @@ func TestSparseThresholdBoundsFill(t *testing.T) {
 		}
 		r2 := trunc.SymmSquareCubeSparse(blk, false)
 		if pr.Rank() == 0 {
-			exactNNZ, truncNNZ = r1.NNZ3, r2.NNZ3
+			exactNNZ, truncNNZ = r1.D3.NNZ(), r2.D3.NNZ()
 		}
 	})
 	if truncNNZ >= exactNNZ {

@@ -31,6 +31,9 @@ type Env25 struct {
 // dims.C (each plane advances the same number of Cannon steps). Every rank
 // must call NewEnv25 with identical arguments.
 func NewEnv25(p *mpi.Proc, dims mesh.Dims, cfg Config) (*Env25, error) {
+	if err := dims.Validate(); err != nil {
+		return nil, err
+	}
 	if dims.C > dims.Q || dims.Q%dims.C != 0 {
 		return nil, fmt.Errorf("core: 2.5D mesh %dx%dx%d needs c <= q and c | q", dims.Q, dims.Q, dims.C)
 	}

@@ -72,6 +72,18 @@ func TestCannon25RejectsBadMesh(t *testing.T) {
 			t.Error("c=2, q=3 accepted")
 		}
 	})
+	// c = 0 is refused with an error on every rank of a 4-rank job, not a
+	// divide-by-zero panic.
+	runKernelJob(t, mesh.Dims{Q: 2, C: 1}, 4, nil, func(pr *mpi.Proc) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("rank %d: c=0 panicked: %v", pr.Rank(), r)
+			}
+		}()
+		if _, err := NewEnv25(pr, mesh.Dims{Q: 2, C: 0}, Config{N: 6, NDup: 1}); err == nil {
+			t.Errorf("rank %d: c=0 accepted", pr.Rank())
+		}
+	})
 }
 
 func TestCannon25PhantomRuns(t *testing.T) {

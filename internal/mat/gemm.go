@@ -72,10 +72,3 @@ func MatVec(a *Matrix, x, y []float64) {
 		y[i] = s
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -411,10 +411,3 @@ func TestRsRangePartition(t *testing.T) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

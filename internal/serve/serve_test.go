@@ -353,8 +353,8 @@ func TestServerRejectsUnrunnableSubmit(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil || rec.Code != http.StatusAccepted || len(srv.jobs) != 1 {
 		t.Fatalf("full grid: %d (%v) with %d jobs, want 202 and one job", rec.Code, err, len(srv.jobs))
 	}
-	if st.Total != 7760 {
-		t.Errorf("queued full-grid job plans %d cells, want 7760", st.Total)
+	if st.Total != 7648 {
+		t.Errorf("queued full-grid job plans %d cells, want 7648", st.Total)
 	}
 }
 

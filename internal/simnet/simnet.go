@@ -166,11 +166,7 @@ type Net struct {
 
 	nodes []*nodeRes
 	topo  Topology
-	// routes caches Route answers per (src,dst) node pair: routes are pure
-	// functions of the pair, and caching keeps the per-transfer hot path
-	// allocation-free after warm-up.
-	routes map[int]cachedRoute
-	nep    int // endpoints created, for naming
+	nep   int // endpoints created, for naming
 
 	// xferPool recycles the per-transfer state (both halves' state
 	// machines and the chunk feed's slices) across transfers. The engine
@@ -203,7 +199,6 @@ func New(eng *sim.Engine, cfg Config) (*Net, error) {
 	}
 	n := &Net{Eng: eng, Cfg: cfg}
 	n.topo = buildTopology(&n.Cfg)
-	n.routes = make(map[int]cachedRoute)
 	n.nodes = make([]*nodeRes, cfg.Nodes)
 	for i := range n.nodes {
 		n.nodes[i] = &nodeRes{
@@ -223,7 +218,6 @@ func New(eng *sim.Engine, cfg Config) (*Net, error) {
 // private CPU resource that all of the process's communication software
 // costs are charged to.
 type Endpoint struct {
-	net  *Net
 	Node int
 	// CPU carries the process's software work: staging/packing collective
 	// buffers, posting overheads, and reduction arithmetic.
@@ -285,7 +279,6 @@ func (n *Net) NewEndpoint(node int) *Endpoint {
 		panic(fmt.Sprintf("simnet: node %d out of range [0,%d)", node, n.Cfg.Nodes))
 	}
 	ep := &Endpoint{
-		net:  n,
 		Node: node,
 		CPU:  sim.NewResource(fmt.Sprintf("ep%d.cpu", n.nep)),
 		NIC:  sim.NewResource(fmt.Sprintf("ep%d.nic", n.nep)),
@@ -315,6 +308,46 @@ func LaneClass(name string) string {
 		return "offload"
 	}
 	return ""
+}
+
+// LaneUtil is the mean busy fraction of each lane class (LaneClass) over a
+// run, in [0, 1].
+type LaneUtil struct {
+	Wire float64 // node egress wires
+	CPU  float64 // rank CPU lanes
+	NIC  float64 // rank NIC lanes
+}
+
+// MeanLaneUtil folds resource snapshots into the mean busy fraction of each
+// lane class over elapsed seconds of virtual time. It sums in snapshot
+// order, so a caller that keeps its order keeps its bytes.
+func MeanLaneUtil(snaps []sim.ResourceStats, elapsed float64) LaneUtil {
+	var u LaneUtil
+	var nWire, nCPU, nNIC int
+	for _, s := range snaps {
+		f := s.Utilization(elapsed)
+		switch LaneClass(s.Name) {
+		case "wire":
+			u.Wire += f
+			nWire++
+		case "cpu":
+			u.CPU += f
+			nCPU++
+		case "nic":
+			u.NIC += f
+			nNIC++
+		}
+	}
+	if nWire > 0 {
+		u.Wire /= float64(nWire)
+	}
+	if nCPU > 0 {
+		u.CPU /= float64(nCPU)
+	}
+	if nNIC > 0 {
+		u.NIC /= float64(nNIC)
+	}
+	return u
 }
 
 // EachResource visits every FIFO resource the fabric owns (topology links —
@@ -354,23 +387,6 @@ func (n *Net) LinkUtilization(elapsed float64) map[string]float64 {
 		sum[c] /= float64(cnt[c])
 	}
 	return sum
-}
-
-// cachedRoute is one memoized Route answer.
-type cachedRoute struct {
-	links []*Link
-	lat   float64
-}
-
-// routeOf memoizes the topology's route for an inter-node pair.
-func (n *Net) routeOf(src, dst int) cachedRoute {
-	key := src*n.Cfg.Nodes + dst
-	r, ok := n.routes[key]
-	if !ok {
-		r.links, r.lat = n.topo.Route(src, dst)
-		n.routes[key] = r
-	}
-	return r
 }
 
 // EachWire visits each node's egress and ingress wire resources with the
@@ -433,7 +449,7 @@ func (n *Net) transfer(src, dst *Endpoint, size int64, cpuRate float64, onInj fu
 	x.onInj, x.injArg = onInj, injArg
 	x.onDel, x.delArg = onDel, delArg
 	if src.Node != dst.Node {
-		x.rt = n.routeOf(src.Node, dst.Node)
+		x.links, x.lat = n.topo.Route(src.Node, dst.Node)
 	}
 	// Pre-size the chunk feed: the chunk count is known at segmentation
 	// time, so the per-chunk appends never reallocate mid-transfer.
@@ -458,7 +474,8 @@ type xfer struct {
 	src, dst       *Endpoint
 	size           int64
 	cpuRate        float64
-	rt             cachedRoute // inter-node transfers only
+	links          []*Link // the route's interior links, inter-node transfers only
+	lat            float64 // the route's leading-edge latency
 	feed           chunkFeed
 	onInj, onDel   func(any)
 	injArg, delArg any
@@ -686,7 +703,7 @@ func (x *xfer) rx(p *sim.Proc) {
 				x.at = max(t+cfg.ShmLatency, p.Now())
 				x.rxAt = rxCPU
 			} else {
-				lat := x.rt.lat
+				lat := x.lat
 				if n.Faults != nil {
 					// Per-chunk latency jitter from the fault model (0 when
 					// the injector has jitter disabled).
@@ -707,13 +724,13 @@ func (x *xfer) rx(p *sim.Proc) {
 			// stages while concurrent transfers still interleave chunk by
 			// chunk on shared links.
 			cb := float64(f.bytes[x.k])
-			if len(x.rt.links) == 0 {
+			if len(x.links) == 0 {
 				// Flat route: the ingress wire is the first stage; pacing on
 				// it preserves the original fabric's schedule exactly.
 				_, x.at = n.nodes[x.dst.Node].ingress.Reserve(p.Now(), cb/cfg.WireBandwidth)
 				x.rxAt = rxCPU
 			} else {
-				l := x.rt.links[0]
+				l := x.links[0]
 				_, x.at = l.Res.Reserve(p.Now(), cb/l.Bandwidth)
 				x.rxAt = rxLinks
 			}
@@ -722,7 +739,7 @@ func (x *xfer) rx(p *sim.Proc) {
 			}
 		case rxLinks:
 			cb := float64(f.bytes[x.k])
-			for i, l := range x.rt.links {
+			for i, l := range x.links {
 				if i > 0 {
 					_, x.at = l.Res.Reserve(x.at, cb/l.Bandwidth)
 				}

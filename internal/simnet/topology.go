@@ -140,9 +140,10 @@ type Link struct {
 // Topology answers routing queries for the fabric. Route returns the
 // ordered interior links an inter-node chunk crosses (possibly none) and
 // the route's total leading-edge latency; it must be a pure function of
-// (src, dst) so transfers between a pair are deterministic. The per-node
-// egress/ingress wires are not part of the route — the transfer pipeline
-// always pays those.
+// (src, dst) so transfers between a pair are deterministic. Every
+// inter-node transfer asks for its route, so a topology that computes
+// routes memoizes them. The per-node egress/ingress wires are not part of
+// the route — the transfer pipeline always pays those.
 type Topology interface {
 	Links() []*Link
 	Route(src, dst int) ([]*Link, float64)
@@ -208,7 +209,8 @@ type torusTopo struct {
 	x, y, rails int
 	lat, hopLat float64
 	// links[(node*4+dir)*rails+rail]; dir 0..3 = +x, -x, +y, -y.
-	links []*Link
+	links  []*Link
+	routes map[int][]*Link // memoized path per src*x*y+dst
 }
 
 func (t *torusTopo) Links() []*Link { return t.links }
@@ -230,6 +232,17 @@ func (t *torusTopo) Route(src, dst int) ([]*Link, float64) {
 	if src == dst {
 		return nil, t.lat
 	}
+	key := src*t.x*t.y + dst
+	route, ok := t.routes[key]
+	if !ok {
+		route = t.path(src, dst)
+		t.routes[key] = route
+	}
+	return route, t.lat + float64(len(route))*t.hopLat
+}
+
+// path walks the links from src to dst.
+func (t *torusTopo) path(src, dst int) []*Link {
 	// All chunks of a (src,dst) pair ride one deterministic rail; distinct
 	// pairs spread across rails.
 	rail := 0
@@ -260,7 +273,7 @@ func (t *torusTopo) Route(src, dst int) ([]*Link, float64) {
 		hop(cy*t.x+cx, dir)
 		cy = ((cy+s)%t.y + t.y) % t.y
 	}
-	return route, t.lat + float64(len(route))*t.hopLat
+	return route
 }
 
 // buildTopology constructs the fabric's Topology from its validated config.
@@ -296,6 +309,7 @@ func buildTopology(cfg *Config) Topology {
 		t := &torusTopo{
 			x: cfg.Topo.TorusX, y: cfg.Topo.TorusY, rails: cfg.Topo.Rails,
 			lat: cfg.WireLatency, hopLat: cfg.Topo.HopLatency,
+			routes: make(map[int][]*Link),
 		}
 		dirs := []string{"+x", "-x", "+y", "-y"}
 		t.links = make([]*Link, cfg.Nodes*4*t.rails)

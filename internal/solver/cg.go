@@ -42,7 +42,6 @@ type CG struct {
 	// PPN is the node-sharing factor for compute charging.
 	PPN int
 
-	bd     mat.BlockDim
 	lo, hi int // owned element range
 }
 
@@ -77,7 +76,7 @@ func New(p *mpi.Proc, comm *mpi.Comm, n int, stencil []float64, real bool, ppn i
 	if ppn <= 0 {
 		ppn = 1
 	}
-	c := &CG{P: p, Comm: comm, N: n, Stencil: stencil, Real: real, PPN: ppn, bd: bd}
+	c := &CG{P: p, Comm: comm, N: n, Stencil: stencil, Real: real, PPN: ppn}
 	c.lo = bd.Offset(comm.Rank())
 	c.hi = c.lo + bd.Count(comm.Rank())
 	return c, nil
@@ -182,18 +181,4 @@ type Result struct {
 // axpyFlops charges the vector-update arithmetic of one iteration.
 func (c *CG) axpyFlops(nUpdates int) {
 	c.P.Compute(2*float64(nUpdates)*float64(c.Local()), c.PPN)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

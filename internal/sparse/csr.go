@@ -226,7 +226,7 @@ func BandedHamiltonian(n, hb int, decay float64) *CSR {
 	}
 	out := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		for j := maxInt(0, i-hb); j <= minInt(n-1, i+hb); j++ {
+		for j := max(0, i-hb); j <= min(n-1, i+hb); j++ {
 			var v float64
 			lo, hi := i, j
 			if lo > hi {
@@ -251,20 +251,6 @@ func insertionSort(a []int) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Gershgorin returns eigenvalue bounds of the square matrix from its

@@ -40,11 +40,17 @@ type Entry struct {
 	Cells  []Cell  `json:"cells"`
 }
 
+// String is the entry's one-line summary: kernel, cell count and winner.
+func (e Entry) String() string {
+	return fmt.Sprintf("%-20s %3d cells, best %s at %.0f MB/s",
+		e.Kernel.Name(), len(e.Cells), e.Best.label(), e.BestBW/1e6)
+}
+
 // Table is the persisted tuning table with its provenance.
 type Table struct {
 	Version    int     `json:"version"`
 	Grid       Grid    `json:"grid"`
-	SearchSeed int64   `json:"seed"` // Options.Seed of the search
+	SearchSeed int64   `json:"seed"` // always 0: the search is deterministic
 	ConfigHash string  `json:"config_hash"`
 	GoVersion  string  `json:"go_version"`
 	Entries    []Entry `json:"entries"`

@@ -130,7 +130,7 @@ func TestGridAlgAxis(t *testing.T) {
 	}
 	algsOf := func(k Kernel) map[string]int {
 		out := make(map[string]int)
-		for _, c := range g.cellsFor(k) {
+		for _, c := range cellsOf(g, k.Op) {
 			out[c.Alg]++
 		}
 		return out

@@ -58,18 +58,51 @@ func (k Kernel) Name() string {
 	return name
 }
 
-// workloadOp reports whether the kernel op is an ML-workload pattern
-// measured through internal/workload rather than a bare collective.
-func workloadOp(op string) bool {
-	switch workload.Pattern(op) {
-	case workload.DataParallel, workload.ZeRO, workload.Pipeline:
-		return true
-	}
-	return false
+// opSpec is one row of the op table: everything the tuner decides per
+// kernel operation.
+type opSpec struct {
+	// family lists the collective algorithms the Alg axis may force; nil
+	// sweeps auto selection only.
+	family []string
+	// longMsg returns the cell's override of the one switch point the op's
+	// auto selection consults. Nil means the measurement applies no switch
+	// point, so switch-point-only protocol variants are skipped.
+	longMsg func(Params) int64
+	// workload marks an internal/workload pattern, measured as a whole
+	// overlapped training step on the accelerator preset (measureWorkload).
+	// The other ops are bare collectives on the default calibration
+	// (CollectiveJob): force sets the world's forced algorithm, and post
+	// starts one duplicate's share of the collective.
+	workload bool
+	force    func(w *mpi.World, alg string)
+	post     func(c *mpi.Comm, b mpi.Buffer) *mpi.Request
+}
+
+func bcastLong(p Params) int64  { return p.BcastLongMsg }
+func reduceLong(p Params) int64 { return p.ReduceLongMsg }
+
+// ops is the op table, the one place that says what each kernel operation
+// is. Allreduce selects on the reduce switch point. The dp pattern's
+// collective is an allreduce, so it forces that family; zero's ring
+// reduce-scatter/allgather pair and pipeline's p2p chain have none. No
+// workload pattern takes a switch point: workload.Spec has no such field.
+var ops = map[string]opSpec{
+	"bcast": {family: mpi.BcastAlgs(), longMsg: bcastLong,
+		force: func(w *mpi.World, alg string) { w.BcastAlg = alg },
+		post:  func(c *mpi.Comm, b mpi.Buffer) *mpi.Request { return c.Ibcast(0, b) }},
+	"reduce": {family: mpi.ReduceAlgs(), longMsg: reduceLong,
+		force: func(w *mpi.World, alg string) { w.ReduceAlg = alg },
+		post:  func(c *mpi.Comm, b mpi.Buffer) *mpi.Request { return c.Ireduce(0, b, b, mpi.OpSum) }},
+	"allreduce": {family: mpi.AllreduceAlgs(), longMsg: reduceLong,
+		force: func(w *mpi.World, alg string) { w.AllreduceAlg = alg },
+		post:  func(c *mpi.Comm, b mpi.Buffer) *mpi.Request { return c.Iallreduce(b, mpi.OpSum) }},
+	string(workload.DataParallel): {family: mpi.AllreduceAlgs(), workload: true},
+	string(workload.ZeRO):         {workload: true},
+	string(workload.Pipeline):     {workload: true},
 }
 
 func (k Kernel) validate() error {
-	if k.Op != "bcast" && k.Op != "reduce" && k.Op != "allreduce" && !workloadOp(k.Op) {
+	if _, ok := ops[k.Op]; !ok {
 		return fmt.Errorf("tune: kernel op %q (want bcast, reduce, allreduce, dp, zero or pipeline)", k.Op)
 	}
 	if k.Bytes <= 0 {
@@ -238,63 +271,56 @@ func (g Grid) validate() error {
 	return nil
 }
 
-// cellsFor returns the grid's parameter cells for one kernel, in canonical
-// order (algorithm, then progress engine, then protocol, then NDup, then
-// PPN). Variants that cannot change the kernel's schedule are skipped:
+// walk enumerates the grid's cells for a kernel of operation op in
+// canonical order (algorithm, then progress engine, then protocol, then
+// NDup, then PPN), calling visit, when non-nil, on each, and returns their
+// count. Variants that cannot change the kernel's schedule are skipped:
 // algorithms outside the operation's family, protocol variants that only
-// move the other operation's switch point, any switch-point-only variant
-// when the algorithm is forced (a forced algorithm never consults the
-// switch points), and (PPN, progress) pairs whose agents would not fit in
-// the launched lanes.
-func (g Grid) cellsFor(k Kernel) []Params {
-	var out []Params
-	for _, alg := range g.algsFor(k.Op) {
+// move a switch point the measurement does not consult (skipProto), and
+// (PPN, progress) pairs whose agents would not fit in the launched lanes.
+// Each (algorithm, progress, protocol) block holds len(NDups) x fit cells,
+// fit being the PPNs with room for the block's agents. walk adds each
+// block to the count before visiting it and stops with ok false once the
+// count passes budget, so sizing an oversized grid costs time linear in
+// its axis lengths rather than in their product.
+func (g Grid) walk(op string, budget int, visit func(Params)) (n int, ok bool) {
+	spec := ops[op]
+	ppns := slices.Clone(g.PPNs)
+	slices.Sort(ppns)
+	for _, alg := range g.algsFor(spec) {
+		var protos []Params
+		for _, proto := range g.Protocols {
+			if !skipProto(spec, alg, proto) {
+				protos = append(protos, proto)
+			}
+		}
 		for _, prog := range g.progressesFor(alg) {
+			// The PPNs that leave room for the agents: ppn+lanes <= LaunchPPN.
 			lanes := progress.MustParse(prog).LanesNeeded()
-			for _, proto := range g.Protocols {
-				if skipProto(k.Op, alg, proto) {
+			fit, _ := slices.BinarySearch(ppns, g.LaunchPPN-lanes+1)
+			if fit == 0 {
+				continue
+			}
+			for _, proto := range protos {
+				if n += len(g.NDups) * fit; n > budget {
+					return n, false
+				}
+				if visit == nil {
 					continue
 				}
 				for _, ndup := range g.NDups {
 					for _, ppn := range g.PPNs {
-						if ppn+lanes > g.LaunchPPN {
-							continue
+						if ppn+lanes <= g.LaunchPPN {
+							p := proto
+							p.NDup, p.PPN, p.Alg, p.Progress = ndup, ppn, alg, prog
+							visit(p)
 						}
-						p := proto
-						p.NDup, p.PPN, p.Alg, p.Progress = ndup, ppn, alg, prog
-						out = append(out, p)
 					}
 				}
 			}
 		}
 	}
-	return out
-}
-
-// cellCount is len(g.cellsFor(k)) for a kernel of operation op, computed
-// without building the cells, so checking an oversized grid costs time
-// linear in its axis lengths rather than in their product. Past maxCells
-// it stops counting and returns what it has.
-func (g Grid) cellCount(op string) int {
-	ppns := slices.Clone(g.PPNs)
-	slices.Sort(ppns)
-	n := 0
-	for _, alg := range g.algsFor(op) {
-		protos := 0
-		for _, proto := range g.Protocols {
-			if !skipProto(op, alg, proto) {
-				protos++
-			}
-		}
-		for _, prog := range g.progressesFor(alg) {
-			// The PPNs that leave room for the agents: ppn+lanes <= LaunchPPN.
-			fit, _ := slices.BinarySearch(ppns, g.LaunchPPN-progress.MustParse(prog).LanesNeeded()+1)
-			if n += len(g.NDups) * protos * fit; n > maxCells {
-				return n
-			}
-		}
-	}
-	return n
+	return n, true
 }
 
 // progressesFor filters the grid's progress-engine axis for one algorithm:
@@ -307,71 +333,31 @@ func (g Grid) progressesFor(alg string) []string {
 	return g.Progresses
 }
 
-// algsFor filters the grid's algorithm list down to the members applicable
-// to one operation (auto always applies), deduplicated in list order. A nil
-// list means auto only.
-func (g Grid) algsFor(op string) []string {
-	if len(g.Algs) == 0 {
+// algsFor filters the grid's algorithm list down to auto and the members of
+// the operation's family, deduplicated in list order. A nil list, or an
+// operation with no family, means auto only.
+func (g Grid) algsFor(spec opSpec) []string {
+	if len(g.Algs) == 0 || spec.family == nil {
 		return []string{mpi.AlgAuto}
-	}
-	var fam []string
-	switch op {
-	case "bcast":
-		fam = mpi.BcastAlgs()
-	case "reduce":
-		fam = mpi.ReduceAlgs()
-	case "zero", "pipeline":
-		// The ring reduce-scatter/allgather pair and the p2p chain have no
-		// algorithm family to force.
-		return []string{mpi.AlgAuto}
-	default:
-		// allreduce, and the dp workload whose collective is an allreduce.
-		fam = mpi.AllreduceAlgs()
-	}
-	inFamily := func(alg string) bool {
-		for _, a := range fam {
-			if a == alg {
-				return true
-			}
-		}
-		return false
 	}
 	var out []string
-	seen := make(map[string]bool)
 	for _, alg := range g.Algs {
-		if seen[alg] || (alg != mpi.AlgAuto && !inFamily(alg)) {
-			continue
+		if (alg == mpi.AlgAuto || slices.Contains(spec.family, alg)) && !slices.Contains(out, alg) {
+			out = append(out, alg)
 		}
-		seen[alg] = true
-		out = append(out, alg)
 	}
 	return out
 }
 
 // skipProto reports whether a protocol variant cannot change the kernel's
-// schedule: a switch-point-only variant is dead weight when the algorithm is
-// forced, and otherwise only the kernel operation's own switch point matters
-// (allreduce selects on the reduce switch point).
-func skipProto(op, alg string, proto Params) bool {
-	if !onlySwitchKnob(proto) || (proto.BcastLongMsg == 0 && proto.ReduceLongMsg == 0) {
+// schedule: it moves nothing but switch points, and the measurement
+// consults none of them (a workload op, or a forced algorithm, which never
+// consults them) or only the other operation's is set.
+func skipProto(spec opSpec, alg string, proto Params) bool {
+	if proto.ChunkBytes != 0 || proto.EagerLimit != 0 || (proto.BcastLongMsg == 0 && proto.ReduceLongMsg == 0) {
 		return false
 	}
-	if op == "zero" || op == "pipeline" {
-		return true // no switch-point selection anywhere in these patterns
-	}
-	if alg != mpi.AlgAuto {
-		return true
-	}
-	if op == "bcast" {
-		return proto.BcastLongMsg == 0
-	}
-	return proto.ReduceLongMsg == 0
-}
-
-// onlySwitchKnob reports whether the variant touches nothing but the
-// collective switch-over points.
-func onlySwitchKnob(p Params) bool {
-	return p.ChunkBytes == 0 && p.EagerLimit == 0
+	return spec.longMsg == nil || alg != mpi.AlgAuto || spec.longMsg(proto) == 0
 }
 
 // DefaultKernels is the kernel set the paper's evaluation exercises: the
@@ -413,7 +399,7 @@ func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 		return 0, fmt.Errorf("tune: PPN %d + %d progress lanes exceed launch PPN %d",
 			p.PPN, sp.LanesNeeded(), launchPPN)
 	}
-	if workloadOp(k.Op) {
+	if ops[k.Op].workload {
 		return measureWorkload(k, p, launchPPN)
 	}
 	var elapsed float64
@@ -433,6 +419,7 @@ func Measure(k Kernel, p Params, launchPPN int) (float64, error) {
 // Ibarrier with the paper's Test+usleep poll. The slowest active rank's
 // elapsed time lands in *elapsed.
 func CollectiveJob(k Kernel, p Params, launchPPN int, elapsed *float64) (job.Spec, func(*mpi.Proc)) {
+	spec := ops[k.Op]
 	cfg := simnet.DefaultConfig(k.Nodes)
 	if p.ChunkBytes != 0 {
 		cfg.ChunkBytes = p.ChunkBytes
@@ -454,14 +441,7 @@ func CollectiveJob(k Kernel, p Params, launchPPN int, elapsed *float64) (job.Spe
 			if p.ReduceLongMsg != 0 {
 				w.ReduceLongMsg = p.ReduceLongMsg
 			}
-			switch k.Op {
-			case "bcast":
-				w.BcastAlg = p.Alg
-			case "reduce":
-				w.ReduceAlg = p.Alg
-			case "allreduce":
-				w.AllreduceAlg = p.Alg
-			}
+			spec.force(w, p.Alg)
 		},
 	}
 	return s, func(pr *mpi.Proc) {
@@ -486,15 +466,7 @@ func CollectiveJob(k Kernel, p Params, launchPPN int, elapsed *float64) (job.Spe
 			}
 			reqs := make([]*mpi.Request, p.NDup)
 			for d := 0; d < p.NDup; d++ {
-				b := mpi.Phantom(share)
-				switch k.Op {
-				case "bcast":
-					reqs[d] = comms[d].Ibcast(0, b)
-				case "allreduce":
-					reqs[d] = comms[d].Iallreduce(b, mpi.OpSum)
-				default:
-					reqs[d] = comms[d].Ireduce(0, b, b, mpi.OpSum)
-				}
+				reqs[d] = spec.post(comms[d], mpi.Phantom(share))
 			}
 			mpi.Waitall(reqs...)
 			if dt := pr.Now() - t0; dt > *elapsed {
@@ -555,7 +527,7 @@ func measureWorkload(k Kernel, p Params, launchPPN int) (float64, error) {
 // hash — the simulator is exact arithmetic over a deterministic schedule.
 func cellHash(k Kernel, p Params, launchPPN int) string {
 	cfg := simnet.DefaultConfig(k.Nodes)
-	if workloadOp(k.Op) {
+	if ops[k.Op].workload {
 		// Workload kernels measure on the accelerator preset, so that is
 		// the calibration their cells must be invalidated against.
 		cfg = workload.AcceleratorConfig(k.Nodes)
@@ -581,10 +553,6 @@ type Options struct {
 	// Workers bounds the replica pool (0 = OVERLAP_WORKERS or GOMAXPROCS,
 	// 1 = sequential). The table is byte-identical at any width.
 	Workers int
-	// Seed is recorded as provenance. The simulator is deterministic, so it
-	// does not perturb the measurements; it exists so noise-perturbed
-	// variants of the search stay reproducible.
-	Seed int64
 	// Cache is the content-addressed result store every cell goes through,
 	// keyed by its provenance hash; nil gives the search a private store.
 	// A cell already in the store — seeded from a persisted table
@@ -594,9 +562,6 @@ type Options struct {
 	// either way: the simulator is deterministic, so a hash hit and a
 	// fresh measurement are the same number.
 	Cache *cache.Store
-	// Progress, when non-nil, receives one line per kernel as the search
-	// completes it.
-	Progress func(string)
 	// OnCell, when non-nil, streams cell completions: it receives the
 	// owning kernel's name, the finished cell, and the running
 	// (done, total) counts over the whole search. Calls are serialized by
@@ -609,7 +574,7 @@ type Options struct {
 // The limits one search may ask for, so that a single request to the
 // tuning service cannot pin a worker or exhaust memory. The built-in grids
 // over DefaultKernels stay inside them: at most 64 x 8 = 512 ranks,
-// 16 MiB, N_DUP 8, 64 KiB chunks, and 7,760 cells (FullGrid).
+// 16 MiB, N_DUP 8, 64 KiB chunks, and 7,648 cells (FullGrid).
 const (
 	maxRanks      = 1024     // nodes x launch PPN of one cell
 	maxBytes      = 64 << 20 // one kernel's payload
@@ -648,7 +613,7 @@ func (o Options) Plan() (cells int, err error) {
 		}
 		n, ok := perOp[k.Op]
 		if !ok {
-			n = g.cellCount(k.Op)
+			n, _ = g.walk(k.Op, maxCells-cells, nil)
 			perOp[k.Op] = n
 		}
 		if cells += n; cells > maxCells {
@@ -678,12 +643,11 @@ func Search(opts Options) (*Table, error) {
 		hash   string
 	}
 	cases := make([]caseRef, 0, total)
-	perKernel := make([][]Params, len(kernels))
+	perKernel := make([]int, len(kernels))
 	for ki, k := range kernels {
-		perKernel[ki] = opts.Grid.cellsFor(k)
-		for _, p := range perKernel[ki] {
+		perKernel[ki], _ = opts.Grid.walk(k.Op, total, func(p Params) {
 			cases = append(cases, caseRef{ki, p, cellHash(k, p, opts.Grid.LaunchPPN)})
-		}
+		})
 	}
 	// Issue expensive replicas first. Grid cases span orders of magnitude
 	// (a 1-rank kernel vs a 216-rank one): under FIFO order a worker that
@@ -720,24 +684,16 @@ func Search(opts Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Version:    TableVersion,
-		Grid:       opts.Grid,
-		SearchSeed: opts.Seed,
-		GoVersion:  runtime.Version(),
+		Version:   TableVersion,
+		Grid:      opts.Grid,
+		GoVersion: runtime.Version(),
 	}
 	t.ConfigHash = t.configHash(kernels)
 	ci := 0
 	for ki, k := range kernels {
-		e := Entry{Kernel: k}
-		for range perKernel[ki] {
-			e.Cells = append(e.Cells, cells[ci])
-			ci++
-		}
+		e := Entry{Kernel: k, Cells: append([]Cell(nil), cells[ci:ci+perKernel[ki]]...)}
+		ci += perKernel[ki]
 		e.pickBest()
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%-20s %3d cells, best %s at %.0f MB/s",
-				k.Name(), len(e.Cells), e.Best.label(), e.BestBW/1e6))
-		}
 		t.Entries = append(t.Entries, e)
 	}
 	return t, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"commoverlap/internal/cache"
 	"commoverlap/internal/core"
@@ -219,20 +220,19 @@ func TestKernelConfig(t *testing.T) {
 // 8*(4+3+3+4) = 112 cells and a forced-alg protocol 8*4 = 32.
 func TestGridCellFiltering(t *testing.T) {
 	g := FullGrid()
-	cells := func(k Kernel) int { return len(g.cellsFor(k)) }
 	// bcast/reduce: 5 auto protocols * 112 + 2 forced algs * 4 protocols * 32.
-	if got := cells(Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}); got != 816 {
+	if got := len(cellsOf(g, "reduce")); got != 816 {
 		t.Errorf("reduce kernel sweeps %d cells, want 816", got)
 	}
-	if got := cells(Kernel{Op: "bcast", Bytes: 1 << 20, Nodes: 4}); got != 816 {
+	if got := len(cellsOf(g, "bcast")); got != 816 {
 		t.Errorf("bcast kernel sweeps %d cells, want 816", got)
 	}
 	// allreduce: 5 auto protocols * 112 + 5 forced algs * 4 protocols * 32.
-	if got := cells(Kernel{Op: "allreduce", Bytes: 1 << 20, Nodes: 4}); got != 1200 {
+	if got := len(cellsOf(g, "allreduce")); got != 1200 {
 		t.Errorf("allreduce kernel sweeps %d cells, want 1200", got)
 	}
 	// The engine crosses auto only, and rank-mode agents always fit.
-	for _, c := range g.cellsFor(Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}) {
+	for _, c := range cellsOf(g, "reduce") {
 		if c.Progress != "" && c.Alg != mpi.AlgAuto {
 			t.Fatalf("progress %q crossed with forced alg %q", c.Progress, c.Alg)
 		}
@@ -249,25 +249,65 @@ func TestGridCellFiltering(t *testing.T) {
 	}
 }
 
-// TestPlanCountsAndLimits: Plan's closed-form count matches the cells a
-// search builds, the built-in grids sit inside the limits, and a search
-// over any limit is refused before a cell runs.
-func TestPlanCountsAndLimits(t *testing.T) {
-	odd := Grid{Name: "odd", NDups: []int{2, 1, 2}, PPNs: []int{3, 1, 3, 2}, LaunchPPN: 3,
-		Protocols:  []Params{{}, {BcastLongMsg: 1}, {ReduceLongMsg: 1}, {EagerLimit: 1}},
-		Algs:       []string{mpi.AlgAuto, mpi.AlgRing, mpi.AlgRing, mpi.AlgBinomial, "bogus"},
-		Progresses: []string{"", "rank2", "rank1", "dma", "rank5"}}
-	for _, g := range []Grid{QuickGrid(), FullGrid(), odd} {
-		for _, op := range []string{"bcast", "reduce", "allreduce", "dp", "zero", "pipeline"} {
-			if got, want := g.cellCount(op), len(g.cellsFor(Kernel{Op: op})); got != want {
-				t.Errorf("%s grid, %s: cellCount %d, cellsFor %d", g.Name, op, got, want)
+// TestWorkloadCellsApplyNoSwitchPoint: no workload pattern takes a switch
+// point, so no cell of a workload kernel carries a switch-point override;
+// one would only measure its override-free twin again.
+func TestWorkloadCellsApplyNoSwitchPoint(t *testing.T) {
+	for op, spec := range ops {
+		if !spec.workload {
+			continue
+		}
+		n := 0
+		for _, p := range cellsOf(FullGrid(), op) {
+			if p.BcastLongMsg != 0 || p.ReduceLongMsg != 0 {
+				n++
 			}
 		}
+		if n != 0 {
+			t.Errorf("%s: %d full-grid cells carry a switch-point override", op, n)
+		}
 	}
+}
+
+// TestPlanAdversarialAxes: Plan sizes a search in time linear in its axis
+// lengths, however the axes are built. Every grid has axes of 10^5 entries:
+// 10^10 one-cell blocks, which the budget guard must refuse after 8,193; a
+// rankN label no PPN fits, whose empty blocks must cost nothing per
+// protocol; and protocol variants a reduce kernel skips, which must not be
+// re-examined for every progress entry.
+func TestPlanAdversarialAxes(t *testing.T) {
+	const n = 100_000
+	k := Kernel{Op: "reduce", Bytes: 1 << 20, Nodes: 4}
+	for _, tc := range []struct {
+		name string
+		g    Grid
+		ok   bool
+	}{
+		{"one-cell blocks", Grid{NDups: []int{1}, PPNs: []int{1}, LaunchPPN: 4,
+			Protocols: repeat(Params{}, n), Algs: repeat(mpi.AlgAuto, n), Progresses: repeat("", n)}, false},
+		{"agents that never fit", Grid{NDups: repeat(1, n), PPNs: repeat(1, n), LaunchPPN: 4,
+			Protocols: repeat(Params{}, n), Algs: repeat(mpi.AlgAuto, n), Progresses: repeat("rank4", n)}, true},
+		{"skipped protocols", Grid{NDups: []int{1}, PPNs: []int{1}, LaunchPPN: 4,
+			Protocols: append(repeat(Params{BcastLongMsg: 1}, n), Params{}), Progresses: repeat("", n)}, false},
+	} {
+		start := time.Now()
+		_, err := Options{Grid: tc.g, Kernels: []Kernel{k}}.Plan()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: Plan took %v", tc.name, d)
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Plan error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestPlanCountsAndLimits: the built-in grids sit inside the limits, and a
+// search over any limit is refused before a cell runs.
+func TestPlanCountsAndLimits(t *testing.T) {
 	for _, tc := range []struct {
 		g    Grid
 		want int
-	}{{QuickGrid(), 360}, {FullGrid(), 7760}} {
+	}{{QuickGrid(), 360}, {FullGrid(), 7648}} {
 		if got, err := (Options{Grid: tc.g}).Plan(); err != nil || got != tc.want {
 			t.Errorf("%s grid over DefaultKernels: Plan = %d, %v; want %d cells", tc.g.Name, got, err, tc.want)
 		}
@@ -310,6 +350,21 @@ func TestPlanCountsAndLimits(t *testing.T) {
 	if err == nil {
 		t.Error("Search accepted a 100000-node kernel")
 	}
+}
+
+// cellsOf lists the grid's cells for a kernel of operation op.
+func cellsOf(g Grid, op string) []Params {
+	var out []Params
+	g.walk(op, maxCells, func(p Params) { out = append(out, p) })
+	return out
+}
+
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 // MustLanes is a test shorthand for the agent-lane demand of a progress label.

@@ -33,6 +33,7 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 
@@ -105,11 +106,6 @@ type Spec struct {
 	Progress string
 	// Topo names the fabric (simnet.TopoByName); empty is flat.
 	Topo string
-	// FlopsPerUnit is the simulated compute per unit per rank (backward
-	// pass for a bucket, optimizer step for a shard, stage forward/backward
-	// for a microbatch). 0 picks a default sized so compute and one unit's
-	// communication are comparable — the regime where overlap pays.
-	FlopsPerUnit float64
 	// Config overrides the machine preset (nil = AcceleratorConfig(Nodes)).
 	// Topo is still applied on top.
 	Config *simnet.Config
@@ -136,15 +132,19 @@ func (s Spec) withDefaults() Spec {
 	if s.Elems == 0 {
 		s.Elems = 1 << 17 // 1 MiB units
 	}
-	if s.FlopsPerUnit == 0 {
-		// Balance compute against one unit's transfer on the accelerator
-		// preset: comm time ~ unit bytes / NIC rate, compute rate ~
-		// NodeFlops shared by the active lanes.
-		acc := AcceleratorConfig(1)
-		commT := float64(8*s.Elems) / acc.WireBandwidth
-		s.FlopsPerUnit = commT * acc.NodeFlops / float64(s.PPN)
-	}
 	return s
+}
+
+// flopsPerUnit is the simulated compute per unit per rank (backward pass
+// for a bucket, optimizer step for a shard, stage forward/backward for a
+// microbatch), sized so compute and one unit's communication are
+// comparable, the regime where overlap pays: comm time ~ unit bytes / NIC
+// rate on the accelerator preset, compute rate ~ NodeFlops shared by the
+// active lanes.
+func (s Spec) flopsPerUnit() float64 {
+	acc := AcceleratorConfig(1)
+	commT := float64(8*s.Elems) / acc.WireBandwidth
+	return commT * acc.NodeFlops / float64(s.PPN)
 }
 
 func (s Spec) validate() error {
@@ -327,25 +327,12 @@ func sumVal(p, unit, i int) float64 {
 	return float64(p*(p+1)/2) * float64((unit+i)%7+1)
 }
 
-// fnvHash is an inline FNV-64a so checksumming a buffer does not allocate
-// per element.
-type fnvHash struct {
-	sum uint64
-}
-
-func newFNV() *fnvHash { return &fnvHash{sum: 14695981039346656037} }
-
-func (h *fnvHash) addFloat(v float64) {
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		h.sum ^= uint64(byte(bits >> (8 * i)))
-		h.sum *= 1099511628211
-	}
-}
-
-func (h *fnvHash) addFloats(vs []float64) {
+// addFloats feeds the little-endian bits of every value to h.
+func addFloats(h hash.Hash64, vs []float64) {
+	var b [8]byte
 	for _, v := range vs {
-		h.addFloat(v)
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
 }
 
@@ -357,6 +344,7 @@ func (h *fnvHash) addFloats(vs []float64) {
 // whole backward pass and then reduces bucket by bucket.
 func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
+	flops := s.flopsPerUnit()
 	grads := s.unitBufs(s.Elems)
 	for u, g := range grads {
 		for i := range g.Data {
@@ -368,13 +356,13 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 		reqs := make([]*mpi.Request, s.Units)
 		for k := 0; k < s.Units; k++ {
 			u := s.Units - 1 - k // bucket ready order: last layer first
-			p.Compute(s.FlopsPerUnit, s.PPN)
+			p.Compute(flops, s.PPN)
 			reqs[u] = dups[k%s.NDup].Iallreduce(grads[u], mpi.OpSum)
 		}
 		mpi.Waitall(reqs...)
 	} else {
 		for k := 0; k < s.Units; k++ {
-			p.Compute(s.FlopsPerUnit, s.PPN)
+			p.Compute(flops, s.PPN)
 		}
 		for k := 0; k < s.Units; k++ {
 			c.Allreduce(grads[s.Units-1-k], mpi.OpSum)
@@ -383,7 +371,7 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	if s.Phantom {
 		return 0, nil // no payload to check or hash
 	}
-	h := newFNV()
+	h := fnv.New64a()
 	for u := range grads {
 		for i, v := range grads[u].Data {
 			if want := sumVal(P, u, i); v != want {
@@ -391,9 +379,9 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 					c.Rank(), u, i, v, want)
 			}
 		}
-		h.addFloats(grads[u].Data)
+		addFloats(h, grads[u].Data)
 	}
-	return h.sum, nil
+	return h.Sum64(), nil
 }
 
 // runZeRO is the sharded-optimizer step: per shard-group, reduce-scatter
@@ -406,6 +394,7 @@ func runDataParallel(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 // serially.
 func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
+	flops := s.flopsPerUnit()
 	shardElems := (s.Elems + P - 1) / P
 	n := P * shardElems // pad to an exact shard multiple
 	grads := s.unitBufs(n)
@@ -424,7 +413,7 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 		return bufs
 	}
 	optimizer := func(u int) {
-		p.Compute(s.FlopsPerUnit, s.PPN)
+		p.Compute(flops, s.PPN)
 		for i := range shards[u].Data {
 			shards[u].Data[i] *= 0.5 // exact in float64
 		}
@@ -452,7 +441,7 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	if s.Phantom {
 		return 0, nil // no payload to check or hash
 	}
-	h := newFNV()
+	h := fnv.New64a()
 	for u := range params {
 		for i, v := range params[u].Data {
 			if want := 0.5 * sumVal(P, u, i); v != want {
@@ -460,9 +449,9 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 					c.Rank(), u, i, v, want)
 			}
 		}
-		h.addFloats(params[u].Data)
+		addFloats(h, params[u].Data)
 	}
-	return h.sum, nil
+	return h.Sum64(), nil
 }
 
 // runPipeline is pipeline-parallel microbatching over the active ranks as
@@ -476,6 +465,7 @@ func runZeRO(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 // microbatch.
 func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	P := c.Size()
+	flops := s.flopsPerUnit()
 	r := c.Rank()
 	acts := s.unitBufs(s.Elems)
 	if r == 0 {
@@ -523,7 +513,7 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 				if src >= 0 {
 					mpi.Waitall(recvs[m]...)
 				}
-				p.Compute(s.FlopsPerUnit, s.PPN)
+				p.Compute(flops, s.PPN)
 				for i := range bufs[m].Data {
 					bufs[m].Data[i]++
 				}
@@ -538,7 +528,7 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 			if src >= 0 {
 				c.Recv(src, tagBase+m, bufs[m])
 			}
-			p.Compute(s.FlopsPerUnit, s.PPN)
+			p.Compute(flops, s.PPN)
 			for i := range bufs[m].Data {
 				bufs[m].Data[i]++
 			}
@@ -572,7 +562,7 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 	// Oracle: after the forward sweep, stage r has applied r+1 increments;
 	// the backward sweep seeds with the last stage's output (base + P) and
 	// applies P-r further increments by the time stage r is done.
-	h := newFNV()
+	h := fnv.New64a()
 	for m := range acts {
 		base := func(i int) float64 { return float64((m+i)%7 + 1) }
 		for i, v := range acts[m].Data {
@@ -587,8 +577,8 @@ func runPipeline(p *mpi.Proc, c *mpi.Comm, s Spec) (uint64, error) {
 					r, m, i, v, want)
 			}
 		}
-		h.addFloats(acts[m].Data)
-		h.addFloats(grads[m].Data)
+		addFloats(h, acts[m].Data)
+		addFloats(h, grads[m].Data)
 	}
-	return h.sum, nil
+	return h.Sum64(), nil
 }
