@@ -137,7 +137,7 @@ func realMain() int {
 	flag.StringVar(&o.TracePath, "trace", "", "write the fig6 timeline as Chrome trace JSON to this file")
 	showMetrics := flag.Bool("metrics", false, "accumulate and print virtual-time metrics across the runs (not the tuner and workload cells of tuned, progress and mlwork)")
 	validate := flag.String("validate-trace", "", "validate a Chrome trace JSON file and exit")
-	flag.IntVar(&o.Workers, "workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
+	flag.IntVar(&o.Workers, "workers", 0, "replica-pool width (0 = GOMAXPROCS, 1 = sequential)")
 	flag.StringVar(&o.TablePath, "table", "TUNING.json", "tuning table the tuned experiments apply")
 	flag.BoolVar(&o.Quick, "quick", false, "CI smoke payload sizes for the ML-workload and progress-engine experiments")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -83,7 +83,7 @@ func realMain() int {
 		metrics  = flag.Bool("metrics", false, "print per-run resource utilization")
 		traceOut = flag.String("trace", "", "export the run's message events as Chrome trace JSON (single run only)")
 		faultsIn = flag.String("faults", "", "run under a fault profile: noise, storm, loss, or all")
-		workers  = flag.Int("workers", 0, "replica-pool width (0 = OVERLAP_WORKERS or GOMAXPROCS, 1 = sequential)")
+		workers  = flag.Int("workers", 0, "replica-pool width (0 = GOMAXPROCS, 1 = sequential)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -59,8 +59,7 @@ func main() {
 				phaseStart[pr.Rank()] = at
 				return
 			}
-			rec.Begin(pr.Rank(), label, phaseStart[pr.Rank()])
-			rec.End(pr.Rank(), label, at)
+			rec.Span(pr.Rank(), label, phaseStart[pr.Rank()], at)
 			phaseStart[pr.Rank()] = at
 		}
 		env.M.World.Barrier()
@@ -78,8 +77,7 @@ func main() {
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Rank < evs[j].Rank })
 	for _, e := range evs {
 		if e.Rank < 4 {
-			filtered.Begin(e.Rank, e.Label, e.Start)
-			filtered.End(e.Rank, e.Label, e.End)
+			filtered.Span(e.Rank, e.Label, e.Start, e.End)
 		}
 	}
 	filtered.Render(os.Stdout, 70)

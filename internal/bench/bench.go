@@ -28,11 +28,10 @@ import (
 // The zero value runs at the paper's sizes on the default replica pool.
 type Options struct {
 	// Workers bounds how many independent simulation replicas (experiment
-	// cells) run concurrently: 0 picks the runner default (OVERLAP_WORKERS
-	// or GOMAXPROCS), 1 forces the sequential order. Each cell is an
-	// isolated sim.Engine with no shared state, and results are keyed by
-	// case index, so the emitted tables and CSVs are byte-identical at any
-	// worker count.
+	// cells) run concurrently: 0 picks GOMAXPROCS, 1 forces the sequential
+	// order. Each cell is an isolated sim.Engine with no shared state, and
+	// results are keyed by case index, so the emitted tables and CSVs are
+	// byte-identical at any worker count.
 	Workers int
 	// Metrics, when non-nil, is installed as the virtual-time metrics sink
 	// of every cell the experiments build themselves (job.Spec.Metrics).

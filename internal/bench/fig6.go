@@ -139,12 +139,10 @@ func timelineRecorder(entries []TimelineEntry) *trace.Recorder {
 	for i, e := range entries {
 		name := fmt.Sprintf("%.10s %s", e.Case, e.Label)
 		if e.Ready > e.Post {
-			rec.Begin(i, name+" post", e.Post)
-			rec.End(i, name+" post", e.Ready)
+			rec.Span(i, name+" post", e.Post, e.Ready)
 		}
 		if e.Done > e.Ready {
-			rec.Begin(i, name, e.Ready)
-			rec.End(i, name, e.Done)
+			rec.Span(i, name, e.Ready, e.Done)
 		} else {
 			rec.Point(i, name+" done", e.Done)
 		}

@@ -51,23 +51,20 @@ type PaperScaleRow struct {
 	KernelND1    float64 // baseline-equivalent optimized kernel, TFlops
 	KernelND4    float64 // overlapped kernel (N_DUP=4), TFlops
 	PurifyTFlops float64 // application-averaged overlapped kernel, TFlops
-	PurifyIters  int
 }
 
 // PaperScaleResult holds both parts of the experiment, plus the optional
 // table-driven rows PaperScaleTuned fills in.
 type PaperScaleResult struct {
 	CollNodes int
-	CollSize  int64
 	CollBW    [3]float64 // MB/s per CollCase, reduce op
 	Rows      []PaperScaleRow
 
 	// Tuned rows (only when run via PaperScaleTuned): the 64-node reduction
 	// at the tuning table's winner, and the optimized kernel with per-phase
 	// tuned pipeline widths at every mesh edge.
-	TunedCollBW  float64     // MB/s
-	TunedParams  tune.Params // the collective winner
-	TunedKernel  []float64   // TFlops per paperScaleMeshes entry
+	TunedCollBW  float64   // MB/s
+	TunedKernel  []float64 // TFlops per paperScaleMeshes entry
 	TunedApplied bool
 }
 
@@ -76,7 +73,7 @@ type PaperScaleResult struct {
 func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 	sys := o.system()
 	n := sys.N
-	res := PaperScaleResult{CollNodes: PaperScaleNodes, CollSize: paperScaleSize}
+	res := PaperScaleResult{CollNodes: PaperScaleNodes}
 
 	// Cases 0..2: the three collective cases on 64 nodes. Cases 3..: per
 	// mesh edge, the N_DUP=1 kernel, the N_DUP=4 kernel, and the
@@ -121,7 +118,6 @@ func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 			KernelND1:    cells[base],
 			KernelND4:    cells[base+1],
 			PurifyTFlops: cells[base+2],
-			PurifyIters:  paperScaleIters,
 		}
 		res.Rows = append(res.Rows, row)
 		fprintf(w, "%3dx%dx%d %6d %10.2f %10.2f %12.2f\n",
@@ -159,22 +155,17 @@ func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResul
 			return bw, err
 		}
 		p := paperScaleMeshes[i-1]
-		tc, err := table.KernelConfig(core.Config{N: n, NDup: 4}, p, cube(p))
+		cfg, err := table.KernelConfig(n, p, cube(p))
 		if err != nil {
 			return 0, err
 		}
-		// The strong-scaling rows run one rank per node; the tuned PPN
-		// applies to the collective workload, so here only the per-phase
-		// widths carry over.
-		tc.Config.PPN = 1
-		kr, err := kernelCfg(o, core.Optimized, p, tc.Config)
+		kr, err := kernelCfg(o, core.Optimized, p, cfg)
 		return kr.TFlops, err
 	})
 	if err != nil {
 		return res, err
 	}
 	res.TunedCollBW = cells[0] / 1e6
-	res.TunedParams = entry.Best
 	res.TunedKernel = cells[1:]
 	res.TunedApplied = true
 

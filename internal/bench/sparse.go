@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"commoverlap/internal/core"
+	"commoverlap/internal/mat"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/sparse"
 )
@@ -76,10 +77,9 @@ func Sparse(w io.Writer, o Options) ([]SparseRow, error) {
 // spBlockOf extracts block (i,j) of h under the q x q BlockDim partition
 // directly from CSR storage (no dense intermediate).
 func spBlockOf(h *sparse.CSR, q, i, j int) *sparse.CSR {
-	rows := splitDim(h.Rows, q)
-	cols := splitDim(h.Cols, q)
-	r0, r1 := rows[i], rows[i+1]
-	c0, c1 := cols[j], cols[j+1]
+	rows, cols := mat.BlockDim{N: h.Rows, P: q}, mat.BlockDim{N: h.Cols, P: q}
+	r0, c0 := rows.Offset(i), cols.Offset(j)
+	r1, c1 := r0+rows.Count(i), c0+cols.Count(j)
 	out := sparse.NewEmpty(r1-r0, c1-c0)
 	for r := r0; r < r1; r++ {
 		for k := h.RowPtr[r]; k < h.RowPtr[r+1]; k++ {
@@ -90,19 +90,6 @@ func spBlockOf(h *sparse.CSR, q, i, j int) *sparse.CSR {
 			}
 		}
 		out.RowPtr[r-r0+1] = len(out.ColIdx)
-	}
-	return out
-}
-
-// splitDim returns the q+1 boundaries of the BlockDim partition of n.
-func splitDim(n, q int) []int {
-	out := make([]int, q+1)
-	base, rem := n/q, n%q
-	for i := 0; i < q; i++ {
-		out[i+1] = out[i] + base
-		if i < rem {
-			out[i+1]++
-		}
 	}
 	return out
 }

@@ -85,10 +85,9 @@ type Summary struct {
 // reports each run to report (if non-nil) in enumeration order. It returns
 // the aggregate summary; exploration continues past failures so one bad
 // schedule does not mask another. Runs execute on a replica pool of the
-// given width: 0 picks the runner default (OVERLAP_WORKERS or GOMAXPROCS),
-// 1 forces the sequential order. Every run is an isolated engine, so the
-// summary and report stream are byte-identical to a sequential exploration
-// at any worker count.
+// given width: 0 picks GOMAXPROCS, 1 forces the sequential order. Every run
+// is an isolated engine, so the summary and report stream are
+// byte-identical to a sequential exploration at any worker count.
 func Explore(scens []Scenario, policies []Policy, nSeeds int, baseSeed int64, workers int, report func(Result)) Summary {
 	var specs []caseSpec
 	for _, sc := range scens {

@@ -10,7 +10,7 @@ import (
 
 // Allocation budgets for the collective hot path. Each case runs
 // back-to-back collectives in ONE world (steady state: request, envelope,
-// gate and scratch freelists are warm after the first iterations) and
+// transfer and scratch freelists are warm after the first iterations) and
 // asserts the steady-state allocs/op stays under a budget. The budgets are
 // deliberately loose relative to the measured numbers (the 64-rank 1 MB
 // allreduce measures 0 allocs/op; the budget is 64) so they catch a
@@ -19,7 +19,7 @@ import (
 // incidental runtime noise.
 //
 // Run under -race in CI these double as a pool-isolation proof: every
-// freelist hangs off a World or Engine, so concurrent replicas recycling
+// freelist hangs off a World, Net or Engine, so concurrent replicas recycling
 // buffers at full tilt would trip the detector if any pool were shared.
 
 // allocBudget measures the steady-state allocs per iteration of body, run
@@ -77,6 +77,24 @@ func steadyAllocs(t *testing.T, size, nodes int, cfg func(w *World), setup func(
 	}
 	// Integer division truncates, as testing's AllocsPerOp does.
 	return float64((long - short) / (allocItersLong - allocItersShort))
+}
+
+// TestAllocBudgetFreshObjects pins what a request and a transfer cost when
+// no freelist has one to recycle. A request is one object with its
+// completion gate inside it. A transfer is five: the object, holding both
+// halves' step Procs, its two bound step functions and the chunk feed's two
+// slices. The open-request table and the engine's same-time lane and live
+// set also grow, a few times over all the runs, which the truncating
+// average leaves out.
+func TestAllocBudgetFreshObjects(t *testing.T) {
+	_, w := buildWorld(t, 2, 2)
+	req := testing.AllocsPerRun(100, func() { w.newRequest(nil, "isend", 0, 0) })
+	src, dst := w.ranks[0].ep, w.ranks[1].ep
+	xfer := testing.AllocsPerRun(100, func() { w.Net.TransferFn(src, dst, 4096, nil, nil, nil, nil) })
+	if req > 1 || xfer > 5 {
+		t.Errorf("fresh request %.0f allocs, fresh transfer %.0f: budgets 1 and 5", req, xfer)
+	}
+	t.Logf("fresh request: %.0f allocs; fresh transfer: %.0f", req, xfer)
 }
 
 // The iteration counts of steadyAllocs' two runs. The short run already

@@ -48,7 +48,7 @@ type splitEntry struct {
 type splitSlot struct {
 	arrived int
 	entries []splitEntry
-	gate    *sim.Gate
+	gate    sim.Gate
 	result  []*commSpec // indexed by old comm rank; nil for UNDEFINED color
 }
 
@@ -67,7 +67,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	c.splitSeq++
 	slot, ok := w.splitSlots[k]
 	if !ok {
-		slot = &splitSlot{entries: make([]splitEntry, len(c.group)), gate: w.Eng.NewGate()}
+		slot = &splitSlot{entries: make([]splitEntry, len(c.group))}
 		w.splitSlots[k] = slot
 	}
 	if slot.entries[c.rank].present {
@@ -80,7 +80,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		delete(w.splitSlots, k)
 		slot.gate.Fire()
 	} else {
-		c.p.sp.Wait(slot.gate)
+		c.p.sp.Wait(&slot.gate)
 	}
 	spec := slot.result[c.rank]
 	if spec == nil {

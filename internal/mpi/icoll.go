@@ -21,7 +21,7 @@ func (c *Comm) spawnColl(name string, schedule func(sp *sim.Proc)) *Request {
 	req := c.p.w.newRequest(c.p.sp, name, c.p.rank, c.ctx)
 	c.p.w.Eng.Spawn(name, func(sp *sim.Proc) {
 		schedule(sp)
-		req.done.Fire()
+		req.complete()
 	})
 	return req
 }

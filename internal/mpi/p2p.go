@@ -19,7 +19,7 @@ type Status struct {
 // receive request when the payload has arrived, a collective request when
 // the rank's participation is finished.
 type Request struct {
-	done   *sim.Gate
+	done   sim.Gate
 	sp     *sim.Proc
 	w      *World
 	info   reqInfo // what posted it, for teardown diagnostics
@@ -30,7 +30,7 @@ type Request struct {
 
 // Wait blocks the posting rank until the operation completes. It must be
 // called from the goroutine that posted the operation.
-func (r *Request) Wait() { r.sp.Wait(r.done) }
+func (r *Request) Wait() { r.sp.Wait(&r.done) }
 
 // Test reports whether the operation has completed, without blocking.
 // Progress in the simulation is autonomous (as with an MPI progress thread),
@@ -39,7 +39,7 @@ func (r *Request) Test() bool { return r.done.Fired() }
 
 // waitOn blocks an explicit simulation process (used by collective child
 // processes, which are distinct from the posting rank's main process).
-func (r *Request) waitOn(sp *sim.Proc) { sp.Wait(r.done) }
+func (r *Request) waitOn(sp *sim.Proc) { sp.Wait(&r.done) }
 
 // Waitall waits for every request in order.
 func Waitall(reqs ...*Request) {
@@ -126,12 +126,12 @@ func (c *Comm) isendOn(sp *sim.Proc, dest, tag int, buf Buffer) *Request {
 }
 
 // The transfer-completion callbacks are package-level function values: with
-// simnet's TransferFn/OnFireArg forms, registering them moves only a pointer
-// pair, so the per-message fast path allocates no closures.
+// simnet's TransferFn form, registering them moves only a pointer pair, so
+// the per-message fast path allocates no closures.
 var (
 	// fireReqGate completes a request at a transfer milestone (eager
 	// injection, rendezvous bulk injection).
-	fireReqGate = func(a any) { a.(*Request).done.Fire() }
+	fireReqGate = func(a any) { a.(*Request).complete() }
 
 	// deliverEnvelope hands a delivered envelope (eager payload or
 	// rendezvous RTS) to its receiver's matching engine.
@@ -159,7 +159,7 @@ var (
 		rreq := m.rreq
 		w.releaseScratch(m.payload)
 		w.putMsg(m)
-		rreq.done.Fire()
+		rreq.complete()
 	}
 )
 
@@ -260,7 +260,7 @@ func (st *rankState) complete(m *inflight, r *postedRecv) {
 		w.releaseScratch(m.payload)
 		w.putMsg(m)
 		w.putRecv(r)
-		req.done.Fire()
+		req.complete()
 		return
 	}
 	// Rendezvous: fold the matched receive into the envelope (the record
@@ -281,7 +281,7 @@ func (m *inflight) payloadFits(dst Buffer) bool {
 // waitFree completes an internally posted request and recycles it. Never
 // call it on a request that has been returned to the application.
 func (r *Request) waitFree(sp *sim.Proc) {
-	sp.Wait(r.done)
+	sp.Wait(&r.done)
 	r.w.freeRequest(r)
 }
 

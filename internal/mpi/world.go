@@ -100,12 +100,13 @@ type World struct {
 	parks, wakes int        // RunActive park/wake accounting
 
 	// Free lists for the collective hot path's per-operation objects:
-	// requests, receiver-side envelopes, posted-receive records, and the
-	// float64 scratch backing eager clones and reduction temporaries
-	// (bucketed by power-of-two capacity). Owned by the World — never shared
-	// across jobs — so parallel replicas stay isolated and runs remain
-	// byte-identical at any worker count. The engine's cooperative execution
-	// (exactly one process at a time) means none of them needs locking.
+	// requests (each with its completion gate), receiver-side envelopes,
+	// posted-receive records, and the float64 scratch backing eager clones
+	// and reduction temporaries (bucketed by power-of-two capacity). Owned
+	// by the World — never shared across jobs — so parallel replicas stay
+	// isolated and runs remain byte-identical at any worker count. The
+	// engine's cooperative execution (exactly one process at a time) means
+	// none of them needs locking.
 	reqPool    []*Request
 	msgPool    []*inflight
 	recvPool   []*postedRecv
@@ -180,20 +181,6 @@ func NewWorld(net *simnet.Net, size int, placement []int) (*World, error) {
 	return w, nil
 }
 
-// reqOpenDone removes a completed request from the open-request table by
-// moving the last open request into its slot. It is a package-level function
-// registered via OnFireArg so the per-request completion hook allocates no
-// closure.
-var reqOpenDone = func(a any) {
-	r := a.(*Request)
-	open := r.w.open
-	last := len(open) - 1
-	q := open[last]
-	open[r.openAt], q.openAt = q, r.openAt
-	open[last] = nil
-	r.w.open = open[:last]
-}
-
 // newRequest allocates (or recycles) a tracked request. Every request the
 // library creates goes through here so that teardown can enumerate the ones
 // never completed.
@@ -203,28 +190,39 @@ func (w *World) newRequest(sp *sim.Proc, kind string, rank, ctx int) *Request {
 		req = w.reqPool[n-1]
 		w.reqPool[n-1] = nil
 		w.reqPool = w.reqPool[:n-1]
-		req.done, req.sp = w.Eng.NewGate(), sp
 	} else {
-		req = &Request{done: w.Eng.NewGate(), sp: sp, w: w}
+		req = &Request{w: w}
 	}
+	req.sp = sp
 	req.info = reqInfo{kind: kind, rank: rank, ctx: ctx}
 	req.openAt = len(w.open)
 	w.open = append(w.open, req)
-	req.done.OnFireArg(reqOpenDone, req)
 	return req
 }
 
-// freeRequest recycles an internally owned request after its completion has
-// been consumed, returning its gate to the engine's free list. Only the
-// library's own blocking wrappers and collective schedules may call it:
-// requests handed to the application are never recycled, so user code can
-// hold one (and Test/Wait it) indefinitely.
+// complete finishes r: it removes r from the open-request table, moving the
+// last open request into its slot, and then fires r's gate.
+func (r *Request) complete() {
+	open := r.w.open
+	last := len(open) - 1
+	q := open[last]
+	open[r.openAt], q.openAt = q, r.openAt
+	open[last] = nil
+	r.w.open = open[:last]
+	r.done.Fire()
+}
+
+// freeRequest recycles an internally owned request, gate included, after
+// its completion has been consumed. Only the library's own blocking
+// wrappers and collective schedules may call it: requests handed to the
+// application are never recycled, so user code can hold one (and Test/Wait
+// it) indefinitely.
 func (w *World) freeRequest(r *Request) {
 	if !r.done.Fired() {
 		panic("mpi: freeRequest on an incomplete request")
 	}
-	w.Eng.FreeGate(r.done)
-	r.done, r.sp = nil, nil
+	r.done.Reset()
+	r.sp = nil
 	r.Status = Status{}
 	w.reqPool = append(w.reqPool, r)
 }

@@ -20,53 +20,16 @@ package runner
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// EnvWorkers is the environment variable that overrides the default pool
-// width (a positive integer; anything else draws a one-time warning and is
-// ignored).
-const EnvWorkers = "OVERLAP_WORKERS"
-
-var (
-	// warnOut receives the one-time malformed-override warning; a
-	// variable so tests can capture it.
-	warnOut io.Writer = os.Stderr
-	// warnOnce collapses repeated DefaultWorkers calls to one warning
-	// per process; tests reset it to exercise the branch.
-	warnOnce sync.Once
-)
-
-// DefaultWorkers returns the pool width used when Map is called with
-// workers <= 0: the OVERLAP_WORKERS override when set to a positive
-// integer, else GOMAXPROCS. A malformed override (non-integer, zero,
-// negative) is ignored with a one-time warning on stderr naming the bad
-// value — silently falling back made typos like OVERLAP_WORKERS=8x look
-// like a slow machine.
-func DefaultWorkers() int {
-	if s := os.Getenv(EnvWorkers); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-		warnOnce.Do(func() {
-			fmt.Fprintf(warnOut,
-				"runner: ignoring malformed %s=%q (want a positive integer); using GOMAXPROCS=%d\n",
-				EnvWorkers, s, runtime.GOMAXPROCS(0))
-		})
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Map runs fn(i) for every i in [0, n) across min(workers, n) goroutines
-// and returns the results in index order. workers <= 0 selects
-// DefaultWorkers(). Cases are issued in index order; use MapOrder to issue
-// expensive cases first on skewed workloads.
+// and returns the results in index order. workers <= 0 selects GOMAXPROCS.
+// Cases are issued in index order; use MapOrder to issue expensive cases
+// first on skewed workloads.
 //
 // Semantics are identical at every pool width, including workers == 1:
 // ALL cases run — an early failure does not stop later cases — and the
@@ -102,7 +65,7 @@ func MapOrder[T any](n, workers int, order []int, fn func(i int) (T, error)) ([]
 		checkPermutation(n, order)
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

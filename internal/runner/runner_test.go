@@ -3,9 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,45 +201,5 @@ func TestMapEdgeCases(t *testing.T) {
 	out, err := Map(1, 16, func(i int) (string, error) { return "only", nil })
 	if err != nil || len(out) != 1 || out[0] != "only" {
 		t.Fatalf("n=1: out=%v err=%v", out, err)
-	}
-}
-
-// TestDefaultWorkersOverride: a well-formed env override is honored
-// silently; junk draws a one-time warning naming the bad value and falls
-// back to GOMAXPROCS.
-func TestDefaultWorkersOverride(t *testing.T) {
-	capture := func() *strings.Builder {
-		var buf strings.Builder
-		warnOut = &buf
-		warnOnce = sync.Once{}
-		t.Cleanup(func() { warnOut = os.Stderr })
-		return &buf
-	}
-
-	buf := capture()
-	t.Setenv(EnvWorkers, "7")
-	if got := DefaultWorkers(); got != 7 {
-		t.Fatalf("DefaultWorkers with override = %d, want 7", got)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("valid override warned: %q", buf.String())
-	}
-
-	for _, junk := range []string{"zero", "-3", "0", "8x"} {
-		buf := capture()
-		t.Setenv(EnvWorkers, junk)
-		if got := DefaultWorkers(); got < 1 {
-			t.Fatalf("DefaultWorkers with %q = %d, want >= 1", junk, got)
-		}
-		w := buf.String()
-		if !strings.Contains(w, EnvWorkers) || !strings.Contains(w, junk) {
-			t.Fatalf("override %q: warning %q must name the variable and bad value", junk, w)
-		}
-		// The warning is once per process: a second call stays silent.
-		before := buf.Len()
-		DefaultWorkers()
-		if buf.Len() != before {
-			t.Fatalf("override %q: warned twice", junk)
-		}
 	}
 }

@@ -39,7 +39,7 @@ func BenchmarkGateFanout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
-		g := e.NewGate()
+		g := new(Gate)
 		for w := 0; w < 256; w++ {
 			e.Spawn("w", func(p *Proc) { p.Wait(g) })
 		}
@@ -104,7 +104,7 @@ func spawnSteppers(n int, tb TieBreak, sameTime bool) *Engine {
 	}
 	for i := 0; i < procs; i++ {
 		same := false
-		e.SpawnStep("p", func(p *Proc) {
+		e.SpawnStep(new(Proc), "p", func(p *Proc) {
 			if p.Now() >= end {
 				p.Exit()
 				return

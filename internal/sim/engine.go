@@ -26,10 +26,13 @@
 // allocate), a step process's event costs a function call, a handoff between
 // two goroutine processes is a single goroutine switch, a process whose own
 // wakeup is dispatched next keeps running with no switch at all, and
-// finished processes are parked on free lists (goroutine and all) and reused
-// by later Spawn and SpawnStep calls instead of being torn down and
-// recreated. None of these change the schedule: the dispatch order remains
-// the strict (time, sequence) order of the event heap.
+// finished goroutine processes are parked on a free list (goroutine and all)
+// and reused by later Spawn calls instead of being torn down and recreated.
+// That free list is the engine's only pool: a step process's Proc and a
+// Gate belong to the object whose lifetime they share (a transfer, a
+// request), which recycles them with itself. None of these change the
+// schedule: the dispatch order remains the strict (time, sequence) order of
+// the event heap.
 //
 // Many events are booked for the instant they run: a spawn, a Sleep(0), a
 // gate fire or a transfer step that continues at once. With no tie-break
@@ -83,14 +86,6 @@ type Engine struct {
 	// re-armed by Spawn. Run releases them when the simulation ends so an
 	// abandoned engine does not pin goroutines (and through them, itself).
 	pool []*Proc
-
-	// stepPool holds the Procs of exited step processes for SpawnStep.
-	stepPool []*Proc
-
-	// gatePool holds gates recycled via FreeGate, ready to be re-armed by
-	// NewGate with their waiter/callback slice capacity intact. Owned by the
-	// engine so parallel replicas (one engine each) never share free lists.
-	gatePool []*Gate
 }
 
 type event struct {
@@ -244,8 +239,12 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after Run returned")
 	}
-	p := popProc(&e.pool)
-	if p == nil {
+	var p *Proc
+	if n := len(e.pool); n > 0 {
+		p = e.pool[n-1]
+		e.pool[n-1] = nil
+		e.pool = e.pool[:n-1]
+	} else {
 		p = &Proc{eng: e, resume: make(chan struct{})}
 		go p.run()
 	}
@@ -253,37 +252,26 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.admit(p, name)
 }
 
-// SpawnStep creates a step process: a process with no goroutine, which the
-// engine drives by calling step each time one of its events is dispatched.
-// It takes its ID, its first event (at the current time) and that event's
-// hook call exactly as Spawn does. Inside step the process books its next
-// event with WakeAt, ends with Exit, or returns with neither and stays
-// parked until another process calls its WakeAt. step runs on whichever
-// goroutine dispatches the event, so it must not block: SleepUntil, Sleep and
-// Wait are for goroutine processes only. The Proc of an exited step process
-// is recycled by a later SpawnStep.
-func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
+// SpawnStep starts p as a step process: a process with no goroutine, which
+// the engine drives by calling step each time one of its events is
+// dispatched. p is a zero Proc or one whose step process has exited; the
+// caller owns it, typically as a field of the object the process works on,
+// and the engine keeps no reference once the process exits. Spawning a live
+// step process panics. The process takes its ID, its first event (at the
+// current time) and that event's hook call exactly as Spawn does. Inside
+// step the process books its next event with WakeAt, ends with Exit, or
+// returns with neither and stays parked until another process calls its
+// WakeAt. step runs on whichever goroutine dispatches the event, so it must
+// not block: SleepUntil, Sleep and Wait are for goroutine processes only.
+func (e *Engine) SpawnStep(p *Proc, name string, step func(p *Proc)) {
 	if e.closed {
 		panic("sim: SpawnStep after Run returned")
 	}
-	p := popProc(&e.stepPool)
-	if p == nil {
-		p = &Proc{eng: e, blockedOn: "park"}
+	if p.step != nil {
+		panic("sim: SpawnStep of live step process " + p.Name)
 	}
-	p.step = step
-	return e.admit(p, name)
-}
-
-// popProc takes the most recently freed Proc off a free list, or returns nil.
-func popProc(pool *[]*Proc) *Proc {
-	n := len(*pool)
-	if n == 0 {
-		return nil
-	}
-	p := (*pool)[n-1]
-	(*pool)[n-1] = nil
-	*pool = (*pool)[:n-1]
-	return p
+	p.eng, p.blockedOn, p.step = e, "park", step
+	e.admit(p, name)
 }
 
 // admit gives a new or recycled p the next ID and its name, adds it to the
@@ -314,9 +302,10 @@ func (e *Engine) leave(p *Proc) {
 // wake a parked step process.
 func (p *Proc) WakeAt(t float64) { p.eng.wakeAt(t, p) }
 
-// Exit ends a step process. It leaves the live set at once, and the engine
-// recycles the Proc when the step function returns. The process must have
-// no event booked, and nothing may use p after its step function returns.
+// Exit ends a step process: it leaves the live set at once, and the engine
+// drops p when the step function returns. The process must have no event
+// booked. From then on p belongs to its owner alone, which may zero it or
+// hand it to a later SpawnStep, even before the step function returns.
 func (p *Proc) Exit() {
 	p.eng.leave(p)
 	p.step = nil
@@ -403,7 +392,7 @@ func (e *Engine) Run() error {
 // LiveProcs still describe a deadlock afterwards.
 func (e *Engine) release() {
 	procs := e.pool
-	e.pool, e.stepPool = nil, nil
+	e.pool = nil
 	for _, p := range e.live {
 		if p.resume != nil {
 			procs = append(procs, p)
@@ -430,9 +419,6 @@ func (e *Engine) dispatch() *Proc {
 			return p
 		}
 		p.step(p)
-		if p.step == nil {
-			e.stepPool = append(e.stepPool, p)
-		}
 	}
 }
 

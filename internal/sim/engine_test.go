@@ -104,7 +104,7 @@ func TestSpawnFromRunningProc(t *testing.T) {
 
 func TestGateWaitBeforeFire(t *testing.T) {
 	e := NewEngine()
-	g := e.NewGate()
+	g := new(Gate)
 	var wokeAt float64 = -1
 	e.Spawn("waiter", func(p *Proc) {
 		p.Wait(g)
@@ -127,7 +127,7 @@ func TestGateWaitBeforeFire(t *testing.T) {
 
 func TestGateWaitAfterFire(t *testing.T) {
 	e := NewEngine()
-	g := e.NewGate()
+	g := new(Gate)
 	var wokeAt float64 = -1
 	e.Spawn("firer", func(p *Proc) {
 		g.Fire()
@@ -145,12 +145,22 @@ func TestGateWaitAfterFire(t *testing.T) {
 	}
 }
 
+// TestGateDoubleFireIsNoop fires a gate three times, twice at one instant,
+// and requires its waiter to be woken once: the event hook sees the
+// waiter's first event and its one wakeup, and nothing else.
 func TestGateDoubleFireIsNoop(t *testing.T) {
 	e := NewEngine()
-	g := e.NewGate()
+	g := new(Gate)
+	var w *Proc
 	n := 0
-	g.OnFireArg(func(any) { n++ }, nil)
+	e.SetEventHook(func(_ float64, p *Proc) {
+		if p == w {
+			n++
+		}
+	})
+	w = e.Spawn("waiter", func(p *Proc) { p.Wait(g) })
 	e.Spawn("firer", func(p *Proc) {
+		g.Fire()
 		g.Fire()
 		p.Sleep(1)
 		g.Fire()
@@ -158,24 +168,26 @@ func TestGateDoubleFireIsNoop(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Errorf("callback ran %d times, want 1", n)
+	if n != 2 {
+		t.Errorf("waiter dispatched %d times, want 2", n)
 	}
 }
 
-func TestGateCallbackChaining(t *testing.T) {
+// TestGateResetRearms checks that a reset gate blocks its next waiter until
+// it fires again.
+func TestGateResetRearms(t *testing.T) {
 	e := NewEngine()
-	g1 := e.NewGate()
-	g2 := e.NewGate()
-	g1.OnFireArg(func(a any) { a.(*Gate).Fire() }, g2)
+	g := new(Gate)
 	var wokeAt float64 = -1
-	e.Spawn("waiter", func(p *Proc) {
-		p.Wait(g2)
-		wokeAt = p.Now()
-	})
-	e.Spawn("firer", func(p *Proc) {
+	e.Spawn("a", func(p *Proc) {
+		g.Fire()
+		g.Reset()
+		e.Spawn("waiter", func(q *Proc) {
+			q.Wait(g)
+			wokeAt = q.Now()
+		})
 		p.Sleep(2)
-		g1.Fire()
+		g.Fire()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -187,7 +199,7 @@ func TestGateCallbackChaining(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	g := e.NewGate()
+	g := new(Gate)
 	e.Spawn("stuck", func(p *Proc) {
 		p.Wait(g) // never fired
 	})
@@ -329,7 +341,7 @@ func TestManyProcsStress(t *testing.T) {
 func TestRunReleasesBlockedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	g := e.NewGate()
+	g := new(Gate)
 	var exited []int
 	for i := 0; i < 3; i++ {
 		e.Spawn("stuck", func(p *Proc) {
@@ -381,7 +393,7 @@ func TestSpawnAfterRunPanics(t *testing.T) {
 
 func TestWaitAllOrderIndependent(t *testing.T) {
 	e := NewEngine()
-	g1, g2, g3 := e.NewGate(), e.NewGate(), e.NewGate()
+	g1, g2, g3 := new(Gate), new(Gate), new(Gate)
 	var at float64
 	e.Spawn("waiter", func(p *Proc) {
 		for _, g := range []*Gate{g3, g1, g2} { // not the firing order
@@ -402,22 +414,6 @@ func TestWaitAllOrderIndependent(t *testing.T) {
 	}
 	if at != 3 {
 		t.Errorf("waits finished at %g want 3", at)
-	}
-}
-
-func TestGateOnFireAfterFiredRunsInline(t *testing.T) {
-	e := NewEngine()
-	g := e.NewGate()
-	ran := false
-	e.Spawn("a", func(p *Proc) {
-		g.Fire()
-		g.OnFireArg(func(any) { ran = true }, nil)
-		if !ran {
-			t.Error("OnFireArg on fired gate did not run inline")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

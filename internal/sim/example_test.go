@@ -29,7 +29,7 @@ func ExampleEngine() {
 // Gates are one-shot signals connecting processes.
 func ExampleGate() {
 	eng := sim.NewEngine()
-	ready := eng.NewGate()
+	ready := new(sim.Gate)
 	eng.Spawn("consumer", func(p *sim.Proc) {
 		p.Wait(ready)
 		fmt.Printf("woke at t=%.0fs\n", p.Now())

@@ -13,8 +13,8 @@ import (
 func TestStepDeadlockReported(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	g := e.NewGate()
-	e.SpawnStep("parked", func(*Proc) {}) // books nothing: parked forever
+	g := new(Gate)
+	e.SpawnStep(new(Proc), "parked", func(*Proc) {}) // books nothing: parked forever
 	e.Spawn("gated", func(p *Proc) { p.Wait(g) })
 	err := e.Run()
 	if err == nil {
@@ -35,7 +35,7 @@ func TestStepDeadlockReported(t *testing.T) {
 
 func TestSpawnStepAfterRunPanics(t *testing.T) {
 	e := NewEngine()
-	e.SpawnStep("a", func(p *Proc) { p.Exit() })
+	e.SpawnStep(new(Proc), "a", func(p *Proc) { p.Exit() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +44,29 @@ func TestSpawnStepAfterRunPanics(t *testing.T) {
 			t.Error("SpawnStep after Run did not panic")
 		}
 	}()
-	e.SpawnStep("late", func(p *Proc) { p.Exit() })
+	e.SpawnStep(new(Proc), "late", func(p *Proc) { p.Exit() })
+}
+
+// TestSpawnStepOfLiveProcPanics hands SpawnStep a step process that has
+// not exited.
+func TestSpawnStepOfLiveProcPanics(t *testing.T) {
+	e := NewEngine()
+	p := new(Proc)
+	e.SpawnStep(p, "a", func(p *Proc) { p.Exit() })
+	defer func() {
+		if recover() == nil {
+			t.Error("SpawnStep of a live step process did not panic")
+		}
+	}()
+	e.SpawnStep(p, "b", func(p *Proc) { p.Exit() })
 }
 
 // TestStepProcessCannotBlock checks that a step process calling a blocking
 // method panics instead of stalling the goroutine that dispatched it.
 func TestStepProcessCannotBlock(t *testing.T) {
 	e := NewEngine()
-	g := e.NewGate()
-	e.SpawnStep("s", func(p *Proc) {
+	g := new(Gate)
+	e.SpawnStep(new(Proc), "s", func(p *Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("Wait in a step process did not panic")
@@ -75,7 +89,7 @@ func TestStepSpawnRearmsFinishingGoroutine(t *testing.T) {
 	e := NewEngine()
 	var g, h *Proc
 	g = e.Spawn("g", func(p *Proc) { p.Sleep(1) })
-	e.SpawnStep("s", script(
+	e.SpawnStep(new(Proc), "s", script(
 		func(p *Proc) { p.WakeAt(1) }, // due right after g finishes at t=1
 		func(*Proc) { h = e.Spawn("h", func(p *Proc) { p.Sleep(1) }) },
 	))

@@ -98,7 +98,7 @@ func TestTieBreakPreservesClockMonotonicity(t *testing.T) {
 
 func TestLiveProcsReportsBlocked(t *testing.T) {
 	eng := NewEngine()
-	g := eng.NewGate()
+	g := new(Gate)
 	eng.Spawn("stuck", func(p *Proc) { p.Wait(g) })
 	err := eng.Run()
 	if err == nil {
@@ -133,7 +133,7 @@ func TestResourceAudit(t *testing.T) {
 // Wait/Fire and a Spawn from a running process. Step process s books
 // wakeups with WakeAt, parks until c wakes it, spawns a step child from
 // inside a step and exits; the child and grandchild spawn in turn, and the
-// grandchild reuses s's recycled Proc. With stepsAsGoroutines, s and its
+// child hands the exited s's Proc to SpawnStep for the grandchild. With stepsAsGoroutines, s and its
 // descendants run as goroutine processes making the equivalent blocking
 // calls, which must not change the sequence under any policy.
 func dispatchLog(t *testing.T, tb TieBreak, stepsAsGoroutines bool) []string {
@@ -142,7 +142,7 @@ func dispatchLog(t *testing.T, tb TieBreak, stepsAsGoroutines bool) []string {
 	e.SetTieBreak(tb)
 	var log []string
 	e.SetEventHook(func(tm float64, p *Proc) { log = append(log, fmt.Sprintf("%g/%d", tm, p.ID)) })
-	g, g2 := e.NewGate(), e.NewGate()
+	g, g2 := new(Gate), new(Gate)
 	e.Spawn("a", func(p *Proc) {
 		p.Sleep(0)
 		p.Sleep(1)
@@ -168,7 +168,7 @@ func dispatchLog(t *testing.T, tb TieBreak, stepsAsGoroutines bool) []string {
 		p.Sleep(0) // tied with b's and s's wakeups
 	})
 	if stepsAsGoroutines {
-		gs := e.NewGate()
+		gs := new(Gate)
 		wakeS = gs.Fire
 		e.Spawn("s", func(p *Proc) {
 			p.Sleep(0)
@@ -180,24 +180,19 @@ func dispatchLog(t *testing.T, tb TieBreak, stepsAsGoroutines bool) []string {
 			})
 		})
 	} else {
-		var grandchild *Proc
-		s := e.SpawnStep("s", script(
+		s := new(Proc)
+		e.SpawnStep(s, "s", script(
 			func(p *Proc) { p.WakeAt(p.Now()) },
 			func(p *Proc) { p.WakeAt(p.Now() + 1) },
 			func(*Proc) {}, // parks: no wakeup booked until c's WakeAt
 			func(*Proc) {
-				e.SpawnStep("s-child", script(
+				e.SpawnStep(new(Proc), "s-child", script(
 					func(c *Proc) { c.WakeAt(c.Now() + 0.5) },
-					func(*Proc) { grandchild = e.SpawnStep("s-grandchild", script(func(*Proc) {})) },
+					func(*Proc) { e.SpawnStep(s, "s-grandchild", script(func(*Proc) {})) },
 				))
 			},
 		))
 		wakeS = func() { s.WakeAt(e.Now()) }
-		defer func() {
-			if grandchild != s {
-				t.Error("s-grandchild did not reuse the Proc of the exited s")
-			}
-		}()
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -169,10 +169,10 @@ type Net struct {
 	nep   int // endpoints created, for naming
 
 	// xferPool recycles the per-transfer state (both halves' state
-	// machines and the chunk feed's slices) across transfers. The engine
-	// runs exactly one process at a time, so a plain slice needs no
-	// locking; each transfer's two halves release their shared state back
-	// here when the last one ends.
+	// machines and step Procs, and the chunk feed's slices) across
+	// transfers. The engine runs exactly one process at a time, so a plain
+	// slice needs no locking; each transfer's two halves release their
+	// shared state back here when the last one ends.
 	xferPool []*xfer
 }
 
@@ -458,17 +458,18 @@ func (n *Net) transfer(src, dst *Endpoint, size int64, cpuRate float64, onInj fu
 		chunks = int((size + n.Cfg.ChunkBytes - 1) / n.Cfg.ChunkBytes)
 	}
 	x.feed.presize(chunks)
-	n.Eng.SpawnStep("xfer-tx", x.txFn)
-	n.Eng.SpawnStep("xfer-rx", x.rxFn)
+	n.Eng.SpawnStep(&x.txProc, "xfer-tx", x.txFn)
+	n.Eng.SpawnStep(&x.rxProc, "xfer-rx", x.rxFn)
 }
 
 // xfer is one transfer in flight. Its sender and receiver halves are step
-// processes (sim.Engine.SpawnStep): state machines the engine steps inline,
-// each resuming at its saved state (txAt, rxAt) and running until its next
-// wait. The object is recycled through Net.xferPool: refs counts the halves
-// still running, and the last one to finish releases it. txFn/rxFn are the
-// tx/rx method values bound once at construction, so spawning the halves of
-// a recycled transfer allocates nothing.
+// processes (sim.Engine.SpawnStep) whose Procs it holds: state machines the
+// engine steps inline, each resuming at its saved state (txAt, rxAt) and
+// running until its next wait. The object is recycled whole, Procs
+// included, through Net.xferPool: refs counts the halves still running, and
+// the last one to finish releases it. txFn/rxFn are the tx/rx method values
+// bound once at construction, so spawning the halves of a recycled transfer
+// allocates nothing.
 type xfer struct {
 	n              *Net
 	src, dst       *Endpoint
@@ -481,6 +482,7 @@ type xfer struct {
 	injArg, delArg any
 	refs           int8
 	txFn, rxFn     func(*sim.Proc)
+	txProc, rxProc sim.Proc
 
 	// Sender half.
 	txAt      txState
@@ -511,7 +513,8 @@ func (n *Net) getXfer() *xfer {
 
 // release drops one half's reference. The last one returns the transfer to
 // the pool with every field zeroed except the bindings and the feed's
-// capacity, so a recycled transfer starts both halves in their first state.
+// capacity, so a recycled transfer starts both halves in their first state
+// with zero Procs.
 func (x *xfer) release() {
 	x.refs--
 	if x.refs > 0 {
@@ -523,13 +526,14 @@ func (x *xfer) release() {
 }
 
 // finish ends one half of the transfer: it reports the half's milestone
-// through its callback, drops its reference and exits the step process.
+// through its callback, exits the step process and drops its reference.
+// Exit comes first because the last release zeroes p with the rest of x.
 func (x *xfer) finish(p *sim.Proc, cb func(any), arg any) {
 	if cb != nil {
 		cb(arg)
 	}
-	x.release()
 	p.Exit()
+	x.release()
 }
 
 // waitUntil books p's next event at t and reports true when t is ahead of

@@ -27,7 +27,7 @@ func run(t *testing.T, nodes int, fn func(n *Net, p *sim.Proc)) *Net {
 // bulk is set, and returns gates that fire when it is injected and when it
 // is delivered.
 func xferGates(n *Net, src, dst *Endpoint, size int64, bulk bool) (injected, delivered *sim.Gate) {
-	injected, delivered = n.Eng.NewGate(), n.Eng.NewGate()
+	injected, delivered = new(sim.Gate), new(sim.Gate)
 	fire := func(g any) { g.(*sim.Gate).Fire() }
 	if bulk {
 		n.TransferBulkFn(src, dst, size, fire, injected, fire, delivered)

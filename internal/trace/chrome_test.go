@@ -11,12 +11,8 @@ import (
 // same-label reduce parts on rank 0 plus a posting point.
 func buildOverlapRecorder() *Recorder {
 	var r Recorder
-	ids := make([]SpanID, 4)
-	for d := 0; d < 4; d++ {
-		ids[d] = r.Begin(0, "ireduce 2MB", float64(d)*100e-6)
-	}
 	for d := 3; d >= 0; d-- {
-		r.EndSpan(ids[d], 2e-3+float64(d)*50e-6)
+		r.Span(0, "ireduce 2MB", float64(d)*100e-6, 2e-3+float64(d)*50e-6)
 	}
 	r.Point(1, "wait done", 3e-3)
 	return &r

@@ -2,7 +2,7 @@
 // and renders them as text timelines (the form of the paper's Fig. 6) or
 // exports them as Chrome trace-event JSON loadable in Perfetto.
 // It is deliberately tiny: an append-only recorder safe for the simulator's
-// cooperative concurrency, span bookkeeping, and a Gantt-style renderer.
+// cooperative concurrency and a Gantt-style renderer.
 package trace
 
 import (
@@ -21,32 +21,11 @@ type Event struct {
 	End   float64 // == Start for point events
 }
 
-// SpanID identifies one open span returned by Begin, so that several spans
-// with the same (rank, label) can be in flight at once — the paper's own
-// workload does this: the N_DUP=4 overlapped collective parts of Fig. 6
-// are four concurrent same-label operations on one rank. The zero SpanID
-// is invalid.
-type SpanID int
-
 // Recorder accumulates events. The zero value is ready to use. The
 // simulator runs exactly one process at a time, so no locking is needed;
 // the Recorder is not safe for real concurrent use outside the simulator.
 type Recorder struct {
 	events []Event
-	spans  []openSpan           // indexed by SpanID-1
-	open   map[spanKey][]SpanID // FIFO queues of not-yet-closed occurrences
-}
-
-type openSpan struct {
-	rank   int
-	label  string
-	start  float64
-	closed bool
-}
-
-type spanKey struct {
-	rank  int
-	label string
 }
 
 // Point records an instantaneous event.
@@ -54,54 +33,12 @@ func (r *Recorder) Point(rank int, label string, t float64) {
 	r.events = append(r.events, Event{Rank: rank, Label: label, Start: t, End: t})
 }
 
-// Begin opens a span and returns its handle. Any number of spans with the
-// same (rank, label) may be open concurrently; each Begin creates a new
-// occurrence. Close the span with EndSpan(id) — or with End(rank, label),
-// which closes the oldest open occurrence of that (rank, label) and so
-// stays a drop-in for callers that never overlap same-label spans.
-func (r *Recorder) Begin(rank int, label string, t float64) SpanID {
-	r.spans = append(r.spans, openSpan{rank: rank, label: label, start: t})
-	id := SpanID(len(r.spans))
-	if r.open == nil {
-		r.open = make(map[spanKey][]SpanID)
-	}
-	k := spanKey{rank, label}
-	r.open[k] = append(r.open[k], id)
-	return id
-}
-
-// EndSpan closes the span identified by id at time t. Closing an invalid
-// or already-closed handle panics, which surfaces instrumentation bugs
-// immediately.
-func (r *Recorder) EndSpan(id SpanID, t float64) {
-	if id <= 0 || int(id) > len(r.spans) {
-		panic(fmt.Sprintf("trace: EndSpan of invalid span id %d", id))
-	}
-	sp := &r.spans[id-1]
-	if sp.closed {
-		panic(fmt.Sprintf("trace: span %q on rank %d (id %d) closed twice", sp.label, sp.rank, id))
-	}
-	sp.closed = true
-	k := spanKey{sp.rank, sp.label}
-	for i, qid := range r.open[k] {
-		if qid == id {
-			r.open[k] = append(r.open[k][:i], r.open[k][i+1:]...)
-			break
-		}
-	}
-	r.events = append(r.events, Event{Rank: sp.rank, Label: sp.label, Start: sp.start, End: t})
-}
-
-// End closes the oldest open span with the given (rank, label) — FIFO
-// within an occurrence set, which matches how overlapped same-label
-// operations are posted and completed in the paper's pipelines. A rank
-// with no such open span panics (unbalanced Begin/End).
-func (r *Recorder) End(rank int, label string, t float64) {
-	q := r.open[spanKey{rank, label}]
-	if len(q) == 0 {
-		panic(fmt.Sprintf("trace: span %q not open on rank %d", label, rank))
-	}
-	r.EndSpan(q[0], t)
+// Span records a span from start to end. Spans with the same (rank, label)
+// may overlap — the paper's own workload does this: the N_DUP=4 overlapped
+// collective parts of Fig. 6 are four concurrent same-label operations on
+// one rank — and each stays its own event.
+func (r *Recorder) Span(rank int, label string, start, end float64) {
+	r.events = append(r.events, Event{Rank: rank, Label: label, Start: start, End: end})
 }
 
 // Events returns the recorded events sorted by (start, rank, label);

@@ -8,8 +8,7 @@ import (
 func TestPointAndSpan(t *testing.T) {
 	var r Recorder
 	r.Point(0, "post", 1.0)
-	r.Begin(1, "xfer", 0.5)
-	r.End(1, "xfer", 2.5)
+	r.Span(1, "xfer", 0.5, 2.5)
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events", len(evs))
@@ -19,9 +18,6 @@ func TestPointAndSpan(t *testing.T) {
 	}
 	if evs[1].Label != "post" || evs[1].Start != evs[1].End {
 		t.Errorf("point wrong: %+v", evs[1])
-	}
-	if n := openSpans(&r); n != 0 {
-		t.Errorf("%d spans still open", n)
 	}
 }
 
@@ -40,20 +36,13 @@ func TestEventsSorted(t *testing.T) {
 // (rank,label)-keyed recorder, which panicked ("span already open") when a
 // rank had two same-label spans in flight — exactly the shape of the
 // paper's N_DUP overlapped collectives, e.g. two overlapped Ibcast parts
-// posted back to back on duplicated communicators.
+// posted back to back on duplicated communicators. Both must come back as
+// their own events and export with distinct async ids.
 func TestConcurrentSameLabelSpans(t *testing.T) {
 	var r Recorder
 	// Rank 0 posts two "ibcast 2MB" parts; both are in flight at once.
-	a := r.Begin(0, "ibcast 2MB", 1.0)
-	b := r.Begin(0, "ibcast 2MB", 1.5) // old code panicked here
-	if a == b || a == 0 || b == 0 {
-		t.Fatalf("span ids not distinct and nonzero: %v, %v", a, b)
-	}
-	if n := openSpans(&r); n != 2 {
-		t.Fatalf("open spans = %d, want 2", n)
-	}
-	r.EndSpan(b, 2.0)
-	r.EndSpan(a, 3.0)
+	r.Span(0, "ibcast 2MB", 1.5, 2.0)
+	r.Span(0, "ibcast 2MB", 1.0, 3.0)
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events", len(evs))
@@ -65,46 +54,15 @@ func TestConcurrentSameLabelSpans(t *testing.T) {
 	if evs[1].Start != 1.5 || evs[1].End != 2.0 {
 		t.Errorf("second occurrence wrong: %+v", evs[1])
 	}
-}
-
-// TestEndClosesOldestOccurrence pins the compatibility path: End(rank,
-// label) without a handle closes occurrences FIFO.
-func TestEndClosesOldestOccurrence(t *testing.T) {
-	var r Recorder
-	r.Begin(3, "op", 1)
-	r.Begin(3, "op", 2)
-	r.End(3, "op", 5) // closes the span begun at 1
-	r.End(3, "op", 6) // closes the span begun at 2
-	evs := r.Events()
-	if evs[0].Start != 1 || evs[0].End != 5 || evs[1].Start != 2 || evs[1].End != 6 {
-		t.Errorf("FIFO close order wrong: %+v", evs)
+	ids := map[string]map[int64]bool{"b": {}, "e": {}}
+	for _, ce := range r.ChromeEvents() {
+		if ids[ce.Ph] != nil {
+			ids[ce.Ph][ce.ID] = true
+		}
 	}
-}
-
-func TestUnbalancedSpansPanic(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
+	if len(ids["b"]) != 2 || len(ids["e"]) != 2 {
+		t.Errorf("overlapping spans exported with async ids %v, want two distinct", ids)
 	}
-	expectPanic("End without Begin", func() {
-		var r Recorder
-		r.End(0, "x", 1)
-	})
-	expectPanic("EndSpan twice", func() {
-		var r Recorder
-		id := r.Begin(0, "y", 1)
-		r.EndSpan(id, 2)
-		r.EndSpan(id, 3)
-	})
-	expectPanic("EndSpan of invalid id", func() {
-		var r Recorder
-		r.EndSpan(7, 1)
-	})
 }
 
 // TestEventsDeterministic: identical repeated point events must come back
@@ -118,8 +76,7 @@ func TestEventsDeterministic(t *testing.T) {
 		// scramble some run.
 		for i := 0; i < 50; i++ {
 			r.Point(0, "tick", 1.0)
-			r.Begin(0, "tick", 1.0)
-			r.End(0, "tick", 1.0)
+			r.Span(0, "tick", 1.0, 1.0)
 		}
 		return &r
 	}
@@ -136,10 +93,8 @@ func TestEventsDeterministic(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	var r Recorder
-	r.Begin(0, "reduce", 0)
-	r.End(0, "reduce", 100e-6)
-	r.Begin(1, "bcast", 50e-6)
-	r.End(1, "bcast", 150e-6)
+	r.Span(0, "reduce", 0, 100e-6)
+	r.Span(1, "bcast", 50e-6, 150e-6)
 	r.Point(0, "post", 10e-6)
 	var sb strings.Builder
 	r.Render(&sb, 40)
@@ -158,13 +113,10 @@ func TestRender(t *testing.T) {
 func TestRenderLongAndMultibyteLabels(t *testing.T) {
 	var r Recorder
 	long := "nonblk overlap N_DUP=4 reduce #3 of several (2MB)" // > cap
-	r.Begin(0, long, 0)
-	r.End(0, long, 1e-3)
+	r.Span(0, long, 0, 1e-3)
 	multi := strings.Repeat("μ", 30) // 2-byte runes straddling the cut
-	r.Begin(1, multi, 0)
-	r.End(1, multi, 1e-3)
-	r.Begin(2, "short", 0)
-	r.End(2, "short", 1e-3)
+	r.Span(1, multi, 0, 1e-3)
+	r.Span(2, "short", 0, 1e-3)
 
 	var sb strings.Builder
 	r.Render(&sb, 40)
@@ -193,13 +145,4 @@ func TestRenderEmpty(t *testing.T) {
 	if !strings.Contains(sb.String(), "no events") {
 		t.Error("empty render wrong")
 	}
-}
-
-// openSpans counts the spans begun but not yet ended.
-func openSpans(r *Recorder) int {
-	n := 0
-	for _, q := range r.open {
-		n += len(q)
-	}
-	return n
 }

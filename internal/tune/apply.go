@@ -10,8 +10,7 @@ import (
 // SymmSquareCube kernel. Each communication phase of Algorithm 5 is a
 // collective of a known shape (operation, payload, communicator span); the
 // tuner's table holds the measured winner for the nearest tuned kernel, and
-// TunedConfig transcribes those winners into core.Config.PhaseNDup plus a
-// per-kernel active PPN.
+// KernelConfig transcribes those winners into core.Config.PhaseNDup.
 
 // phaseShape returns the collective a phase of the optimized kernel most
 // resembles at dimension n on a p-edge mesh: its operation and per-rank
@@ -28,32 +27,20 @@ func phaseShape(ph core.Phase, n, p int) (op string, bytes int64) {
 	}
 }
 
-// TunedConfig is the per-kernel parameter choice derived from a table.
-type TunedConfig struct {
-	// Config is the kernel configuration: base NDup plus per-phase widths.
-	Config core.Config
-	// PPN is the tuned active ranks per node for the whole kernel — the
-	// winner of the kernel's dominant (reduction) phase. The caller decides
-	// whether to park surplus ranks to honor it.
-	PPN int
-}
-
-// KernelConfig derives the tuned configuration for the optimized kernel at
-// dimension n on a p-edge mesh over `nodes` nodes. The base config's N,
-// Real and PPN handling are preserved; NDup and PhaseNDup come from the
-// table. Returns an error when the table has no entry for a needed
+// KernelConfig derives the configuration of the optimized kernel at
+// dimension n on a p-edge mesh over `nodes` nodes: NDup and PhaseNDup come
+// from the table. Returns an error when the table has no entry for a needed
 // operation.
-func (t *Table) KernelConfig(base core.Config, p, nodes int) (TunedConfig, error) {
-	out := TunedConfig{Config: base, PPN: base.PPN}
-	out.Config.PhaseNDup = make(map[core.Phase]int)
+func (t *Table) KernelConfig(n, p, nodes int) (core.Config, error) {
+	cfg := core.Config{N: n, PhaseNDup: make(map[core.Phase]int)}
 	var dominant *Entry
 	for _, ph := range core.Phases {
-		op, bytes := phaseShape(ph, base.N, p)
+		op, bytes := phaseShape(ph, n, p)
 		e := t.Nearest(op, bytes, nodes, "")
 		if e == nil {
-			return out, fmt.Errorf("tune: table has no %q entry for phase %s", op, ph)
+			return cfg, fmt.Errorf("tune: table has no %q entry for phase %s", op, ph)
 		}
-		out.Config.PhaseNDup[ph] = e.Best.NDup
+		cfg.PhaseNDup[ph] = e.Best.NDup
 		if op == "reduce" && dominant == nil {
 			dominant = e
 		}
@@ -69,13 +56,10 @@ func (t *Table) KernelConfig(base core.Config, p, nodes int) (TunedConfig, error
 		{core.PhaseReduce2, core.PhaseBcastB2},
 		{core.PhaseReduce3, core.PhaseShip},
 	} {
-		out.Config.PhaseNDup[pair[1]] = out.Config.PhaseNDup[pair[0]]
+		cfg.PhaseNDup[pair[1]] = cfg.PhaseNDup[pair[0]]
 	}
 	// The kernel is reduction-bound (Table IV), so the reduction winner
-	// sets the base width and the kernel's active PPN.
-	if dominant != nil {
-		out.Config.NDup = dominant.Best.NDup
-		out.PPN = dominant.Best.PPN
-	}
-	return out, nil
+	// sets the base width.
+	cfg.NDup = dominant.Best.NDup
+	return cfg, nil
 }

@@ -550,8 +550,8 @@ func hashCell(cfg simnet.Config, k Kernel, p Params, launchPPN int) string {
 type Options struct {
 	Grid    Grid
 	Kernels []Kernel // nil = DefaultKernels
-	// Workers bounds the replica pool (0 = OVERLAP_WORKERS or GOMAXPROCS,
-	// 1 = sequential). The table is byte-identical at any width.
+	// Workers bounds the replica pool (0 = GOMAXPROCS, 1 = sequential).
+	// The table is byte-identical at any width.
 	Workers int
 	// Cache is the content-addressed result store every cell goes through,
 	// keyed by its provenance hash; nil gives the search a private store.

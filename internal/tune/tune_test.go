@@ -175,7 +175,7 @@ func TestTableRoundTripAndLookup(t *testing.T) {
 }
 
 // TestKernelConfig: the application layer transcribes per-phase winners
-// into core.Config.PhaseNDup and picks the reduction winner's PPN.
+// into core.Config.PhaseNDup and takes the reduction winner's width as NDup.
 func TestKernelConfig(t *testing.T) {
 	tab := &Table{
 		Version: TableVersion,
@@ -184,28 +184,28 @@ func TestKernelConfig(t *testing.T) {
 			{Kernel: Kernel{Op: "bcast", Bytes: 8 << 20, Nodes: 4}, Best: Params{NDup: 2, PPN: 1}},
 		},
 	}
-	tc, err := tab.KernelConfig(core.Config{N: 4000, NDup: 1}, 4, 4)
+	cfg, err := tab.KernelConfig(4000, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.Config.NDup != 4 || tc.PPN != 2 {
-		t.Errorf("base NDup=%d PPN=%d, want 4 and 2", tc.Config.NDup, tc.PPN)
+	if cfg.N != 4000 || cfg.NDup != 4 {
+		t.Errorf("N=%d NDup=%d, want 4000 and 4", cfg.N, cfg.NDup)
 	}
 	// Reduce phases take the reduce winner; their consumers (bcastB2, ship)
 	// are snapped to the producer's width so the handoff stays pipelined.
 	for _, ph := range []core.Phase{core.PhaseReduce2, core.PhaseReduce3, core.PhaseBcastB2, core.PhaseShip} {
-		if tc.Config.PhaseNDup[ph] != 4 {
-			t.Errorf("PhaseNDup[%s] = %d, want 4", ph, tc.Config.PhaseNDup[ph])
+		if cfg.PhaseNDup[ph] != 4 {
+			t.Errorf("PhaseNDup[%s] = %d, want 4", ph, cfg.PhaseNDup[ph])
 		}
 	}
 	for _, ph := range []core.Phase{core.PhaseBcastA, core.PhaseBcastB} {
-		if tc.Config.PhaseNDup[ph] != 2 {
-			t.Errorf("PhaseNDup[%s] = %d, want 2", ph, tc.Config.PhaseNDup[ph])
+		if cfg.PhaseNDup[ph] != 2 {
+			t.Errorf("PhaseNDup[%s] = %d, want 2", ph, cfg.PhaseNDup[ph])
 		}
 	}
 	// A table with no bcast entries cannot configure the kernel.
 	reduceOnly := &Table{Version: TableVersion, Entries: tab.Entries[:1]}
-	if _, err := reduceOnly.KernelConfig(core.Config{N: 4000, NDup: 1}, 4, 4); err == nil {
+	if _, err := reduceOnly.KernelConfig(4000, 4, 4); err == nil {
 		t.Error("table without bcast entries accepted")
 	}
 }

@@ -177,7 +177,6 @@ func (s Spec) validate() error {
 type RankResult struct {
 	Checksum uint64  // FNV-64a over the rank's final result bits; 0 with Spec.Phantom
 	Elapsed  float64 // seconds inside the active section (0 if parked)
-	Active   bool
 }
 
 // Result summarizes one workload run.
@@ -294,7 +293,7 @@ func RunRank(p *mpi.Proc, s Spec) (RankResult, error) {
 		default:
 			chk, err = runPipeline(p, act, s)
 		}
-		rr = RankResult{Checksum: chk, Elapsed: p.Now() - t0, Active: true}
+		rr = RankResult{Checksum: chk, Elapsed: p.Now() - t0}
 	})
 	return rr, err
 }
