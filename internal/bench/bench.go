@@ -166,8 +166,8 @@ func kernel25(o Options, q, c, n, ndup, ppn int) (KernelRun, error) {
 }
 
 // kernelCfg runs variant v on a p-edge cubic mesh under an explicit
-// configuration — the entry point for table-driven runs with per-phase
-// pipeline widths (Config.PhaseNDup).
+// configuration — the entry point for table-driven runs, whose broadcasts
+// may be wider or narrower than their reductions (Config.NDupAB).
 func kernelCfg(o Options, v core.Variant, p int, cfg core.Config) (KernelRun, error) {
 	dims := mesh.Cubic(p)
 	return o.kernelCell(naturalSpec(dims.Size(), max(cfg.PPN, 1)), cfg.N, kernel3D(dims, v, cfg))

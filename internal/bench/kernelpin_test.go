@@ -12,8 +12,8 @@ import (
 )
 
 // TestKernelTimingsPinned pins one cell of each kernel family — the 3D
-// kernel at PPN > 1, the 2.5D kernel, 2D SUMMA and sparse SUMMA — bit for
-// bit: the slowest rank's time and GEMM time, and the run's wire volume.
+// kernel at PPN > 1, once with broadcasts wider than its reductions, the
+// 2.5D kernel, 2D SUMMA and sparse SUMMA — bit for bit: the slowest rank's time and GEMM time, and the run's wire volume.
 // Communicator creation costs no virtual time, but every Split is a
 // rendezvous whose wake order the timed region inherits, so one added or
 // reordered Dup in an environment constructor moves these numbers (the
@@ -51,6 +51,9 @@ func TestKernelTimingsPinned(t *testing.T) {
 		{"3D 6x6x6 PPN 4 N_DUP 4", func() (KernelRun, error) {
 			return kernel(Options{}, core.Optimized, n, 6, 4, 4)
 		}, "time=0.0034064043900744389 gemm=0.00038215081025641019 volume=789318448"},
+		{"3D 4x4x4 PPN 2 N_DUP 2 NDupAB 4", func() (KernelRun, error) {
+			return kernelCfg(Options{}, core.Optimized, 4, core.Config{N: n, NDup: 2, NDupAB: 4, PPN: 2})
+		}, "time=0.0057451274238764704 gemm=0.00064102564102564113 volume=596000000"},
 		{"2.5D 16x16x2 PPN 8 N_DUP 1", func() (KernelRun, error) {
 			return kernel25(Options{}, 16, 2, n, 1, 8)
 		}, "time=0.0034599531014612582 gemm=0.00032051282051282008 volume=1320000000"},

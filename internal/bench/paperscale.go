@@ -61,7 +61,7 @@ type PaperScaleResult struct {
 	Rows      []PaperScaleRow
 
 	// Tuned rows (only when run via PaperScaleTuned): the 64-node reduction
-	// at the tuning table's winner, and the optimized kernel with per-phase
+	// at the tuning table's winner, and the optimized kernel with its two
 	// tuned pipeline widths at every mesh edge.
 	TunedCollBW  float64   // MB/s
 	TunedKernel  []float64 // TFlops per paperScaleMeshes entry
@@ -131,8 +131,10 @@ func PaperScale(w io.Writer, o Options) (PaperScaleResult, error) {
 // PaperScaleTuned is PaperScale with the tuning table applied: after the
 // fixed-parameter sweep it measures the 64-node reduction at the table's
 // per-kernel winner (through a store seeded from the table, so a cell the
-// table holds is read) and the optimized kernel with tuned per-phase
-// pipeline widths (tune.Table.KernelConfig) at every mesh edge.
+// table holds is read) and the optimized kernel at every mesh edge, its
+// broadcast width taken from the table's bcast winner and the width of
+// every later phase from its reduce winner (tune.Table.KernelConfig). The
+// printed "per-phase" heading names those two widths.
 func PaperScaleTuned(w io.Writer, o Options, table *tune.Table) (PaperScaleResult, error) {
 	res, err := PaperScale(w, o)
 	if err != nil {

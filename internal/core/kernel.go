@@ -15,31 +15,6 @@ import (
 	"commoverlap/internal/mpi"
 )
 
-// Phase names one communication phase of the optimized SymmSquareCube
-// schedule (Alg. 5). The auto-tuner measures each phase's collective in
-// isolation and Config.PhaseNDup lets the kernel apply a different pipeline
-// width per phase.
-type Phase string
-
-const (
-	// PhaseBcastA is the grid broadcast of the A bands (lines 1-3).
-	PhaseBcastA Phase = "bcastA"
-	// PhaseBcastB is the row broadcast of D_{k,j} (lines 4-7).
-	PhaseBcastB Phase = "bcastB"
-	// PhaseReduce2 is the column reduction of C toward D² (lines 10-12).
-	PhaseReduce2 Phase = "reduce2"
-	// PhaseBcastB2 is the row broadcast of the reduced D² (lines 13-16).
-	PhaseBcastB2 Phase = "bcastB2"
-	// PhaseReduce3 is the column reduction toward D³ (lines 19-21).
-	PhaseReduce3 Phase = "reduce3"
-	// PhaseShip covers the point-to-point shipments of D² and D³ to plane
-	// 0 (lines 22-27).
-	PhaseShip Phase = "ship"
-)
-
-// Phases lists the optimized kernel's phases in schedule order.
-var Phases = []Phase{PhaseBcastA, PhaseBcastB, PhaseReduce2, PhaseBcastB2, PhaseReduce3, PhaseShip}
-
 // Config controls a kernel run.
 type Config struct {
 	// N is the global matrix dimension.
@@ -48,6 +23,12 @@ type Config struct {
 	// the number of duplicated communicators, each carrying 1/NDup of the
 	// data. NDup == 1 disables overlap (Alg. 5 degenerates to Alg. 4).
 	NDup int
+	// NDupAB is the pipeline width of the optimized kernel's A and B
+	// broadcasts (Alg. 5 lines 1-8); 0 means NDup. Every phase from the
+	// first reduction on runs at NDup. The tuned configuration layer sets
+	// it from the broadcast winner of a persisted tuning table, and NDup
+	// from the reduction winner. Every rank must pass the same widths.
+	NDupAB int
 	// Real selects real arithmetic (for correctness tests) over phantom
 	// payloads (for paper-scale benchmarks).
 	Real bool
@@ -55,14 +36,6 @@ type Config struct {
 	// local GEMM time. It should match the placement the world was built
 	// with. Zero means 1.
 	PPN int
-	// PhaseNDup overrides the pipeline width for individual phases of the
-	// optimized kernel; phases absent from the map use NDup. The tuned
-	// configuration layer fills this from a persisted tuning table. Every
-	// rank must pass identical overrides. When two adjacent phases share a
-	// width the root still hands bands off pipelined (band c re-posted the
-	// moment it completes); when the widths differ the handoff falls back
-	// to a full wait between the phases.
-	PhaseNDup map[Phase]int
 }
 
 func (c *Config) validate() error {
@@ -72,45 +45,10 @@ func (c *Config) validate() error {
 	if c.NDup <= 0 {
 		return fmt.Errorf("core: NDup = %d", c.NDup)
 	}
-	for ph, nd := range c.PhaseNDup {
-		if !knownPhase(ph) {
-			return fmt.Errorf("core: unknown phase %q in PhaseNDup", ph)
-		}
-		if nd <= 0 {
-			return fmt.Errorf("core: PhaseNDup[%s] = %d", ph, nd)
-		}
+	if c.NDupAB < 0 {
+		return fmt.Errorf("core: NDupAB = %d", c.NDupAB)
 	}
 	return nil
-}
-
-func knownPhase(ph Phase) bool {
-	for _, p := range Phases {
-		if p == ph {
-			return true
-		}
-	}
-	return false
-}
-
-// phaseNDup returns the pipeline width for one phase: the override if set,
-// NDup otherwise.
-func (c *Config) phaseNDup(ph Phase) int {
-	if nd, ok := c.PhaseNDup[ph]; ok {
-		return nd
-	}
-	return c.NDup
-}
-
-// maxNDup returns the widest pipeline any phase uses — the number of
-// communicator duplicates each family needs.
-func (c *Config) maxNDup() int {
-	w := c.NDup
-	for _, nd := range c.PhaseNDup {
-		if nd > w {
-			w = nd
-		}
-	}
-	return w
 }
 
 // kernelEnv is what every kernel environment shares: the rank, its mesh
@@ -128,8 +66,8 @@ type kernelEnv struct {
 	GemmTime float64
 }
 
-// newKernelEnv validates cfg, defaults its PPN to 1 and builds the mesh
-// over comm. It duplicates no communicator: each environment's constructor
+// newKernelEnv validates cfg, defaults its PPN to 1 and its NDupAB to NDup
+// and builds the mesh over comm. It duplicates no communicator: each environment's constructor
 // makes exactly the Dup calls its kernel needs, in a fixed order, because
 // every Split is a rendezvous whose wake order the timed region inherits.
 func newKernelEnv(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (kernelEnv, error) {
@@ -138,6 +76,9 @@ func newKernelEnv(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (kern
 	}
 	if cfg.PPN == 0 {
 		cfg.PPN = 1
+	}
+	if cfg.NDupAB == 0 {
+		cfg.NDupAB = cfg.NDup
 	}
 	m, err := mesh.Build(comm, dims)
 	if err != nil {
@@ -175,7 +116,7 @@ func (e *kernelEnv) buf(m *mat.Matrix) mpi.Buffer {
 // bandBufN wraps the c-th of nd contiguous row bands of m — the paper's
 // "c-th part" of a block, kept contiguous so no repacking is needed between
 // pipelined operations (Section III principle 3). nd is the width of the
-// phase the band travels in (Config.PhaseNDup).
+// phase the band travels in.
 func (e *kernelEnv) bandBufN(m *mat.Matrix, c, nd int) mpi.Buffer {
 	bd := mat.BlockDim{N: m.Rows, P: nd}
 	lo, n := bd.Offset(c), bd.Count(c)
@@ -201,9 +142,9 @@ func (e *kernelEnv) gemm(a, b, c *mat.Matrix, accumulate bool) {
 	e.GemmTime += e.P.Now() - t0
 }
 
-// Env is the per-rank kernel environment: the mesh communicators plus NDup
-// duplicates of each family, created once (outside the timed region, as in
-// GTFock) and reused across purification iterations.
+// Env is the per-rank kernel environment: the mesh communicators plus
+// max(NDup, NDupAB) duplicates of each family, created once (outside the
+// timed region, as in GTFock) and reused across purification iterations.
 type Env struct {
 	kernelEnv
 
@@ -236,16 +177,13 @@ func NewEnvOn(p *mpi.Proc, comm *mpi.Comm, dims mesh.Dims, cfg Config) (*Env, er
 		return nil, err
 	}
 	e := &Env{kernelEnv: ke}
-	m, width := e.M, e.Cfg.maxNDup()
+	m, width := e.M, max(e.Cfg.NDup, e.Cfg.NDupAB)
 	e.RowDup = m.Row.DupN(width)
 	e.ColDup = m.Col.DupN(width)
 	e.GridDup = m.Grid.DupN(width)
 	e.WorldDup = m.World.DupN(width)
 	return e, nil
 }
-
-// nd returns the pipeline width the optimized kernel uses for one phase.
-func (e *Env) nd(ph Phase) int { return e.Cfg.phaseNDup(ph) }
 
 // Result carries one rank's kernel output and timing.
 type Result struct {

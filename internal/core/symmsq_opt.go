@@ -17,24 +17,18 @@ import (
 //   - the D³ reduction overlaps the point-to-point shipments of D² and D³
 //     to plane 0 (lines 19-27).
 //
-// Each phase runs at its own pipeline width (Config.PhaseNDup, defaulting
-// to NDup). The band-by-band handoff between two overlapped phases only
-// makes sense when both run at the same width — band c of one is band c of
-// the other; when a tuned configuration gives them different widths, the
-// root waits for the whole producing phase before posting the consumer.
-// With every width 1 the schedule degenerates to Algorithm 4 with
-// nonblocking calls.
+// The A and B broadcasts run at width Config.NDupAB and every later phase
+// at NDup. The band-by-band handoff between two overlapped phases needs
+// both at the same width — band c of one is band c of the other — and
+// each overlapped pair lies on one side of that split, so it shares a
+// width by construction. With both widths 1 the schedule degenerates to
+// Algorithm 4 with nonblocking calls.
 func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) {
 	m := e.M
 	i, j, k := m.I, m.J, m.K
 	bd := e.blocks()
 	bi, bj, bk := bd.Count(i), bd.Count(j), bd.Count(k)
-	ndA := e.nd(PhaseBcastA)
-	ndB := e.nd(PhaseBcastB)
-	ndR2 := e.nd(PhaseReduce2)
-	ndB2 := e.nd(PhaseBcastB2)
-	ndR3 := e.nd(PhaseReduce3)
-	ndS := e.nd(PhaseShip)
+	ndAB, nd := e.Cfg.NDupAB, e.Cfg.NDup
 
 	// Lines 1-3: post the grid broadcasts of the A bands.
 	e.trace("start")
@@ -42,32 +36,27 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 	if k == 0 && d != nil {
 		a.CopyFrom(d)
 	}
-	reqA := make([]*mpi.Request, ndA)
-	for c := 0; c < ndA; c++ {
-		reqA[c] = e.GridDup[c].Ibcast(0, e.bandBufN(a, c, ndA))
+	reqA := make([]*mpi.Request, ndAB)
+	for c := 0; c < ndAB; c++ {
+		reqA[c] = e.GridDup[c].Ibcast(0, e.bandBufN(a, c, ndAB))
 	}
 
-	// Lines 4-7: row broadcasts of D_{k,j} (root i == k). When both phases
-	// share a width the root pipelines: it waits for band c of its A block
-	// (which is D_{k,j}) and immediately re-broadcasts it. Other ranks post
-	// their receive sides up front.
+	// Lines 4-7: row broadcasts of D_{k,j} (root i == k). The root
+	// pipelines: it waits for band c of its A block (which is D_{k,j}) and
+	// immediately re-broadcasts it. Other ranks post their receive sides up
+	// front.
 	var braw *mat.Matrix
-	reqB := make([]*mpi.Request, ndB)
+	reqB := make([]*mpi.Request, ndAB)
 	if i == k {
 		braw = a
-		if ndA != ndB {
-			mpi.Waitall(reqA...)
-		}
-		for c := 0; c < ndB; c++ {
-			if ndA == ndB {
-				reqA[c].Wait()
-			}
-			reqB[c] = e.RowDup[c].Ibcast(k, e.bandBufN(a, c, ndB))
+		for c := 0; c < ndAB; c++ {
+			reqA[c].Wait()
+			reqB[c] = e.RowDup[c].Ibcast(k, e.bandBufN(a, c, ndAB))
 		}
 	} else {
 		braw = e.newBlock(bk, bj)
-		for c := 0; c < ndB; c++ {
-			reqB[c] = e.RowDup[c].Ibcast(k, e.bandBufN(braw, c, ndB))
+		for c := 0; c < ndAB; c++ {
+			reqB[c] = e.RowDup[c].Ibcast(k, e.bandBufN(braw, c, ndAB))
 		}
 	}
 
@@ -88,35 +77,29 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 	if j == i {
 		d2loc = e.newBlock(bi, bk)
 	}
-	reqR2 := make([]*mpi.Request, ndR2)
-	for c := 0; c < ndR2; c++ {
+	reqR2 := make([]*mpi.Request, nd)
+	for c := 0; c < nd; c++ {
 		recv := mpi.Buffer{}
 		if j == i {
-			recv = e.bandBufN(d2loc, c, ndR2)
+			recv = e.bandBufN(d2loc, c, nd)
 		}
-		reqR2[c] = e.ColDup[c].Ireduce(i, e.bandBufN(c1, c, ndR2), recv, mpi.OpSum)
+		reqR2[c] = e.ColDup[c].Ireduce(i, e.bandBufN(c1, c, nd), recv, mpi.OpSum)
 	}
 
 	// Lines 13-16: the reduction root re-broadcasts each D² band across the
-	// row (root rank j) as soon as it completes — band by band when the
-	// widths match, after a full wait otherwise; other ranks pre-post.
+	// row (root rank j) as soon as it completes; other ranks pre-post.
 	var b2 *mat.Matrix
-	reqB2 := make([]*mpi.Request, ndB2)
+	reqB2 := make([]*mpi.Request, nd)
 	if i == j {
 		b2 = d2loc
-		if ndR2 != ndB2 {
-			mpi.Waitall(reqR2...)
-		}
-		for c := 0; c < ndB2; c++ {
-			if ndR2 == ndB2 {
-				reqR2[c].Wait()
-			}
-			reqB2[c] = e.RowDup[c].Ibcast(j, e.bandBufN(d2loc, c, ndB2))
+		for c := 0; c < nd; c++ {
+			reqR2[c].Wait()
+			reqB2[c] = e.RowDup[c].Ibcast(j, e.bandBufN(d2loc, c, nd))
 		}
 	} else {
 		b2 = e.newBlock(bj, bk)
-		for c := 0; c < ndB2; c++ {
-			reqB2[c] = e.RowDup[c].Ibcast(j, e.bandBufN(b2, c, ndB2))
+		for c := 0; c < nd; c++ {
+			reqB2[c] = e.RowDup[c].Ibcast(j, e.bandBufN(b2, c, nd))
 		}
 	}
 
@@ -135,13 +118,13 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 	if j == k {
 		d3loc = e.newBlock(bi, bk)
 	}
-	reqR3 := make([]*mpi.Request, ndR3)
-	for c := 0; c < ndR3; c++ {
+	reqR3 := make([]*mpi.Request, nd)
+	for c := 0; c < nd; c++ {
 		recv := mpi.Buffer{}
 		if j == k {
-			recv = e.bandBufN(d3loc, c, ndR3)
+			recv = e.bandBufN(d3loc, c, nd)
 		}
-		reqR3[c] = e.ColDup[c].Ireduce(k, e.bandBufN(c1, c, ndR3), recv, mpi.OpSum)
+		reqR3[c] = e.ColDup[c].Ireduce(k, e.bandBufN(c1, c, nd), recv, mpi.OpSum)
 	}
 
 	e.trace("r3-posted")
@@ -156,13 +139,13 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 	if k == 0 {
 		src2 := m.Dims.Rank(i, i, j) // holder of D²_{i,j}
 		if src2 != m.World.Rank() {
-			for c := 0; c < ndS; c++ {
-				pending = append(pending, e.WorldDup[c].Irecv(src2, tagD2, e.bandBufN(d2res, c, ndS)))
+			for c := 0; c < nd; c++ {
+				pending = append(pending, e.WorldDup[c].Irecv(src2, tagD2, e.bandBufN(d2res, c, nd)))
 			}
 		}
 		if j != 0 { // D³_{i,j} arrives from grid rank j; j == 0 is local
-			for c := 0; c < ndS; c++ {
-				pending = append(pending, e.GridDup[c].Irecv(j, tagD3, e.bandBufN(d3res, c, ndS)))
+			for c := 0; c < nd; c++ {
+				pending = append(pending, e.GridDup[c].Irecv(j, tagD3, e.bandBufN(d3res, c, nd)))
 			}
 		}
 	}
@@ -171,8 +154,8 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 		if dst == m.World.Rank() {
 			d2res.CopyFrom(d2loc)
 		} else {
-			for c := 0; c < ndS; c++ {
-				pending = append(pending, e.WorldDup[c].Isend(dst, tagD2, e.bandBufN(d2loc, c, ndS)))
+			for c := 0; c < nd; c++ {
+				pending = append(pending, e.WorldDup[c].Isend(dst, tagD2, e.bandBufN(d2loc, c, nd)))
 			}
 		}
 	}
@@ -181,14 +164,9 @@ func (e *Env) symmSquareCubeOptimized(d *mat.Matrix) (d2res, d3res *mat.Matrix) 
 			mpi.Waitall(reqR3...)
 			d3res.CopyFrom(d3loc)
 		} else {
-			if ndR3 != ndS {
-				mpi.Waitall(reqR3...)
-			}
-			for c := 0; c < ndS; c++ {
-				if ndR3 == ndS {
-					reqR3[c].Wait()
-				}
-				pending = append(pending, e.GridDup[c].Isend(0, tagD3, e.bandBufN(d3loc, c, ndS)))
+			for c := 0; c < nd; c++ {
+				reqR3[c].Wait()
+				pending = append(pending, e.GridDup[c].Isend(0, tagD3, e.bandBufN(d3loc, c, nd)))
 			}
 		}
 		e.trace("r3-root-done")

@@ -62,62 +62,12 @@ func blockRange(n, p, b int) (lo, hi int) { return b * n / p, (b + 1) * n / p }
 // group seams.
 func (c *Comm) allreduceRing(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
 	p := c.Size()
-	n := buf.Len()
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		sb := ((c.rank-s)%p + p) % p
-		rb := ((c.rank-s-1)%p + p) % p
-		slo, shi := blockRange(n, p, sb)
-		rlo, rhi := blockRange(n, p, rb)
-		tmp := c.p.w.getScratch(buf, rhi-rlo)
-		sreq := c.isendOn(sp, right, tagBase+s, buf.Slice(slo, shi))
-		c.recvOn(sp, left, tagBase+s, tmp)
-		keep := buf.Slice(rlo, rhi)
-		c.chargeReduceArith(sp, keep.Bytes())
-		combineInto(keep, tmp, op)
-		c.p.w.releaseScratch(tmp)
-		sreq.waitFree(sp)
+	block := func(b int) Buffer {
+		lo, hi := blockRange(buf.Len(), p, b)
+		return buf.Slice(lo, hi)
 	}
-	for s := 0; s < p-1; s++ {
-		sb := ((c.rank+1-s)%p + p) % p
-		rb := ((c.rank-s)%p + p) % p
-		slo, shi := blockRange(n, p, sb)
-		rlo, rhi := blockRange(n, p, rb)
-		sreq := c.isendOn(sp, right, tagBase+p-1+s, buf.Slice(slo, shi))
-		c.recvOn(sp, left, tagBase+p-1+s, buf.Slice(rlo, rhi))
-		sreq.waitFree(sp)
-	}
-}
-
-// allreduceBruck: fold to a power of two, then log2(pof2) dissemination
-// rounds in which every rank sends its full accumulator to the rank 2^k
-// ahead and combines the accumulator arriving from 2^k behind — after round
-// k the accumulator covers the 2^(k+1) ranks ending at its own — then
-// unfold. Same round count as recursive doubling but with shifted (non-pair)
-// partners, the dissemination pattern Bruck's algorithms use.
-func (c *Comm) allreduceBruck(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
-	p := c.Size()
-	newrank, pof2 := c.rsFold(sp, buf, op, tagBase)
-	if newrank >= 0 {
-		round := 1
-		for dist := 1; dist < pof2; dist <<= 1 {
-			dst := rsOldRank((newrank+dist)%pof2, p, pof2)
-			src := rsOldRank((newrank-dist+pof2)%pof2, p, pof2)
-			tmp := c.p.w.getScratch(buf, buf.Len())
-			sreq := c.isendOn(sp, dst, tagBase+round, buf)
-			c.recvOn(sp, src, tagBase+round, tmp)
-			// The shifted partner means my receive completing says nothing
-			// about my send: wait for it before mutating the accumulator,
-			// or a rendezvous consumer would see post-combine values.
-			sreq.waitFree(sp)
-			c.chargeReduceArith(sp, buf.Bytes())
-			combineInto(buf, tmp, op)
-			c.p.w.releaseScratch(tmp)
-			round++
-		}
-	}
-	c.rsUnfold(sp, buf, pof2, tagBase+30)
+	c.ringReduceScatter(sp, block, c.rank, tagBase, op)
+	c.ringAllgather(sp, block, (c.rank+1)%p, tagBase+p-1)
 }
 
 // factorize returns p's prime factorization in ascending order (p >= 2).
@@ -238,8 +188,7 @@ func (c *Comm) allreduceShift(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
 			theirCls := recvPeer % m
 			tmp := c.p.w.getScratch(buf, classElems(n, p, theirCls, m))
 			pk, pooled := c.packBlocks(buf, n, p, c.rank%m, m)
-			sreq := c.isendOn(sp, sendPeer, tag, pk)
-			c.recvOn(sp, recvPeer, tag, tmp)
+			c.exchange(sp, sendPeer, recvPeer, tag, pk, tmp)
 			off := 0
 			for b := theirCls; b < p; b += m {
 				lo, hi := blockRange(n, p, b)
@@ -247,7 +196,6 @@ func (c *Comm) allreduceShift(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
 				off += hi - lo
 			}
 			c.p.w.releaseScratch(tmp)
-			sreq.waitFree(sp)
 			if pooled {
 				c.p.w.releaseScratch(pk)
 			}

@@ -53,13 +53,91 @@ func (c *Comm) chargeReduceArith(sp *sim.Proc, bytes int64) {
 	c.p.w.Net.ChargeCPU(sp, c.p.st.ep, float64(bytes)/c.p.w.Net.Cfg.ReduceRate)
 }
 
-// chargeStaging blocks sp while the rank's CPU stages/packs a collective
-// buffer. This is the "posting cost" visible in the paper's Fig. 6: it is
-// paid inline by the caller, so posting several nonblocking collectives
-// serializes their staging on the rank's CPU.
-func (c *Comm) chargeStaging(sp *sim.Proc, bytes int64, factor float64) {
+// post takes the call's collective tag, then blocks the calling rank while
+// its CPU stages/packs bytes of collective buffer. This is the "posting
+// cost" visible in the paper's Fig. 6: it is paid inline by the caller, so
+// posting several nonblocking collectives serializes their staging on the
+// rank's CPU.
+func (c *Comm) post(bytes int64, factor float64) int {
+	tag := c.nextCollTag()
 	rate := c.p.w.Net.Cfg.StageRate * factor
-	c.p.w.Net.ChargeCPU(sp, c.p.st.ep, postOverhead+float64(bytes)/rate)
+	c.p.w.Net.ChargeCPU(c.p.sp, c.p.st.ep, postOverhead+float64(bytes)/rate)
+	return tag
+}
+
+// postBcast posts a broadcast: only the root stages the payload.
+func (c *Comm) postBcast(root int, buf Buffer) int {
+	if c.rank == root {
+		return c.post(buf.Bytes(), bcastStageFactor)
+	}
+	return c.post(0, 1)
+}
+
+// ---------------------------------------------------------------------------
+// Round kinds
+// ---------------------------------------------------------------------------
+
+// The collective schedules are built from three kinds of round, besides
+// the plain sends and receives of their trees; only the shift
+// reduce-scatter, which charges each block it combines, writes its own.
+// Each kind keeps a fixed order of posts, waits and CPU charges, and that
+// order fixes the run's events.
+
+// exchange sends send to dst while receiving recv from src: isend, then a
+// blocking receive, then a wait for the send.
+func (c *Comm) exchange(sp *sim.Proc, dst, src, tag int, send, recv Buffer) {
+	sreq := c.isendOn(sp, dst, tag, send)
+	c.recvOn(sp, src, tag, recv)
+	sreq.waitFree(sp)
+}
+
+// exchangeReduce sends send to dst while receiving a partial result from
+// src into pooled scratch, charges and combines it into keep, and only then
+// waits for the send. send and keep never overlap, so combining before the
+// send completes cannot corrupt a rendezvous send's capture of its payload.
+func (c *Comm) exchangeReduce(sp *sim.Proc, dst, src, tag int, send, keep Buffer, op Op) {
+	tmp := c.p.w.getScratch(keep, keep.Len())
+	sreq := c.isendOn(sp, dst, tag, send)
+	c.recvOn(sp, src, tag, tmp)
+	c.chargeReduceArith(sp, keep.Bytes())
+	combineInto(keep, tmp, op)
+	c.p.w.releaseScratch(tmp)
+	sreq.waitFree(sp)
+}
+
+// recvReduce receives a partial result from src into pooled scratch and
+// charges and combines it into acc.
+func (c *Comm) recvReduce(sp *sim.Proc, src, tag int, acc Buffer, op Op) {
+	tmp := c.p.w.getScratch(acc, acc.Len())
+	c.recvOn(sp, src, tag, tmp)
+	c.chargeReduceArith(sp, acc.Bytes())
+	combineInto(acc, tmp, op)
+	c.p.w.releaseScratch(tmp)
+}
+
+// ringAllgather circulates p pieces around the rank ring in p-1 exchange
+// rounds: in round k every rank sends piece start-k (mod p) to its right
+// neighbour, rank+1, and receives piece start-k-1 from its left, on tag
+// tag+k.
+func (c *Comm) ringAllgather(sp *sim.Proc, piece func(int) Buffer, start, tag int) {
+	p := c.Size()
+	right, left := (c.rank+1)%p, (c.rank-1+p)%p
+	for k := 0; k < p-1; k++ {
+		c.exchange(sp, right, left, tag+k, piece((start-k+p)%p), piece((start-k-1+p)%p))
+	}
+}
+
+// ringReduceScatter runs p-1 exchangeReduce rounds around the rank ring: in
+// round k every rank sends its running partial sum of piece start-k (mod p)
+// to its right neighbour and combines piece start-k-1 arriving from its
+// left, on tag tag+k, so afterwards this rank holds the complete sum of
+// piece start+1. The sent and combined pieces differ in every round.
+func (c *Comm) ringReduceScatter(sp *sim.Proc, piece func(int) Buffer, start, tag int, op Op) {
+	p := c.Size()
+	right, left := (c.rank+1)%p, (c.rank-1+p)%p
+	for k := 0; k < p-1; k++ {
+		c.exchangeReduce(sp, right, left, tag+k, piece((start-k+p)%p), piece((start-k-1+p)%p), op)
+	}
 }
 
 func (c *Comm) abs(vr, root int) int { return (vr + root) % c.Size() }
@@ -119,8 +197,7 @@ func (c *Comm) bcastScatterAllgather(sp *sim.Proc, root int, buf Buffer, tag int
 	n := buf.Len()
 	seg := (n + p - 1) / p
 	pieceLo := func(i int) int { return min(i*seg, n) }
-	pieceHi := func(i int) int { return min((i+1)*seg, n) }
-	piece := func(i int) Buffer { return buf.Slice(pieceLo(i), pieceHi(i)) }
+	piece := func(i int) Buffer { return buf.Slice(pieceLo(i), min((i+1)*seg, n)) }
 
 	vr := (c.rank - root + p) % p
 
@@ -155,17 +232,10 @@ func (c *Comm) bcastScatterAllgather(sp *sim.Proc, root int, buf Buffer, tag int
 		}
 	}
 
-	// Ring allgather: p-1 rounds; in round k each rank forwards the piece it
-	// holds for virtual index (vr-k) to its right neighbor.
-	right := c.abs(vr+1, root)
-	left := c.abs(vr-1+p, root)
-	for k := 0; k < p-1; k++ {
-		sendIdx := (vr - k + p) % p
-		recvIdx := (vr - k - 1 + p) % p
-		sreq := c.isendOn(sp, right, tag+1+k, piece(sendIdx))
-		c.recvOn(sp, left, tag+1+k, piece(recvIdx))
-		sreq.waitFree(sp)
-	}
+	// Ring allgather: pieces are indexed by virtual rank, so in round k each
+	// rank forwards the piece it holds for virtual index (vr-k) to its right
+	// neighbor (virtual and real ranks share their neighbors).
+	c.ringAllgather(sp, piece, vr, tag+1)
 }
 
 // ---------------------------------------------------------------------------
@@ -208,11 +278,7 @@ func (c *Comm) reduceBinomial(sp *sim.Proc, root int, sendBuf, recvBuf Buffer, o
 		if vr&mask == 0 {
 			srcVr := vr | mask
 			if srcVr < p {
-				tmp := w.getScratch(acc, acc.Len())
-				c.recvOn(sp, c.abs(srcVr, root), tag, tmp)
-				c.chargeReduceArith(sp, acc.Bytes())
-				combineInto(acc, tmp, op)
-				w.releaseScratch(tmp)
+				c.recvReduce(sp, c.abs(srcVr, root), tag, acc, op)
 			}
 		} else {
 			c.sendOn(sp, c.abs(vr-mask, root), tag, acc)
@@ -240,11 +306,7 @@ func (c *Comm) rsFold(sp *sim.Proc, acc Buffer, op Op, tag int) (newrank, pof2 i
 		c.sendOn(sp, c.rank-1, tag, acc)
 		return -1, pof2
 	case c.rank < 2*rem:
-		tmp := c.p.w.getScratch(acc, acc.Len())
-		c.recvOn(sp, c.rank+1, tag, tmp)
-		c.chargeReduceArith(sp, acc.Bytes())
-		combineInto(acc, tmp, op)
-		c.p.w.releaseScratch(tmp)
+		c.recvReduce(sp, c.rank+1, tag, acc, op)
 		return c.rank / 2, pof2
 	default:
 		return c.rank - rem, pof2
@@ -292,14 +354,7 @@ func (c *Comm) rsHalving(sp *sim.Proc, acc Buffer, op Op, newrank, pof2, tagBase
 		} else {
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
-		tmp := c.p.w.getScratch(acc, keepHi-keepLo)
-		sreq := c.isendOn(sp, partner, tagBase+round, acc.Slice(sendLo, sendHi))
-		c.recvOn(sp, partner, tagBase+round, tmp)
-		keep := acc.Slice(keepLo, keepHi)
-		c.chargeReduceArith(sp, keep.Bytes())
-		combineInto(keep, tmp, op)
-		c.p.w.releaseScratch(tmp)
-		sreq.waitFree(sp)
+		c.exchangeReduce(sp, partner, partner, tagBase+round, acc.Slice(sendLo, sendHi), acc.Slice(keepLo, keepHi), op)
 		lo, hi = keepLo, keepHi
 		round++
 	}
@@ -369,18 +424,18 @@ func (c *Comm) allreduceRun(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
 	switch c.p.w.AllreduceAlg {
 	case AlgAuto:
 		if buf.Bytes() <= c.p.w.ReduceLongMsg {
-			c.allreduceRecDoubling(sp, buf, op, tagBase)
+			c.allreduceDoubling(sp, buf, op, tagBase, false)
 			return
 		}
 		c.allreduceRabenseifner(sp, buf, op, tagBase)
 	case AlgRecDouble:
-		c.allreduceRecDoubling(sp, buf, op, tagBase)
+		c.allreduceDoubling(sp, buf, op, tagBase, false)
 	case AlgRabenseifner:
 		c.allreduceRabenseifner(sp, buf, op, tagBase)
 	case AlgRing:
 		c.allreduceRing(sp, buf, op, tagBase)
 	case AlgBruck:
-		c.allreduceBruck(sp, buf, op, tagBase)
+		c.allreduceDoubling(sp, buf, op, tagBase, true)
 	case AlgShift:
 		c.allreduceShift(sp, buf, op, tagBase)
 	default:
@@ -388,25 +443,33 @@ func (c *Comm) allreduceRun(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
 	}
 }
 
-// allreduceRecDoubling: fold to a power of two, exchange full buffers for
-// log2(pof2) rounds, unfold.
-func (c *Comm) allreduceRecDoubling(sp *sim.Proc, buf Buffer, op Op, tagBase int) {
+// allreduceDoubling: fold to a power of two, then log2(pof2) rounds in
+// which every rank sends its full accumulator to one partner at distance
+// d = 2^k and combines the accumulator arriving from another, then unfold.
+// Recursive doubling pairs the partners (newrank^d, both directions);
+// shifted is Bruck's dissemination pattern, sending to newrank+d and
+// receiving from newrank-d, so that after round k the accumulator covers
+// the 2^(k+1) ranks ending at its own.
+func (c *Comm) allreduceDoubling(sp *sim.Proc, buf Buffer, op Op, tagBase int, shifted bool) {
 	p := c.Size()
 	newrank, pof2 := c.rsFold(sp, buf, op, tagBase)
 	if newrank >= 0 {
 		round := 1
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := rsOldRank(newrank^mask, p, pof2)
+		for d := 1; d < pof2; d <<= 1 {
+			dst, src := newrank^d, newrank^d
+			if shifted {
+				dst, src = (newrank+d)%pof2, (newrank-d+pof2)%pof2
+			}
 			tmp := c.p.w.getScratch(buf, buf.Len())
-			sreq := c.isendOn(sp, partner, tagBase+round, buf)
-			c.recvOn(sp, partner, tagBase+round, tmp)
 			// My receive completing does not mean my send has captured its
 			// payload: a rendezvous send only clones buf when the partner's
 			// CTS arrives, and under latency jitter that control message can
-			// trail the partner's bulk data. Wait for the send before
-			// mutating the accumulator (same hazard, and same fix, as the
-			// Bruck schedule), or the partner combines post-combine values.
-			sreq.waitFree(sp)
+			// trail the partner's bulk data (with shifted partners the
+			// receive says nothing about the send at all). The whole
+			// accumulator is in flight, so exchange waits for the send
+			// before it is mutated, or the partner combines post-combine
+			// values.
+			c.exchange(sp, rsOldRank(dst, p, pof2), rsOldRank(src, p, pof2), tagBase+round, buf, tmp)
 			c.chargeReduceArith(sp, buf.Bytes())
 			combineInto(buf, tmp, op)
 			c.p.w.releaseScratch(tmp)
@@ -452,13 +515,11 @@ func (c *Comm) allreduceRabenseifner(sp *sim.Proc, buf Buffer, op Op, tagBase in
 			} else {
 				sibLo, sibHi = plo, mid
 			}
-			sreq := c.isendOn(sp, partner, tagBase+round, buf.Slice(lo, hi))
+			sib := Buffer{}
 			if sibHi > sibLo {
-				c.recvOn(sp, partner, tagBase+round, buf.Slice(sibLo, sibHi))
-			} else {
-				c.recvOn(sp, partner, tagBase+round, Buffer{})
+				sib = buf.Slice(sibLo, sibHi)
 			}
-			sreq.waitFree(sp)
+			c.exchange(sp, partner, partner, tagBase+round, buf.Slice(lo, hi), sib)
 			lo, hi = plo, phi
 			round++
 		}
@@ -492,11 +553,7 @@ func (c *Comm) barrierRun(sp *sim.Proc, tagBase int) {
 	p := c.Size()
 	round := 0
 	for mask := 1; mask < p; mask <<= 1 {
-		dst := (c.rank + mask) % p
-		src := (c.rank - mask + p) % p
-		sreq := c.isendOn(sp, dst, tagBase+round, Buffer{})
-		c.recvOn(sp, src, tagBase+round, Buffer{})
-		sreq.waitFree(sp)
+		c.exchange(sp, (c.rank+mask)%p, (c.rank-mask+p)%p, tagBase+round, Buffer{}, Buffer{})
 		round++
 	}
 }
@@ -507,28 +564,18 @@ func (c *Comm) barrierRun(sp *sim.Proc, tagBase int) {
 
 // Bcast broadcasts buf from root to every rank of the communicator.
 func (c *Comm) Bcast(root int, buf Buffer) {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		c.chargeStaging(c.p.sp, buf.Bytes(), bcastStageFactor)
-	} else {
-		c.chargeStaging(c.p.sp, 0, 1)
-	}
-	c.bcastRun(c.p.sp, root, buf, tag)
+	c.bcastRun(c.p.sp, root, buf, c.postBcast(root, buf))
 }
 
 // Reduce combines sendBuf from every rank under op and stores the result in
 // recvBuf on root (recvBuf is ignored on other ranks; pass Buffer{}).
 func (c *Comm) Reduce(root int, sendBuf, recvBuf Buffer, op Op) {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
-	c.reduceRun(c.p.sp, root, sendBuf, recvBuf, op, tag)
+	c.reduceRun(c.p.sp, root, sendBuf, recvBuf, op, c.post(sendBuf.Bytes(), 1))
 }
 
 // Allreduce combines buf across all ranks in place.
 func (c *Comm) Allreduce(buf Buffer, op Op) {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, buf.Bytes(), 1)
-	c.allreduceRun(c.p.sp, buf, op, tag)
+	c.allreduceRun(c.p.sp, buf, op, c.post(buf.Bytes(), 1))
 }
 
 // Barrier blocks until every rank of the communicator has entered it.

@@ -28,12 +28,7 @@ func (c *Comm) spawnColl(name string, schedule func(sp *sim.Proc)) *Request {
 
 // Ibcast posts a nonblocking broadcast of buf from root.
 func (c *Comm) Ibcast(root int, buf Buffer) *Request {
-	tag := c.nextCollTag()
-	if c.rank == root {
-		c.chargeStaging(c.p.sp, buf.Bytes(), bcastStageFactor)
-	} else {
-		c.chargeStaging(c.p.sp, 0, 1)
-	}
+	tag := c.postBcast(root, buf)
 	return c.spawnColl("ibcast", func(sp *sim.Proc) {
 		c.bcastRun(sp, root, buf, tag)
 	})
@@ -41,8 +36,7 @@ func (c *Comm) Ibcast(root int, buf Buffer) *Request {
 
 // Ireduce posts a nonblocking reduction of sendBuf into recvBuf on root.
 func (c *Comm) Ireduce(root int, sendBuf, recvBuf Buffer, op Op) *Request {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, sendBuf.Bytes(), 1)
+	tag := c.post(sendBuf.Bytes(), 1)
 	return c.spawnColl("ireduce", func(sp *sim.Proc) {
 		c.reduceRun(sp, root, sendBuf, recvBuf, op, tag)
 	})
@@ -50,8 +44,7 @@ func (c *Comm) Ireduce(root int, sendBuf, recvBuf Buffer, op Op) *Request {
 
 // Iallreduce posts a nonblocking in-place allreduce of buf.
 func (c *Comm) Iallreduce(buf Buffer, op Op) *Request {
-	tag := c.nextCollTag()
-	c.chargeStaging(c.p.sp, buf.Bytes(), 1)
+	tag := c.post(buf.Bytes(), 1)
 	return c.spawnColl("iallreduce", func(sp *sim.Proc) {
 		c.allreduceRun(sp, buf, op, tag)
 	})

@@ -2,12 +2,15 @@
 // the simulated fabric in internal/simnet: communicators with Dup/Split,
 // blocking and nonblocking point-to-point operations with tag matching and
 // an eager/rendezvous protocol, and blocking and nonblocking collectives
-// (broadcast, reduce, allreduce, barrier) built from point-to-point messages
-// with the classical tree algorithms (binomial, recursive halving/doubling,
-// Rabenseifner). Nonblocking collectives progress as independent simulation
-// processes that share the posting rank's CPU resource, which is the
-// mechanism that makes communication-communication overlap profitable — and
-// bounded — exactly as in the paper.
+// (broadcast, reduce, allreduce, barrier, allgather, reduce-scatter) built
+// from point-to-point messages with the classical algorithms (binomial,
+// recursive halving/doubling, Rabenseifner, ring, Bruck, shift). Their
+// rounds are of three kinds, exchange, exchangeReduce and recvReduce (see
+// coll.go), and every staged call posts through one helper that takes its
+// tag and charges its staging. Nonblocking collectives progress as
+// independent simulation processes that share the posting rank's CPU
+// resource, which is the mechanism that makes communication-communication
+// overlap profitable — and bounded — exactly as in the paper.
 package mpi
 
 import (

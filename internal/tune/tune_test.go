@@ -3,11 +3,11 @@ package tune
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"commoverlap/internal/cache"
-	"commoverlap/internal/core"
 	"commoverlap/internal/mpi"
 	"commoverlap/internal/progress"
 )
@@ -174,8 +174,8 @@ func TestTableRoundTripAndLookup(t *testing.T) {
 	}
 }
 
-// TestKernelConfig: the application layer transcribes per-phase winners
-// into core.Config.PhaseNDup and takes the reduction winner's width as NDup.
+// TestKernelConfig: the application layer takes the bcast winner's width as
+// NDupAB and the reduction winner's as NDup, and needs an entry for both.
 func TestKernelConfig(t *testing.T) {
 	tab := &Table{
 		Version: TableVersion,
@@ -188,25 +188,18 @@ func TestKernelConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.N != 4000 || cfg.NDup != 4 {
-		t.Errorf("N=%d NDup=%d, want 4000 and 4", cfg.N, cfg.NDup)
+	if cfg.N != 4000 || cfg.NDup != 4 || cfg.NDupAB != 2 {
+		t.Errorf("N=%d NDup=%d NDupAB=%d, want 4000, 4 and 2", cfg.N, cfg.NDup, cfg.NDupAB)
 	}
-	// Reduce phases take the reduce winner; their consumers (bcastB2, ship)
-	// are snapped to the producer's width so the handoff stays pipelined.
-	for _, ph := range []core.Phase{core.PhaseReduce2, core.PhaseReduce3, core.PhaseBcastB2, core.PhaseShip} {
-		if cfg.PhaseNDup[ph] != 4 {
-			t.Errorf("PhaseNDup[%s] = %d, want 4", ph, cfg.PhaseNDup[ph])
+	for _, missing := range []struct {
+		op      string
+		entries []Entry
+	}{{"bcast", tab.Entries[:1]}, {"reduce", tab.Entries[1:]}} {
+		part := &Table{Version: TableVersion, Entries: missing.entries}
+		_, err := part.KernelConfig(4000, 4, 4)
+		if err == nil || !strings.Contains(err.Error(), `"`+missing.op+`"`) {
+			t.Errorf("table without a %s entry: err = %v", missing.op, err)
 		}
-	}
-	for _, ph := range []core.Phase{core.PhaseBcastA, core.PhaseBcastB} {
-		if cfg.PhaseNDup[ph] != 2 {
-			t.Errorf("PhaseNDup[%s] = %d, want 2", ph, cfg.PhaseNDup[ph])
-		}
-	}
-	// A table with no bcast entries cannot configure the kernel.
-	reduceOnly := &Table{Version: TableVersion, Entries: tab.Entries[:1]}
-	if _, err := reduceOnly.KernelConfig(4000, 4, 4); err == nil {
-		t.Error("table without bcast entries accepted")
 	}
 }
 
